@@ -106,14 +106,6 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _below_had_from_records(records: list[dict], had: float) -> float | None:
-    dist = np.array([r["dist_m"] for r in records])
-    mask = dist <= had
-    if not mask.any():
-        return None
-    return float(dist[mask].mean())
-
-
 def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     in_dir = Path(args.in_dir)
     files = sorted(in_dir.glob("trial_*.jsonl"))
@@ -131,7 +123,8 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
                 warnings.append(f"{path.name}: empty trace skipped")
                 continue
             cond, seed = records[0]["cond"], int(records[0]["seed"])
-            per_seed[seed][cond] = _below_had_from_records(records, cfg.safety.had)
+            per_seed[seed][cond] = sim.below_had_mean([r["dist_m"] for r in records],
+                                                      cfg.safety.had)
         except (wire.MalformedRecord, KeyError, TypeError, ValueError) as exc:
             warnings.append(f"{path.name}: unreadable trace skipped ({exc})")
     v_means, va_means, n_dropped = [], [], 0
@@ -220,7 +213,7 @@ def cmd_posecheck(cfg: RunConfig, args: argparse.Namespace) -> int:
     marker = geometry.MarkerSpec(side_len=0.10)
     rot_errs, trans_errs = [], []
     for _ in range(args.poses):
-        pose = _random_pose(rng)
+        pose = geometry.random_facing_pose(rng)
         obs = geometry.observe(pose, marker, cam, noise_px=args.noise_px, rng=rng)
         est = geometry.estimate_pose(obs, marker, cam)
         rot_errs.append(geometry.rotation_geodesic_rad(est.rotation, pose.rotation))
@@ -231,21 +224,6 @@ def cmd_posecheck(cfg: RunConfig, args: argparse.Namespace) -> int:
           f"rotation max {rot.max():.3e} rad (median {np.median(rot):.3e}), "
           f"translation max {trans.max():.3e} m (median {np.median(trans):.3e})")
     return EXIT_OK
-
-
-def _random_pose(rng: np.random.Generator, z_range: tuple[float, float] = (0.3, 2.0),
-                 max_tilt_rad: float = 0.6) -> geometry.MarkerPose:
-    """Marker pose facing the camera, inside a generous viewing frustum."""
-    axis = rng.standard_normal(3)
-    axis /= np.linalg.norm(axis)
-    angle = rng.uniform(0.0, max_tilt_rad)
-    k = np.array([[0.0, -axis[2], axis[1]],
-                  [axis[2], 0.0, -axis[0]],
-                  [-axis[1], axis[0], 0.0]])
-    rot = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-    z = rng.uniform(*z_range)
-    t = np.array([rng.uniform(-0.3, 0.3) * z, rng.uniform(-0.25, 0.25) * z, z])
-    return geometry.MarkerPose(rotation=rot, translation=t)
 
 
 def cmd_codec_check(_cfg: RunConfig, _args: argparse.Namespace) -> int:

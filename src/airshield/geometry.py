@@ -31,6 +31,7 @@ __all__ = [
     "marker_corners",
     "project",
     "observe",
+    "random_facing_pose",
     "estimate_pose",
     "marker_to_tcp_distance",
     "rotation_geodesic_rad",
@@ -163,6 +164,21 @@ def observe(pose: MarkerPose, spec: MarkerSpec, k: CameraIntrinsics,
             rng = np.random.default_rng()
         corners = corners + noise_px * rng.standard_normal((4, 2))
     return TagObservation(corners=corners, id=spec.id, timestamp_ms=timestamp_ms)
+
+
+def random_facing_pose(rng: np.random.Generator,
+                       z_range: tuple[float, float] = (0.3, 2.0),
+                       max_tilt_rad: float = 0.6) -> MarkerPose:
+    """Marker pose facing the camera with bounded tilt, inside a generous
+    viewing frustum: the test and ``posecheck`` pose distribution."""
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    angle = rng.uniform(0.0, max_tilt_rad)
+    k = _skew(axis)
+    rot = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    z = rng.uniform(*z_range)
+    t = np.array([rng.uniform(-0.3, 0.3) * z, rng.uniform(-0.25, 0.25) * z, z])
+    return MarkerPose(rotation=rot, translation=t)
 
 
 def _check_convex(corners: np.ndarray) -> None:

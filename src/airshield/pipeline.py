@@ -1,40 +1,25 @@
-"""Sense -> estimate -> decide -> actuate loop with an explicit latency model.
+"""Stage latency model of the sense -> estimate -> decide -> actuate loop.
 
 Stage timing: frames arrive every ``capture_ms``; pose computation takes a
 Normal(detect_ms_mean, detect_ms_sd) time truncated at zero; the decision
 and the serial transmit add small constants; the impeller needs
-``actuator_rise_ms`` to reach 90% thrust after a command. Stages hand off
-through single-slot latest-wins mailboxes, so a slow consumer only ever
-sees the freshest frame and queues cannot grow.
+``actuator_rise_ms`` to reach 90% thrust after a command. The trial
+simulator (``sim.run_trial``) runs the stages on this model; here live the
+model itself, its detect-time draw and the Monte-Carlo latency budget.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, MarkerSpec, TagObservation, TcpPoint, \
-    estimate_pose, marker_to_tcp_distance
-from .safety import SafetyDecision, SafetyState, SafetyZoneConfig, step
-
 __all__ = [
-    "StaleObservation",
     "StageLatencyModel",
-    "PipelineTick",
     "LatencySummary",
-    "PipelineContext",
-    "Mailbox",
-    "sample_detect_ms",
-    "run_cycle",
+    "draw_detect_ms",
     "end_to_end_latency",
 ]
-
-
-class StaleObservation(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -52,30 +37,6 @@ class StageLatencyModel:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
 
-    @property
-    def stale_age_ms(self) -> float:
-        """Age beyond which an observation is flagged stale."""
-        return self.capture_ms + self.detect_ms_mean + 3.0 * self.detect_ms_sd
-
-    @property
-    def reject_age_ms(self) -> float:
-        """Age beyond which an observation is refused outright."""
-        return 2.0 * self.stale_age_ms
-
-
-@dataclass(frozen=True)
-class PipelineTick:
-    obs_timestamp_ms: float
-    decision_timestamp_ms: float
-    command_timestamp_ms: float
-    decision: SafetyDecision
-    stale: bool = False
-
-    def __post_init__(self) -> None:
-        if not (self.obs_timestamp_ms <= self.decision_timestamp_ms
-                <= self.command_timestamp_ms):
-            raise ValueError("stage timestamps must be monotone within a tick")
-
 
 @dataclass(frozen=True)
 class LatencySummary:
@@ -84,95 +45,18 @@ class LatencySummary:
     max_ms: float
 
 
-@dataclass(frozen=True)
-class PipelineContext:
-    marker: MarkerSpec
-    camera: CameraIntrinsics
-    zone: SafetyZoneConfig
-    latency: StageLatencyModel
-
-
-def sample_detect_ms(lat: StageLatencyModel, rng: np.random.Generator) -> float:
-    """One pose-computation time draw, truncated at zero."""
-    if lat.detect_ms_sd == 0.0:
-        return lat.detect_ms_mean
-    return max(0.0, lat.detect_ms_mean + lat.detect_ms_sd * rng.standard_normal())
-
-
-def run_cycle(now_ms: float, obs: TagObservation, tcp: TcpPoint,
-              prev_state: SafetyState, ctx: PipelineContext,
-              rng: np.random.Generator) -> PipelineTick:
-    """Process the freshest observation into an actuation decision.
-
-    Timestamps chain obs -> +detect -> +decide -> +transmit. Observations
-    older than twice the expected pipeline span are rejected; ages past one
-    span mark the tick stale.
-    """
-    age = now_ms - obs.timestamp_ms
-    if age > ctx.latency.reject_age_ms:
-        raise StaleObservation(
-            f"observation is {age:.1f} ms old, limit {ctx.latency.reject_age_ms:.1f} ms"
-        )
-    pose = estimate_pose(obs, ctx.marker, ctx.camera)
-    dist = marker_to_tcp_distance(pose, tcp)
-    detect = sample_detect_ms(ctx.latency, rng)
-    decision_ts = obs.timestamp_ms + detect + ctx.latency.decide_ms
-    command_ts = decision_ts + ctx.latency.transmit_ms
-    decision = step(prev_state, dist, ctx.zone, timestamp_ms=decision_ts)
-    return PipelineTick(
-        obs_timestamp_ms=obs.timestamp_ms,
-        decision_timestamp_ms=decision_ts,
-        command_timestamp_ms=command_ts,
-        decision=decision,
-        stale=age > ctx.latency.stale_age_ms,
-    )
+def draw_detect_ms(lat: StageLatencyModel, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` pose-computation times in ms, Normal(mean, sd) truncated at zero."""
+    return np.maximum(lat.detect_ms_mean + lat.detect_ms_sd * rng.standard_normal(n), 0.0)
 
 
 def end_to_end_latency(lat: StageLatencyModel, n: int, seed: int) -> LatencySummary:
     """Monte-Carlo summary of the detect+decide+transmit span."""
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
-    rng = np.random.default_rng(seed)
-    if lat.detect_ms_sd == 0.0:
-        detect = np.full(n, lat.detect_ms_mean)
-    else:
-        detect = np.maximum(
-            lat.detect_ms_mean + lat.detect_ms_sd * rng.standard_normal(n), 0.0)
-    total = detect + lat.decide_ms + lat.transmit_ms
+    total = draw_detect_ms(lat, np.random.default_rng(seed), n) + lat.decide_ms + lat.transmit_ms
     return LatencySummary(
         p50_ms=float(np.percentile(total, 50)),
         p95_ms=float(np.percentile(total, 95)),
         max_ms=float(total.max()),
     )
-
-
-class Mailbox:
-    """Single-slot, latest-wins handoff between pipeline stages.
-
-    A put overwrites whatever is waiting, so occupancy never exceeds one
-    item no matter how fast the producer runs; take empties the slot.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._item: Optional[object] = None
-        self._full = False
-
-    def put(self, item: object) -> None:
-        with self._lock:
-            self._item = item
-            self._full = True
-
-    def take(self) -> Optional[object]:
-        with self._lock:
-            if not self._full:
-                return None
-            item = self._item
-            self._item = None
-            self._full = False
-            return item
-
-    @property
-    def occupancy(self) -> int:
-        with self._lock:
-            return 1 if self._full else 0

@@ -2,13 +2,16 @@
 
 Distances at or below the danger threshold classify DANGER, distances at or
 below the haptic activation distance (HAD) classify ACTIVE, everything else
-is SAFE. Boundary values go to the more severe state (fail-safe bias).
+is SAFE. Boundary values go to the more severe state (fail-safe bias), and
+a NaN or +inf distance, which carries no usable separation, is DANGER.
+Negative distances, -inf among them, are rejected with NegativeDistance.
 De-escalation requires clearing the threshold by the hysteresis margin so a
 noisy distance estimate hovering at a boundary cannot chatter the actuator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -65,7 +68,9 @@ def classify(d: float, cfg: SafetyZoneConfig) -> SafetyState:
         return SafetyState.DANGER
     if d <= cfg.had:
         return SafetyState.ACTIVE
-    return SafetyState.SAFE
+    if math.isfinite(d):
+        return SafetyState.SAFE
+    return SafetyState.DANGER  # NaN or +inf
 
 
 def step(prev: SafetyState, d: float, cfg: SafetyZoneConfig,
@@ -85,7 +90,9 @@ def step(prev: SafetyState, d: float, cfg: SafetyZoneConfig,
         state = SafetyState.ACTIVE
     elif d <= cfg.had:
         state = SafetyState.ACTIVE
-    else:
+    elif math.isfinite(d):
         state = SafetyState.SAFE
+    else:  # NaN or +inf
+        state = SafetyState.DANGER
     return SafetyDecision(state=state, actuate=state is not SafetyState.SAFE,
                           distance=d, timestamp_ms=timestamp_ms)

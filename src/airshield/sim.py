@@ -18,7 +18,6 @@ identical by construction.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence
@@ -28,12 +27,10 @@ import numpy as np
 from . import stats
 from .airflow import (AIR_DENSITY_KG_M3, JetModel, PerceptionModel,
                       _felt_multipliers, perception_errors)
-from .geometry import TcpPoint
-from .pipeline import StageLatencyModel
+from .pipeline import StageLatencyModel, draw_detect_ms
 from .safety import SafetyState, SafetyZoneConfig, step
 
 __all__ = [
-    "NoExposure",
     "CalibrationFailed",
     "Vec3",
     "RobotTrajectory",
@@ -42,7 +39,6 @@ __all__ = [
     "TrialReport",
     "CalibrationTargets",
     "CalibrationResult",
-    "robot_tcp_at",
     "trajectory_positions",
     "run_trial",
     "below_had_mean",
@@ -55,10 +51,6 @@ __all__ = [
 CONDITIONS = ("v", "va")
 
 Vec3 = tuple[float, float, float]
-
-
-class NoExposure(ValueError):
-    pass
 
 
 class CalibrationFailed(RuntimeError):
@@ -156,30 +148,6 @@ def _trapezoid_s(tau: float, dur: float, d: float, vmax: float, a: float) -> flo
         return 0.5 * a * tau * tau
     rem = dur - tau
     return d - 0.5 * a * rem * rem
-
-
-def _position_at_phase(segs, phase: float, speed: float, accel: float) -> Vec3:
-    idx = bisect_right([s[1] for s in segs], phase)
-    if idx >= len(segs):
-        idx = len(segs) - 1
-    t0, t1, kind, data = segs[idx]
-    if kind == "dwell":
-        return data[0]
-    pos, nxt, d = data
-    s = _trapezoid_s(phase - t0, t1 - t0, d, speed, accel)
-    f = s / d
-    return (pos[0] + f * (nxt[0] - pos[0]),
-            pos[1] + f * (nxt[1] - pos[1]),
-            pos[2] + f * (nxt[2] - pos[2]))
-
-
-def robot_tcp_at(traj: RobotTrajectory, t: float) -> TcpPoint:
-    """Tool center point at time t (seconds), periodic in the cycle."""
-    if t < 0.0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    phase = math.fmod(t, traj.cycle_period)
-    pos = _position_at_phase(traj.segments(), phase, traj.speed, traj.accel)
-    return TcpPoint(position=np.array(pos), timestamp_ms=t * 1000.0)
 
 
 def trajectory_positions(traj: RobotTrajectory, times: np.ndarray) -> np.ndarray:
@@ -293,13 +261,14 @@ class DistanceTrace:
             }
 
 
-def below_had_mean(trace: DistanceTrace, cfg: SafetyZoneConfig) -> float:
-    """Mean of the distance samples at or below the activation distance."""
-    mask = trace.dist_m <= cfg.had
-    if not np.any(mask):
-        raise NoExposure(
-            f"trace {trace.condition}/{trace.seed} never entered the HAD zone")
-    return float(trace.dist_m[mask].mean())
+def below_had_mean(dist_m: np.ndarray | Sequence[float], had: float) -> float | None:
+    """Mean of the distance samples at or below the activation distance;
+    None when the hand never entered the zone."""
+    dist = np.asarray(dist_m)
+    mask = dist <= had
+    if not mask.any():
+        return None
+    return float(dist[mask].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +307,7 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     notice_u = g_event.random(n_exc_max).tolist()
     delay_u = g_event.random(n_exc_max).tolist()
     n_frames = int(duration_s * 1000.0 / latency.capture_ms) + 8
-    detect_s = (np.maximum(
-        latency.detect_ms_mean + latency.detect_ms_sd * g_lat.standard_normal(n_frames),
-        0.0) / 1000.0).tolist()
+    detect_s = (draw_detect_ms(latency, g_lat, n_frames) / 1000.0).tolist()
     felt_mult = _felt_multipliers(perception.weber, g_felt.standard_normal(n)).tolist()
 
     times = np.arange(n) * dt
@@ -676,10 +643,7 @@ def calibrate(targets: CalibrationTargets, budget: int, *,
             for cond in CONDITIONS:
                 trace = run_trial(cond, hm, traj, zone, jet, pm, latency,
                                   trial_duration_s, s)
-                try:
-                    pair[cond] = below_had_mean(trace, zone)
-                except NoExposure:
-                    pair[cond] = None
+                pair[cond] = below_had_mean(trace.dist_m, zone.had)
             # A pair without exposure carries no information about the
             # below-HAD statistic; dropping it keeps the estimate unbiased.
             if pair["v"] is not None and pair["va"] is not None:

@@ -16,8 +16,7 @@ an error carrying the 1-based line number.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 from typing import Iterable
@@ -28,7 +27,6 @@ __all__ = [
     "MAX_PAYLOAD",
     "Opcode",
     "CommandFrame",
-    "TelemetryRecord",
     "PayloadOutOfRange",
     "BadLength",
     "BadHeader",
@@ -40,7 +38,6 @@ __all__ = [
     "decode",
     "set_duty_frame",
     "stop_frame",
-    "ping_frame",
     "journal_append",
     "journal_read",
     "trace_filename",
@@ -142,42 +139,9 @@ def stop_frame(seq: int) -> CommandFrame:
     return CommandFrame(seq=seq, opcode=Opcode.STOP, payload=0)
 
 
-def ping_frame(seq: int) -> CommandFrame:
-    return CommandFrame(seq=seq, opcode=Opcode.PING, payload=0)
-
-
 # ---------------------------------------------------------------------------
 # JSON-lines journal
 # ---------------------------------------------------------------------------
-
-_STATE_NAMES = ("SAFE", "ACTIVE", "DANGER")
-
-
-@dataclass(frozen=True)
-class TelemetryRecord:
-    """One pipeline tick in the telemetry journal."""
-
-    t_ms: int
-    dist_m: float
-    state: str
-    duty_pct: float
-    seq: int
-
-    def __post_init__(self) -> None:
-        if self.state not in _STATE_NAMES:
-            raise ValueError(f"state must be one of {_STATE_NAMES}, got {self.state!r}")
-        if not (math.isfinite(self.dist_m) and math.isfinite(self.duty_pct)):
-            raise ValueError("telemetry values must be finite")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TelemetryRecord":
-        return cls(t_ms=int(data["t_ms"]), dist_m=float(data["dist_m"]),
-                   state=str(data["state"]), duty_pct=float(data["duty_pct"]),
-                   seq=int(data["seq"]))
-
 
 def journal_append(path: str | Path, records: Iterable[dict] | dict) -> None:
     """Append one record (or an iterable of records) as JSON lines."""

@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 
 from airshield.airflow import JetModel, PerceptionModel
-from airshield.geometry import CameraIntrinsics, MarkerSpec, MarkerPose
+from airshield.geometry import CameraIntrinsics, MarkerSpec
 from airshield.pipeline import StageLatencyModel
 from airshield.safety import SafetyZoneConfig
 from airshield.sim import HumanModel, default_trajectory
@@ -48,18 +47,3 @@ def human() -> HumanModel:
 def trajectory():
     return default_trajectory()
 
-
-def random_facing_pose(rng: np.random.Generator,
-                       z_range: tuple[float, float] = (0.3, 2.0),
-                       max_tilt_rad: float = 0.6) -> MarkerPose:
-    """Marker pose with bounded tilt, inside a generous viewing frustum."""
-    axis = rng.standard_normal(3)
-    axis /= np.linalg.norm(axis)
-    angle = rng.uniform(0.0, max_tilt_rad)
-    k = np.array([[0.0, -axis[2], axis[1]],
-                  [axis[2], 0.0, -axis[0]],
-                  [-axis[1], axis[0], 0.0]])
-    rot = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-    z = rng.uniform(*z_range)
-    t = np.array([rng.uniform(-0.3, 0.3) * z, rng.uniform(-0.25, 0.25) * z, z])
-    return MarkerPose(rotation=rot, translation=t)

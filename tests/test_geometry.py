@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from airshield import geometry as g
-from conftest import random_facing_pose
 
 
 def pose(rotation, translation):
@@ -62,7 +61,7 @@ def test_estimate_recovers_canonical_pose(cam, marker):
 def test_noiseless_round_trip_random_poses(cam, marker):
     rng = np.random.default_rng(123)
     for _ in range(300):
-        p = random_facing_pose(rng)
+        p = g.random_facing_pose(rng)
         est = g.estimate_pose(g.project(p, marker, cam), marker, cam)
         assert g.rotation_geodesic_rad(est.rotation, p.rotation) <= 1e-6
         assert np.linalg.norm(est.translation - p.translation) <= 1e-6
@@ -71,7 +70,7 @@ def test_noiseless_round_trip_random_poses(cam, marker):
 def test_estimated_rotation_is_orthonormal(cam, marker):
     rng = np.random.default_rng(5)
     for _ in range(50):
-        p = random_facing_pose(rng)
+        p = g.random_facing_pose(rng)
         est = g.estimate_pose(g.observe(p, marker, cam, noise_px=1.0, rng=rng), marker, cam)
         r = est.rotation
         assert np.linalg.norm(r.T @ r - np.eye(3)) <= 1e-9
@@ -99,7 +98,7 @@ def test_noise_robustness_patch_tag(cam):
     rng = np.random.default_rng(21)
     errs = []
     for _ in range(400):
-        p = random_facing_pose(rng, z_range=(1.0, 1.0))
+        p = g.random_facing_pose(rng, z_range=(1.0, 1.0))
         est = g.estimate_pose(g.observe(p, marker, cam, noise_px=0.5, rng=rng), marker, cam)
         errs.append(np.linalg.norm(est.translation - p.translation))
     assert np.median(errs) <= 0.005

@@ -1,0 +1,42 @@
+"""Golden outputs: the exact bytes of a small simulate/analyze/posecheck run.
+
+A refactor or speedup must leave every trace, manifest, report and stdout
+byte as it was; these digests pin them. They were recorded with Python 3.11
+and numpy 2.4 on x86-64. A change that alters them on purpose changes
+behaviour and must say so.
+"""
+
+import hashlib
+
+from airshield.cli import main
+
+TRACE_SHA256 = {
+    "manifest.json": "0de3bdb2f55cd61c85ca22aa5bd52b3d8e59678846051715d55b32da376f5f0b",
+    "trial_v_11.jsonl": "9d6197051c130c2efebe095631788c6701ead73c681639e620abbc3ace928bfb",
+    "trial_v_12.jsonl": "675877f9c4cb22bef95438c2fc26e67c80e61cf853b0f8d4c378042313a2c447",
+    "trial_v_13.jsonl": "28d3771acb0fe860fa7b3be8e1fe3cbc2bbb99e128e4c65fa2e9b43bf7bcb3cb",
+    "trial_va_11.jsonl": "3d66863111910bc55fa8a3226211b835e0c29d5c507b885d54b3e2e2b35032a6",
+    "trial_va_12.jsonl": "0c580f9ce8e8c31f054e4a63b8fdc7fde29281c25e2db61c3b33b09f24376137",
+    "trial_va_13.jsonl": "63e1e6dc9f974765cca812ecb5de85d57d4b61a8a73f66392e12263ef7e0c0e0",
+}
+REPORT_SHA256 = "048a54ed9c864d4f064e0a2c6097e953a5c31afcde87f95d3e1c3ee2f1f1aed6"
+POSECHECK_STDOUT_SHA256 = "72132334104304acf8c647fe39d7c069f2befa144da99d4040a137c0de9b66e6"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_simulate_and_analyze_outputs_are_byte_identical(tmp_path, capsys):
+    traces, report = tmp_path / "traces", tmp_path / "report.json"
+    assert main(["simulate", "--trials", "3", "--seed", "11", "--duration", "30",
+                 "--out", str(traces)]) == 0
+    assert main(["analyze", "--in", str(traces), "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert {p.name: sha256(p.read_bytes()) for p in sorted(traces.iterdir())} == TRACE_SHA256
+    assert sha256(report.read_bytes()) == REPORT_SHA256
+
+
+def test_posecheck_stdout_is_byte_identical(capsys):
+    assert main(["posecheck", "--poses", "200", "--noise-px", "0.5", "--seed", "3"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == POSECHECK_STDOUT_SHA256

@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airshield.safety import (NegativeDistance, SafetyDecision, SafetyState,
                               SafetyZoneConfig, classify, step)
@@ -53,6 +57,22 @@ def test_step_danger_to_safe_requires_clearing_both_margins(zone):
 def test_step_negative_distance(zone):
     with pytest.raises(NegativeDistance):
         step(SafetyState.SAFE, -1e-9, zone)
+
+
+@pytest.mark.parametrize("d", [math.nan, math.inf])
+def test_non_finite_distance_is_danger(zone, d):
+    assert classify(d, zone) is SafetyState.DANGER
+    for prev in SafetyState:
+        decision = step(prev, d, zone)
+        assert decision.state is SafetyState.DANGER
+        assert decision.actuate
+
+
+def test_negative_infinity_is_negative_distance(zone):
+    with pytest.raises(NegativeDistance):
+        classify(-math.inf, zone)
+    with pytest.raises(NegativeDistance):
+        step(SafetyState.DANGER, -math.inf, zone)
 
 
 def test_actuate_iff_not_safe(zone):
@@ -114,3 +134,46 @@ def test_decision_carries_distance_and_timestamp(zone):
     d = step(SafetyState.SAFE, 0.3, zone, timestamp_ms=123.0)
     assert d == SafetyDecision(state=SafetyState.ACTIVE, actuate=True,
                                distance=0.3, timestamp_ms=123.0)
+
+
+# --- properties of the hysteresis --------------------------------------------
+
+@st.composite
+def zones(draw):
+    danger = draw(st.floats(0.01, 1.0))
+    gap = draw(st.floats(0.01, 1.0))
+    hysteresis = draw(st.floats(0.0, 0.49)) * gap
+    return SafetyZoneConfig(had=danger + gap, danger=danger, hysteresis=hysteresis)
+
+
+states = st.sampled_from(list(SafetyState))
+distances = st.floats(0.0, 3.0)
+
+
+@settings(deadline=None)
+@given(zones(), states, distances, distances)
+def test_escalation_is_monotone(cfg, prev, d1, d2):
+    near, far = min(d1, d2), max(d1, d2)
+    assert step(prev, near, cfg).state >= step(prev, far, cfg).state
+
+
+@settings(deadline=None)
+@given(zones(), st.floats(0.0, 1.0))
+def test_no_chatter_inside_the_danger_band(cfg, u):
+    d = u * (cfg.danger + cfg.hysteresis)
+    assert step(SafetyState.DANGER, d, cfg).state is SafetyState.DANGER
+
+
+@settings(deadline=None)
+@given(zones(), st.sampled_from([SafetyState.ACTIVE, SafetyState.DANGER]), st.floats(0.0, 1.0))
+def test_no_chatter_inside_the_activation_band(cfg, prev, u):
+    d = u * (cfg.had + cfg.hysteresis)
+    assert step(prev, d, cfg).state >= SafetyState.ACTIVE
+
+
+@settings(deadline=None)
+@given(zones(), states, st.sampled_from([math.nan, math.inf]))
+def test_every_non_finite_distance_is_danger(cfg, prev, d):
+    assert classify(d, cfg) is SafetyState.DANGER
+    decision = step(prev, d, cfg)
+    assert decision.state is SafetyState.DANGER and decision.actuate

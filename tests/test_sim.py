@@ -11,25 +11,28 @@ from airshield.safety import SafetyState
 
 # --- robot trajectory ------------------------------------------------------
 
+def tcp_at(traj, t):
+    return sim.trajectory_positions(traj, np.array([t]))[0]
+
+
 def test_tcp_at_phase_origin(trajectory):
-    p = sim.robot_tcp_at(trajectory, 0.0)
-    assert np.allclose(p.position, trajectory.waypoints[0][0])
+    assert np.allclose(tcp_at(trajectory, 0.0), trajectory.waypoints[0][0])
 
 
 def test_tcp_periodicity(trajectory):
-    p = sim.robot_tcp_at(trajectory, trajectory.cycle_period)
-    assert np.allclose(p.position, trajectory.waypoints[0][0], atol=1e-9)
-    q1 = sim.robot_tcp_at(trajectory, 3.21)
-    q2 = sim.robot_tcp_at(trajectory, 3.21 + trajectory.cycle_period)
-    assert np.allclose(q1.position, q2.position, atol=1e-9)
+    p = tcp_at(trajectory, trajectory.cycle_period)
+    assert np.allclose(p, trajectory.waypoints[0][0], atol=1e-9)
+    q1 = tcp_at(trajectory, 3.21)
+    q2 = tcp_at(trajectory, 3.21 + trajectory.cycle_period)
+    assert np.allclose(q1, q2, atol=1e-9)
 
 
 def test_straight_segment_midpoint():
     two = sim.RobotTrajectory(waypoints=(((0, 0, 0), 0.0), ((1.0, 0, 0), 0.0)),
                               speed=0.5, accel=2.0)
     seg_time = two.cycle_period / 2.0
-    mid = sim.robot_tcp_at(two, seg_time / 2.0)
-    assert np.allclose(mid.position, [0.5, 0, 0], atol=1e-9)
+    mid = tcp_at(two, seg_time / 2.0)
+    assert np.allclose(mid, [0.5, 0, 0], atol=1e-9)
 
 
 def test_trajectory_is_continuous(trajectory):
@@ -50,38 +53,27 @@ def test_trajectory_validation():
 def test_cycle_period_padding_holds_first_waypoint():
     traj = sim.RobotTrajectory(waypoints=(((0, 0, 0), 0.0), ((0.5, 0, 0), 0.0)),
                                speed=0.5, accel=2.0, cycle_period=10.0)
-    late = sim.robot_tcp_at(traj, 9.5)
-    assert np.allclose(late.position, [0, 0, 0], atol=1e-9)
+    late = tcp_at(traj, 9.5)
+    assert np.allclose(late, [0, 0, 0], atol=1e-9)
 
 
 # --- below-HAD metric ------------------------------------------------------
 
-def trace_with(dists, cond="v", seed=0):
-    n = len(dists)
-    return sim.DistanceTrace(
-        t_ms=np.arange(n, dtype=np.int64) * 10,
-        dist_m=np.asarray(dists, dtype=float),
-        state=np.zeros(n, dtype=np.uint8),
-        duty_pct=np.zeros(n),
-        condition=cond, seed=seed)
-
-
 def test_below_had_mean_filters_samples(zone):
-    assert sim.below_had_mean(trace_with([0.40, 0.30, 0.32, 0.50]), zone) \
+    assert sim.below_had_mean(np.array([0.40, 0.30, 0.32, 0.50]), zone.had) \
         == pytest.approx(0.31)
 
 
 def test_below_had_mean_no_exposure(zone):
-    with pytest.raises(sim.NoExposure):
-        sim.below_had_mean(trace_with([0.5, 0.6, 0.7]), zone)
+    assert sim.below_had_mean(np.array([0.5, 0.6, 0.7]), zone.had) is None
 
 
 def test_below_had_mean_constant(zone):
-    assert sim.below_had_mean(trace_with([0.30, 0.30, 0.30]), zone) == pytest.approx(0.30)
+    assert sim.below_had_mean([0.30, 0.30, 0.30], zone.had) == pytest.approx(0.30)
 
 
 def test_below_had_boundary_inclusive(zone):
-    assert sim.below_had_mean(trace_with([zone.had, 1.0]), zone) == pytest.approx(zone.had)
+    assert sim.below_had_mean([zone.had, 1.0], zone.had) == pytest.approx(zone.had)
 
 
 # --- run_trial -------------------------------------------------------------
@@ -162,10 +154,8 @@ def test_directional_effect_over_matched_seeds(human, trajectory, zone, jet,
         for cond, sink in (("v", v_means), ("va", va_means)):
             t = run(cond, s, human, trajectory, zone, jet, perception, latency,
                     duration=120.0)
-            try:
-                sink.append(sim.below_had_mean(t, zone))
-            except sim.NoExposure:
-                sink.append(zone.had)
+            m = sim.below_had_mean(t.dist_m, zone.had)
+            sink.append(zone.had if m is None else m)
     r = stats.paired_t(v_means, va_means)
     assert np.mean(va_means) > np.mean(v_means)
     assert r.statistic < 0
@@ -234,10 +224,7 @@ def test_calibrate_self_consistent_targets_converge(human, trajectory, zone, jet
         for cond in sim.CONDITIONS:
             t = run(cond, 1000 + s, human, trajectory, zone, jet, perception,
                     latency, duration=30.0)
-            try:
-                pair[cond] = sim.below_had_mean(t, zone)
-            except sim.NoExposure:
-                pair[cond] = None
+            pair[cond] = sim.below_had_mean(t.dist_m, zone.had)
         if pair["v"] is not None and pair["va"] is not None:
             v.append(pair["v"])
             va.append(pair["va"])

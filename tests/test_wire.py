@@ -137,17 +137,3 @@ def test_journal_missing_file_is_io_failure(tmp_path):
 def test_trace_filename_convention():
     assert wire.trace_filename("va", 42) == "trial_va_42.jsonl"
 
-
-def test_telemetry_record_round_trip(tmp_path):
-    rec = wire.TelemetryRecord(t_ms=10, dist_m=0.31, state="ACTIVE", duty_pct=100.0, seq=3)
-    path = tmp_path / "telemetry.jsonl"
-    wire.journal_append(path, rec.to_json_dict())
-    got, _ = wire.journal_read(path)
-    assert wire.TelemetryRecord.from_json_dict(got[0]) == rec
-
-
-def test_telemetry_record_validation():
-    with pytest.raises(ValueError):
-        wire.TelemetryRecord(t_ms=0, dist_m=0.3, state="WARP", duty_pct=0.0, seq=0)
-    with pytest.raises(ValueError):
-        wire.TelemetryRecord(t_ms=0, dist_m=float("nan"), state="SAFE", duty_pct=0.0, seq=0)
