@@ -9,6 +9,10 @@ the true pressure corrupted by multiplicative discrimination noise (a Weber
 fraction), and the felt value is inverted through the jet law back to a
 distance estimate. Perception therefore only works beyond the potential
 core, where pressure actually varies with distance.
+
+The trial loop draws one felt-pressure multiplier per tick from
+``felt_multipliers`` and asks ``is_felt`` whether the hand feels the jet;
+``perception_errors`` is the distance-judgement experiment.
 """
 
 from __future__ import annotations
@@ -23,24 +27,22 @@ __all__ = [
     "DEFAULT_WEBER",
     "ImperceptibleFlow",
     "InsidePotentialCore",
-    "ImpellerCommand",
     "JetModel",
     "PerceptionModel",
-    "quantize_duty",
     "jet_velocity",
     "dynamic_pressure",
     "pressure_to_distance",
     "max_perceptible_range",
-    "perceived_distance",
+    "felt_multipliers",
+    "is_felt",
     "perception_errors",
-    "calibrate_weber",
 ]
 
 AIR_DENSITY_KG_M3 = 1.225
 
 # Weber fraction fitted so the simulated mean absolute perception error at
-# 0.25 m equals 0.035 m (see calibrate_weber); the 0.35 m behavior is then a
-# prediction of the model, not a fit.
+# 0.25 m equals 0.035 m (pinned by test_airflow::test_default_weber_meets_near_target);
+# the 0.35 m behavior is then a prediction of the model, not a fit.
 DEFAULT_WEBER = 0.301155
 
 # Discrimination noise is truncated at +/-3 sigma and the felt-pressure
@@ -49,8 +51,6 @@ DEFAULT_WEBER = 0.301155
 _NOISE_CLIP_SIGMA = 3.0
 _MULTIPLIER_FLOOR = 0.04
 
-_DUTY_STEP = 0.5
-
 
 class ImperceptibleFlow(ValueError):
     pass
@@ -58,24 +58,6 @@ class ImperceptibleFlow(ValueError):
 
 class InsidePotentialCore(ValueError):
     pass
-
-
-def quantize_duty(duty: float) -> float:
-    """Clamp to [0, 100] and snap to the 0.5% command resolution."""
-    clamped = min(max(duty, 0.0), 100.0)
-    return round(clamped / _DUTY_STEP) * _DUTY_STEP
-
-
-@dataclass(frozen=True)
-class ImpellerCommand:
-    duty: float
-    timestamp_ms: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.duty <= 100.0:
-            raise ValueError(f"duty must be in [0, 100], got {self.duty}")
-        if abs(self.duty / _DUTY_STEP - round(self.duty / _DUTY_STEP)) > 1e-9:
-            raise ValueError(f"duty must be quantized to {_DUTY_STEP}% steps, got {self.duty}")
 
 
 @dataclass(frozen=True)
@@ -143,16 +125,23 @@ def max_perceptible_range(pm: PerceptionModel, jm: JetModel, duty: float) -> flo
     return pressure_to_distance(jm, duty, pm.detect_q)
 
 
-def _felt_multipliers(weber: float, z: np.ndarray) -> np.ndarray:
-    eps = weber * np.clip(z, -_NOISE_CLIP_SIGMA, _NOISE_CLIP_SIGMA)
+def felt_multipliers(pm: PerceptionModel, z: np.ndarray) -> np.ndarray:
+    """Felt-over-true pressure ratios for standard normal draws z."""
+    eps = pm.weber * np.clip(z, -_NOISE_CLIP_SIGMA, _NOISE_CLIP_SIGMA)
     return np.maximum(1.0 + eps, _MULTIPLIER_FLOOR)
+
+
+def is_felt(pm: PerceptionModel, jm: JetModel, duty: float, x: float, mult: float) -> bool:
+    """Whether the pressure at x, scaled by the felt multiplier, reaches the
+    detection threshold."""
+    return dynamic_pressure(jm, duty, x) * mult >= pm.detect_q
 
 
 def _invert_felt(pm: PerceptionModel, jm: JetModel, duty: float,
                  q_felt: np.ndarray) -> np.ndarray:
     """Vectorized inverse of the jet law with core and range clamps."""
     v_exit = jm.v0 * (duty / 100.0)
-    q_core = 0.5 * AIR_DENSITY_KG_M3 * v_exit * v_exit
+    q_core = dynamic_pressure(jm, duty, 0.0)
     x_max = max_perceptible_range(pm, jm, duty)
     q_eff = np.clip(q_felt, pm.detect_q, q_core)
     v = np.sqrt(2.0 * q_eff / AIR_DENSITY_KG_M3)
@@ -176,63 +165,16 @@ def _check_perceivable(pm: PerceptionModel, jm: JetModel, duty: float, true_x: f
     return q
 
 
-def perceived_distance(pm: PerceptionModel, jm: JetModel, duty: float,
-                       true_x: float, rng: np.random.Generator | int) -> float:
-    """One noisy distance estimate from felt dynamic pressure.
-
-    Draws exactly one standard normal from ``rng``; with weber = 0 the
-    estimate equals ``true_x`` exactly.
-    """
-    q = _check_perceivable(pm, jm, duty, true_x)
-    if pm.weber == 0.0:
-        return true_x
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    z = rng.standard_normal(1)
-    q_felt = q * _felt_multipliers(pm.weber, z)
-    return float(_invert_felt(pm, jm, duty, q_felt)[0])
-
-
 def perception_errors(pm: PerceptionModel, jm: JetModel, duty: float,
                       true_x: float, n: int, seed: int) -> np.ndarray:
-    """Signed estimation errors (estimate - true) for n seeded samples.
-
-    Consumes the same noise stream as n sequential perceived_distance calls
-    on a generator seeded identically.
-    """
+    """Signed estimation errors (estimate - true) for n seeded samples;
+    with weber = 0 every estimate equals ``true_x`` exactly."""
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
     q = _check_perceivable(pm, jm, duty, true_x)
     if pm.weber == 0.0:
         return np.zeros(n)
     rng = np.random.default_rng(seed)
-    q_felt = q * _felt_multipliers(pm.weber, rng.standard_normal(n))
+    q_felt = q * felt_multipliers(pm, rng.standard_normal(n))
     return _invert_felt(pm, jm, duty, q_felt) - true_x
 
-
-def calibrate_weber(jm: JetModel | None = None, duty: float = 100.0,
-                    distance: float = 0.25, target_abs_err: float = 0.035,
-                    detect_q: float = 0.5, n: int = 200_000,
-                    seed: int = 3721, tol: float = 1e-5) -> float:
-    """Fit the Weber fraction by bisection on the simulated mean |error|.
-
-    Mean absolute error is monotone increasing in the Weber fraction, so a
-    plain bisection on a fixed noise seed converges to the fraction whose
-    simulated error at ``distance`` matches ``target_abs_err``.
-    """
-    jm = jm or JetModel()
-
-    def mean_abs_err(weber: float) -> float:
-        pm = PerceptionModel(weber=weber, detect_q=detect_q)
-        return float(np.mean(np.abs(perception_errors(pm, jm, duty, distance, n, seed))))
-
-    lo, hi = 1e-6, 1.5
-    if mean_abs_err(hi) < target_abs_err:
-        raise ValueError("target error is not reachable within the search bracket")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mean_abs_err(mid) < target_abs_err:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -56,8 +56,6 @@ class SafetyZoneConfig:
 class SafetyDecision:
     state: SafetyState
     actuate: bool
-    distance: float
-    timestamp_ms: float = 0.0
 
 
 def classify(d: float, cfg: SafetyZoneConfig) -> SafetyState:
@@ -73,8 +71,7 @@ def classify(d: float, cfg: SafetyZoneConfig) -> SafetyState:
     return SafetyState.DANGER  # NaN or +inf
 
 
-def step(prev: SafetyState, d: float, cfg: SafetyZoneConfig,
-         timestamp_ms: float = 0.0) -> SafetyDecision:
+def step(prev: SafetyState, d: float, cfg: SafetyZoneConfig) -> SafetyDecision:
     """One transition of the state machine.
 
     Escalation is immediate; de-escalation must clear the threshold plus the
@@ -94,5 +91,4 @@ def step(prev: SafetyState, d: float, cfg: SafetyZoneConfig,
         state = SafetyState.SAFE
     else:  # NaN or +inf
         state = SafetyState.DANGER
-    return SafetyDecision(state=state, actuate=state is not SafetyState.SAFE,
-                          distance=d, timestamp_ms=timestamp_ms)
+    return SafetyDecision(state=state, actuate=state is not SafetyState.SAFE)

@@ -18,15 +18,14 @@ identical by construction.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import stats
-from .airflow import (AIR_DENSITY_KG_M3, JetModel, PerceptionModel,
-                      _felt_multipliers, perception_errors)
+from .airflow import (JetModel, PerceptionModel, felt_multipliers, is_felt,
+                      perception_errors)
 from .pipeline import StageLatencyModel, draw_detect_ms
 from .safety import SafetyState, SafetyZoneConfig, step
 
@@ -81,22 +80,17 @@ class RobotTrajectory:
             raise ValueError("a trajectory needs at least 2 waypoints")
         if self.speed <= 0.0 or self.accel <= 0.0:
             raise ValueError("speed and acceleration must be positive")
-        natural = self._natural_duration()
+        # The last span ends at the natural loop duration, unless a
+        # cycle_period longer than that padded the loop.
+        segs = self.segments()
+        end = segs[-1][1] if segs else 0.0
         if self.cycle_period is None:
-            object.__setattr__(self, "cycle_period", natural)
-        elif self.cycle_period < natural - 1e-9:
+            object.__setattr__(self, "cycle_period", end)
+        elif self.cycle_period < end - 1e-9:
             raise ValueError(
                 f"cycle_period {self.cycle_period} s is shorter than the "
-                f"path itself ({natural:.3f} s)"
+                f"path itself ({end:.3f} s)"
             )
-
-    def _natural_duration(self) -> float:
-        total = 0.0
-        for i, (pos, dwell) in enumerate(self.waypoints):
-            total += dwell
-            nxt = self.waypoints[(i + 1) % len(self.waypoints)][0]
-            total += _trapezoid_time(_dist3(pos, nxt), self.speed, self.accel)
-        return total
 
     def segments(self) -> list[tuple[float, float, str, tuple]]:
         """(t_start, t_end, kind, data) spans covering one cycle."""
@@ -113,7 +107,7 @@ class RobotTrajectory:
                 dur = _trapezoid_time(d, self.speed, self.accel)
                 segs.append((t, t + dur, "move", (pos, nxt, d)))
                 t += dur
-        if self.cycle_period > t + 1e-12:
+        if self.cycle_period is not None and self.cycle_period > t + 1e-12:
             segs.append((t, self.cycle_period, "dwell", (self.waypoints[0][0],)))
         return segs
 
@@ -308,7 +302,7 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     delay_u = g_event.random(n_exc_max).tolist()
     n_frames = int(duration_s * 1000.0 / latency.capture_ms) + 8
     detect_s = (draw_detect_ms(latency, g_lat, n_frames) / 1000.0).tolist()
-    felt_mult = _felt_multipliers(perception.weber, g_felt.standard_normal(n)).tolist()
+    felt_mult = felt_multipliers(perception, g_felt.standard_normal(n)).tolist()
 
     times = np.arange(n) * dt
     robot = trajectory_positions(traj, times)
@@ -321,7 +315,6 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     out_state = np.empty(n, dtype=np.uint8)
     out_duty = np.empty(n)
     hand_log = np.empty((n, 3)) if record_hand else None
-    decisions: list[tuple[float, int, bool]] = []
 
     # Hand state.
     tray = human.task_positions[0]
@@ -350,7 +343,10 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     frame_idx = 0
     dec_state = SafetyState.SAFE
     live_state = 0
-    pending: deque = deque()
+    # (command time s, state, actuate) per processed frame; the first
+    # ``applied`` entries have reached the actuator.
+    commands: list[tuple[float, int, bool]] = []
+    applied = 0
 
     # Actuator first-order response; rise time is to 90% of target.
     tau = latency.actuator_rise_ms / 1000.0 / math.log(10.0)
@@ -358,9 +354,6 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     duty = 0.0
     duty_target = 0.0
 
-    # Jet constants for the felt-pressure check.
-    core = jet.core_len
-    detect_q = perception.detect_q
     had = zone.had
 
     excursion_p = human.excursion_rate * dt
@@ -440,15 +433,14 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
         if mailbox_d is not None and t >= detector_free:
             done = max(mailbox_t, detector_free) + detect_s[frame_idx]
             frame_idx += 1
-            decision = step(dec_state, mailbox_d, zone, timestamp_ms=(done + decide_s) * 1000.0)
+            decision = step(dec_state, mailbox_d, zone)
             dec_state = decision.state
-            cmd_t = done + decide_s + transmit_s
-            pending.append((cmd_t, int(decision.state), decision.actuate))
-            decisions.append((cmd_t * 1000.0, int(decision.state), decision.actuate))
+            commands.append((done + decide_s + transmit_s, int(decision.state), decision.actuate))
             detector_free = done
             mailbox_d = None
-        while pending and pending[0][0] <= t:
-            _, live_state, actuate = pending.popleft()
+        while applied < len(commands) and commands[applied][0] <= t:
+            _, live_state, actuate = commands[applied]
+            applied += 1
             duty_target = duty_on if actuate else 0.0
 
         duty += (duty_target - duty) * alpha
@@ -459,13 +451,9 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                 crossed = True
                 if noticed:
                     vis_at = t + delay_u[exc_count - 1] * human.notice_delay_max_s + reaction_s
-            if va and air_at == inf and duty > 0.0:
-                v_ax = jet.v0 * (duty / 100.0)
-                if d > core:
-                    v_ax *= core / d
-                felt = 0.5 * AIR_DENSITY_KG_M3 * v_ax * v_ax * felt_mult[i]
-                if felt >= detect_q:
-                    air_at = t + reaction_s
+            if (va and air_at == inf and duty > 0.0
+                    and is_felt(perception, jet, duty, d, felt_mult[i])):
+                air_at = t + reaction_s
             if t >= vis_at or t >= air_at:
                 phase = _RETREAT
                 vis_at = inf
@@ -482,7 +470,8 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
 
     return DistanceTrace(t_ms=out_t, dist_m=out_d, state=out_state,
                          duty_pct=out_duty, condition=cond, seed=seed,
-                         decisions=decisions, hand_xyz=hand_log)
+                         decisions=[(c * 1000.0, s, a) for c, s, a in commands],
+                         hand_xyz=hand_log)
 
 
 # ---------------------------------------------------------------------------

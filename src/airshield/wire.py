@@ -143,10 +143,8 @@ def stop_frame(seq: int) -> CommandFrame:
 # JSON-lines journal
 # ---------------------------------------------------------------------------
 
-def journal_append(path: str | Path, records: Iterable[dict] | dict) -> None:
-    """Append one record (or an iterable of records) as JSON lines."""
-    if isinstance(records, dict):
-        records = [records]
+def journal_append(path: str | Path, records: Iterable[dict]) -> None:
+    """Append records as JSON lines."""
     try:
         with open(path, "a", encoding="utf-8") as fh:
             for rec in records:

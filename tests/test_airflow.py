@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from airshield import airflow
-from airshield.airflow import (ImpellerCommand, ImperceptibleFlow,
-                               InsidePotentialCore, JetModel, PerceptionModel)
+from airshield.airflow import (ImperceptibleFlow, InsidePotentialCore, JetModel,
+                               PerceptionModel)
 
 
 def test_core_velocity_is_exit_velocity(jet):
@@ -45,7 +45,8 @@ def test_velocity_non_increasing_and_linear_in_duty(jet):
 def test_noiseless_perception_is_exact_inverse(jet):
     pm = PerceptionModel(weber=0.0)
     for x in (0.2, 0.25, 0.30, 0.35, 1.0):
-        assert airflow.perceived_distance(pm, jet, 100.0, x, 1) == pytest.approx(x, abs=1e-12)
+        est = airflow.perception_errors(pm, jet, 100.0, x, 1, 1)[0] + x
+        assert est == pytest.approx(x, abs=1e-12)
 
 
 def test_pressure_to_distance_inverts_dynamic_pressure(jet):
@@ -78,25 +79,17 @@ def test_perception_deterministic_per_seed(jet, perception):
     assert not np.array_equal(a, c)
 
 
-def test_single_sample_matches_vectorized_stream(jet, perception):
-    errs = airflow.perception_errors(perception, jet, 100.0, 0.3, 5, 99)
-    rng = np.random.default_rng(99)
-    singles = [airflow.perceived_distance(perception, jet, 100.0, 0.3, rng) - 0.3
-               for _ in range(5)]
-    assert np.allclose(errs, singles, atol=1e-12)
-
-
 def test_inside_core_rejected(jet, perception):
     with pytest.raises(InsidePotentialCore):
-        airflow.perceived_distance(perception, jet, 100.0, 0.1, 1)
+        airflow.perception_errors(perception, jet, 100.0, 0.1, 1, 1)
 
 
 def test_imperceptible_flow_raised_beyond_range(jet, perception):
     x_max = airflow.max_perceptible_range(perception, jet, 100.0)
     with pytest.raises(ImperceptibleFlow):
-        airflow.perceived_distance(perception, jet, 100.0, x_max * 1.2, 1)
+        airflow.perception_errors(perception, jet, 100.0, x_max * 1.2, 1, 1)
     with pytest.raises(ImperceptibleFlow):
-        airflow.perceived_distance(perception, jet, 0.0, 0.3, 1)
+        airflow.perception_errors(perception, jet, 0.0, 0.3, 1, 1)
 
 
 def test_estimates_stay_in_physical_range(jet, perception):
@@ -105,22 +98,28 @@ def test_estimates_stay_in_physical_range(jet, perception):
     assert est.max() <= airflow.max_perceptible_range(perception, jet, 100.0)
 
 
-def test_calibrate_weber_hits_target(jet):
-    w = airflow.calibrate_weber(jet, n=20_000, seed=11, tol=1e-4)
-    pm = PerceptionModel(weber=w)
-    err = np.abs(airflow.perception_errors(pm, jet, 100.0, 0.25, 20_000, 11)).mean()
-    assert err == pytest.approx(0.035, abs=5e-4)
+def test_default_weber_meets_near_target():
+    # DEFAULT_WEBER was fitted on this stream; a 1e-4 change in the Weber
+    # fraction moves this mean by about 1.8e-5.
+    errs = airflow.perception_errors(PerceptionModel(), JetModel(), 100.0, 0.25, 200_000, 3721)
+    assert abs(np.abs(errs).mean() - 0.035) <= 1e-5
 
 
-def test_duty_quantization():
-    assert airflow.quantize_duty(49.76) == 50.0
-    assert airflow.quantize_duty(-3.0) == 0.0
-    assert airflow.quantize_duty(100.2) == 100.0
-    ImpellerCommand(duty=62.5)
-    with pytest.raises(ValueError):
-        ImpellerCommand(duty=62.3)
-    with pytest.raises(ValueError):
-        ImpellerCommand(duty=101.0)
+def test_felt_at_threshold_pressure(jet):
+    q = airflow.dynamic_pressure(jet, 100.0, 0.5)
+    assert airflow.is_felt(PerceptionModel(detect_q=q), jet, 100.0, 0.5, 1.0)
+    assert not airflow.is_felt(PerceptionModel(detect_q=q), jet, 100.0, 0.5, 0.999)
+
+
+def test_never_felt_without_flow_or_with_infinite_threshold(jet, perception):
+    assert not airflow.is_felt(perception, jet, 0.0, 0.1, 5.0)
+    assert not airflow.is_felt(PerceptionModel(detect_q=float("inf")), jet, 100.0, 0.1, 5.0)
+
+
+def test_felt_multipliers_clipped_and_floored():
+    z = np.array([-10.0, -1.0, 0.0, 1.0, 10.0])
+    m = airflow.felt_multipliers(PerceptionModel(weber=0.5), z)
+    assert m.tolist() == [0.04, 0.5, 1.0, 1.5, 2.5]
 
 
 def test_model_validation():

@@ -1,4 +1,5 @@
-"""Golden outputs: the exact bytes of a small simulate/analyze/posecheck run.
+"""Golden outputs: the exact bytes of small simulate/analyze/posecheck/
+perceive/calibrate runs.
 
 A refactor or speedup must leave every trace, manifest, report and stdout
 byte as it was; these digests pin them. They were recorded with Python 3.11
@@ -21,6 +22,11 @@ TRACE_SHA256 = {
 }
 REPORT_SHA256 = "048a54ed9c864d4f064e0a2c6097e953a5c31afcde87f95d3e1c3ee2f1f1aed6"
 POSECHECK_STDOUT_SHA256 = "72132334104304acf8c647fe39d7c069f2befa144da99d4040a137c0de9b66e6"
+PERCEIVE_STDOUT_SHA256 = "dfe2ed8b16e872145d38db68966f07adb641406f7a867efce31916ecf9743462"
+# One evaluation at the default parameters already converges; the residuals
+# print at full precision, so this pins the trial loop and the perception
+# Monte Carlo together.
+CALIBRATE_STDOUT_SHA256 = "7c4bccda604eff99ff48748b16d7e3c949ef380ca4249bec5dfbb7514b2643c4"
 
 
 def sha256(data: bytes) -> str:
@@ -40,3 +46,13 @@ def test_simulate_and_analyze_outputs_are_byte_identical(tmp_path, capsys):
 def test_posecheck_stdout_is_byte_identical(capsys):
     assert main(["posecheck", "--poses", "200", "--noise-px", "0.5", "--seed", "3"]) == 0
     assert sha256(capsys.readouterr().out.encode()) == POSECHECK_STDOUT_SHA256
+
+
+def test_perceive_stdout_is_byte_identical(capsys):
+    assert main(["perceive", "--distance", "0.25", "--samples", "10000", "--seed", "1"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == PERCEIVE_STDOUT_SHA256
+
+
+def test_calibrate_stdout_is_byte_identical(capsys):
+    assert main(["calibrate", "--budget", "1", "--seed", "7"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == CALIBRATE_STDOUT_SHA256

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airshield.safety import (NegativeDistance, SafetyDecision, SafetyState,
-                              SafetyZoneConfig, classify, step)
+from airshield.safety import (NegativeDistance, SafetyState, SafetyZoneConfig,
+                              classify, step)
 
 
 def test_classify_thresholds(zone):
@@ -128,12 +128,6 @@ def test_zone_config_invariants():
         SafetyZoneConfig(had=0.35, danger=0.25, hysteresis=0.05)
     with pytest.raises(ValueError):
         SafetyZoneConfig(had=0.35, danger=0.0)
-
-
-def test_decision_carries_distance_and_timestamp(zone):
-    d = step(SafetyState.SAFE, 0.3, zone, timestamp_ms=123.0)
-    assert d == SafetyDecision(state=SafetyState.ACTIVE, actuate=True,
-                               distance=0.3, timestamp_ms=123.0)
 
 
 # --- properties of the hysteresis --------------------------------------------

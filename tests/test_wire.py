@@ -96,8 +96,8 @@ def test_journal_round_trip(tmp_path):
 
 def test_journal_append_is_incremental(tmp_path):
     path = tmp_path / "j.jsonl"
-    wire.journal_append(path, {"a": 1})
-    wire.journal_append(path, {"b": 2})
+    wire.journal_append(path, [{"a": 1}])
+    wire.journal_append(path, [{"b": 2}])
     got, _ = wire.journal_read(path)
     assert got == [{"a": 1}, {"b": 2}]
 
