@@ -96,7 +96,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
             name = wire.trace_filename(cond, seed)
             path = out_dir / name
             path.unlink(missing_ok=True)
-            wire.journal_append(path, trace.records())
+            wire.journal_append(path, trace.jsonl())
             manifest["trials"].append({"file": name, "cond": cond, "seed": seed,
                                        "n_samples": len(trace)})
     manifest["trials"].sort(key=lambda t: (t["cond"], t["seed"]))
@@ -116,15 +116,19 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     warnings: list[str] = []
     for path in files:
         try:
-            records, truncated = wire.journal_read(path)
-            if truncated:
-                warnings.append(f"{path.name}: truncated trailing line ignored")
-            if not records:
-                warnings.append(f"{path.name}: empty trace skipped")
-                continue
-            cond, seed = records[0]["cond"], int(records[0]["seed"])
-            per_seed[seed][cond] = sim.below_had_mean([r["dist_m"] for r in records],
-                                                      cfg.safety.had)
+            # Well-formed traces skip the full parser; it reads everything else.
+            parsed = sim.parse_trace_dist(wire.journal_bytes(path))
+            if parsed is None:
+                records, truncated = wire.journal_read(path)
+                if truncated:
+                    warnings.append(f"{path.name}: truncated trailing line ignored")
+                if not records:
+                    warnings.append(f"{path.name}: empty trace skipped")
+                    continue
+                parsed = (records[0]["cond"], int(records[0]["seed"]),
+                          [r["dist_m"] for r in records])
+            cond, seed, dist_m = parsed
+            per_seed[seed][cond] = sim.below_had_mean(dist_m, cfg.safety.had)
         except (wire.MalformedRecord, KeyError, TypeError, ValueError) as exc:
             warnings.append(f"{path.name}: unreadable trace skipped ({exc})")
     v_means, va_means, n_dropped = [], [], 0

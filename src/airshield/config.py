@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -132,7 +133,15 @@ def load_config(path: str | Path | None = None,
         section, fname = _KEY_MAP[key]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{key} must be a number, got {value!r}")
-        sections[section][fname] = float(value)
+        # JSON accepts NaN and Infinity, and NaN passes every range check of
+        # the typed objects; an integer past the float range is no number.
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
+        sections[section][fname] = number
 
     try:
         sim_kv = sections["sim"]

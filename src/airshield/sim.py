@@ -17,7 +17,9 @@ identical by construction.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence
 
@@ -35,6 +37,7 @@ __all__ = [
     "RobotTrajectory",
     "HumanModel",
     "DistanceTrace",
+    "parse_trace_dist",
     "TrialReport",
     "CalibrationTargets",
     "CalibrationResult",
@@ -125,23 +128,19 @@ def _trapezoid_time(d: float, vmax: float, a: float) -> float:
     return 2.0 * math.sqrt(d / a)
 
 
-def _trapezoid_s(tau: float, dur: float, d: float, vmax: float, a: float) -> float:
-    """Arc length covered tau seconds into a trapezoidal move."""
-    tau = min(max(tau, 0.0), dur)
+def _trapezoid_s(tau: np.ndarray, dur: float, d: float, vmax: float,
+                 a: float) -> np.ndarray:
+    """Arc length covered at each of the times ``tau`` into a trapezoidal move."""
+    tau = np.minimum(np.maximum(tau, 0.0), dur)
+    rem = dur - tau
+    accel = 0.5 * a * tau * tau
+    decel = d - 0.5 * a * rem * rem
     d_ramp = vmax * vmax / a
     if d >= d_ramp:
         t_r = vmax / a
-        if tau < t_r:
-            return 0.5 * a * tau * tau
-        if tau <= dur - t_r:
-            return 0.5 * d_ramp + vmax * (tau - t_r)
-        rem = dur - tau
-        return d - 0.5 * a * rem * rem
-    t_peak = 0.5 * dur
-    if tau <= t_peak:
-        return 0.5 * a * tau * tau
-    rem = dur - tau
-    return d - 0.5 * a * rem * rem
+        cruise = 0.5 * d_ramp + vmax * (tau - t_r)
+        return np.where(tau < t_r, accel, np.where(tau <= dur - t_r, cruise, decel))
+    return np.where(tau <= 0.5 * dur, accel, decel)
 
 
 def trajectory_positions(traj: RobotTrajectory, times: np.ndarray) -> np.ndarray:
@@ -160,8 +159,7 @@ def trajectory_positions(traj: RobotTrajectory, times: np.ndarray) -> np.ndarray
             out[mask] = data[0]
             continue
         pos, nxt, d = data
-        taus = phases[mask] - t0
-        s = np.array([_trapezoid_s(tau, t1 - t0, d, traj.speed, traj.accel) for tau in taus])
+        s = _trapezoid_s(phases[mask] - t0, t1 - t0, d, traj.speed, traj.accel)
         f = (s / d)[:, None]
         out[mask] = np.asarray(pos) + f * (np.asarray(nxt) - np.asarray(pos))
     return out
@@ -253,6 +251,56 @@ class DistanceTrace:
                 "cond": self.condition,
                 "seed": self.seed,
             }
+
+    def jsonl(self) -> str:
+        """The trace file: each of ``records()`` as one compact JSON line.
+
+        Built column by column from one row template. ``repr`` writes a finite
+        float exactly as ``json.dumps`` does, but NaN and infinities differ,
+        so a trace holding one is encoded through ``records()`` instead.
+        """
+        if not (np.isfinite(self.dist_m).all() and np.isfinite(self.duty_pct).all()):
+            return "".join(json.dumps(r, separators=(",", ":")) + "\n"
+                           for r in self.records())
+        names = {s.value: s.name for s in SafetyState}
+        # '"cond":...,"seed":...}', the same on every row.
+        tail = json.dumps({"cond": self.condition, "seed": self.seed},
+                          separators=(",", ":"))[1:]
+        return "".join([
+            f'{{"t_ms":{t},"dist_m":{d!r},"state":"{names[s]}","duty_pct":{u!r},{tail}\n'
+            for t, d, s, u in zip(self.t_ms.tolist(), self.dist_m.tolist(),
+                                  self.state.tolist(), self.duty_pct.tolist())])
+
+
+# One trace line exactly as ``DistanceTrace.jsonl`` writes it, capturing the
+# dist_m literal. JSON number grammar, with dist_m and duty_pct spelled as
+# floats (a fraction or an exponent) and the integers held to 19 digits, so
+# that ``json.loads`` reads every field of a matching line without error and
+# gives dist_m as ``float`` of its literal.
+_JSON_INT = rb"-?(?:0|[1-9][0-9]{0,18})"
+_JSON_FLOAT = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+_TRACE_LINE = re.compile(
+    rb'^\{"t_ms":' + _JSON_INT + rb',"dist_m":(' + _JSON_FLOAT + rb'),"state":"(?:'
+    + "|".join(s.name for s in SafetyState).encode() + rb')","duty_pct":' + _JSON_FLOAT
+    + rb',"cond":"(?:' + "|".join(CONDITIONS).encode() + rb')","seed":' + _JSON_INT
+    + rb'\}\n', re.MULTILINE)
+
+
+def parse_trace_dist(data: bytes) -> tuple[str, int, np.ndarray] | None:
+    """(cond, seed, dist_m) of a trace file's bytes, or None.
+
+    Reads only files whose every line has the exact shape ``jsonl()``
+    writes, and gives for them what the full JSON parser gives: cond and
+    seed of the first line and dist_m of every line. Anything else, such as
+    a truncated, empty or foreign file, gives None and is left to
+    ``wire.journal_read``.
+    """
+    dist = _TRACE_LINE.findall(data)
+    # A match is one whole line, so every line matched when the counts agree.
+    if len(dist) != data.count(b"\n") or not data.endswith(b"\n"):
+        return None
+    first = json.loads(data[:data.index(b"\n")])
+    return first["cond"], first["seed"], np.array([float(d) for d in dist])
 
 
 def below_had_mean(dist_m: np.ndarray | Sequence[float], had: float) -> float | None:

@@ -8,9 +8,11 @@ link. Payloads are duty in 0.5% units (0-200); STOP and PING conventionally
 carry 0x00 but the codec round-trips the full payload range for every
 opcode.
 
-Telemetry is append-only JSON lines. A partial trailing line (torn write on
-crash) is tolerated on read and reported; a malformed line anywhere else is
-an error carrying the 1-based line number.
+Telemetry is append-only JSON lines. The writer takes either records, which
+it encodes one compact line each, or a str of lines its caller has already
+encoded, such as ``DistanceTrace.jsonl()``. A partial trailing line (torn
+write on crash) is tolerated on read and reported; a malformed line anywhere
+else is an error carrying the 1-based line number.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "set_duty_frame",
     "stop_frame",
     "journal_append",
+    "journal_bytes",
     "journal_read",
     "trace_filename",
 ]
@@ -143,15 +146,30 @@ def stop_frame(seq: int) -> CommandFrame:
 # JSON-lines journal
 # ---------------------------------------------------------------------------
 
-def journal_append(path: str | Path, records: Iterable[dict]) -> None:
-    """Append records as JSON lines."""
+def journal_append(path: str | Path, records: str | Iterable[dict]) -> None:
+    """Append records as JSON lines.
+
+    ``records`` is an iterable of dicts, each written as one compact line,
+    or a str of complete, already encoded lines, written as it is.
+    """
     try:
         with open(path, "a", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, separators=(",", ":")))
-                fh.write("\n")
+            if isinstance(records, str):
+                fh.write(records)
+            else:
+                for rec in records:
+                    fh.write(json.dumps(rec, separators=(",", ":")))
+                    fh.write("\n")
     except OSError as exc:
         raise IoFailure(f"cannot append to journal {path}: {exc}") from exc
+
+
+def journal_bytes(path: str | Path) -> bytes:
+    """The journal file's raw bytes; IoFailure when it cannot be read."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"cannot read journal {path}: {exc}") from exc
 
 
 def journal_read(path: str | Path) -> tuple[list[dict], bool]:
@@ -161,10 +179,7 @@ def journal_read(path: str | Path) -> tuple[list[dict], bool]:
     partial line, the signature of a write torn by a crash. A complete but
     unparsable line raises MalformedRecord with its line number.
     """
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read journal {path}: {exc}") from exc
+    raw = journal_bytes(path)
     records: list[dict] = []
     if not raw:
         return records, False

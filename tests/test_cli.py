@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from airshield import wire
+from airshield import sim, wire
 from airshield.cli import main
 
 
@@ -41,6 +41,24 @@ def test_simulate_rerun_byte_identical(tmp_path):
     assert read_tree(a) == read_tree(b)
 
 
+def test_simulate_alternates_run_trial_and_journal_append(tmp_path, monkeypatch):
+    # perfbench/workloads.py times each trial from entering sim.run_trial to
+    # the return of its wire.journal_append, patching both module attributes.
+    calls = []
+
+    def logged(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sim, "run_trial", logged("run", sim.run_trial))
+    monkeypatch.setattr(wire, "journal_append", logged("append", wire.journal_append))
+    assert run_cli(*FAST_SIM, "simulate", "--trials", "2", "--condition", "both",
+                   "--out", tmp_path / "runs") == 0
+    assert calls == ["run", "append"] * 4
+
+
 def test_simulate_zero_trials_is_usage_error(tmp_path, capsys):
     rc = run_cli("simulate", "--trials", "0", "--out", tmp_path / "x")
     assert rc == 2
@@ -66,6 +84,22 @@ def test_analyze_produces_report(tmp_path, capsys):
     assert payload["n_pairs"] >= 2
     assert set(payload["v"]) == {"mean", "sd", "shapiro"}
     assert "paired_t" in payload and "config_sha256" in payload
+
+
+def test_analyze_reads_own_traces_without_the_full_parser(tmp_path, monkeypatch):
+    out = tmp_path / "runs"
+    assert run_cli("simulate", "--trials", "4", "--duration", "60", "--out", out) == 0
+    fast, full = tmp_path / "fast.json", tmp_path / "full.json"
+
+    def refuse(path):
+        raise AssertionError(f"full parser called on {path}")
+
+    with monkeypatch.context() as m:
+        m.setattr(wire, "journal_read", refuse)
+        assert run_cli("analyze", "--in", out, "--report", fast) == 0
+    monkeypatch.setattr(sim, "parse_trace_dist", lambda data: None)
+    assert run_cli("analyze", "--in", out, "--report", full) == 0
+    assert fast.read_bytes() == full.read_bytes()
 
 
 def test_analyze_single_condition_exits_2(tmp_path, capsys):
@@ -197,3 +231,20 @@ def test_config_file_flows_through(tmp_path):
                    "--seed", "3", "--out", out) == 0
     records, _ = wire.journal_read(out / "trial_v_3.jsonl")
     assert len(records) == 1000  # 10 s at 10 ms ticks
+
+
+@pytest.mark.parametrize("override", ["latency.actuator_rise_ms=NaN", "jet.v0_mps=NaN",
+                                      "sim.reaction_latency_ms=NaN",
+                                      "sim.retreat_speed_mps=Infinity"])
+def test_non_finite_override_exits_2(tmp_path, capsys, override):
+    rc = run_cli("--set", override, "simulate", "--trials", "1", "--out", tmp_path / "x")
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_non_finite_config_file_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"latency": {"actuator_rise_ms": NaN}}')
+    assert run_cli("--config", cfg, "simulate", "--trials", "1", "--out", tmp_path / "x") == 2
+    assert "latency.actuator_rise_ms must be a finite number" in capsys.readouterr().err

@@ -48,6 +48,20 @@ def test_non_numeric_value_rejected():
         load_config(overrides=["safety.had_m=true"])
 
 
+@pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity",
+                                 pytest.param("1" + "0" * 400, id="int-past-float-range")])
+def test_non_finite_value_rejected(raw):
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(overrides=[f"sim.tick_ms={raw}"])
+
+
+def test_non_finite_file_value_rejected(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"jet": {"v0_mps": Infinity}}')
+    with pytest.raises(ConfigError, match="jet.v0_mps"):
+        load_config(path)
+
+
 def test_malformed_override():
     with pytest.raises(ConfigError):
         load_config(overrides=["safety.had_m"])

@@ -1,10 +1,13 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from airshield import sim, stats
+from airshield import sim, stats, wire
 from airshield.airflow import PerceptionModel
 from airshield.safety import SafetyState
 
@@ -55,6 +58,47 @@ def test_cycle_period_padding_holds_first_waypoint():
                                speed=0.5, accel=2.0, cycle_period=10.0)
     late = tcp_at(traj, 9.5)
     assert np.allclose(late, [0, 0, 0], atol=1e-9)
+
+
+def trapezoid_s_scalar(tau, dur, d, vmax, a):
+    """The one-sample arc length that sim._trapezoid_s vectorises."""
+    tau = min(max(tau, 0.0), dur)
+    d_ramp = vmax * vmax / a
+    if d >= d_ramp:
+        t_r = vmax / a
+        if tau < t_r:
+            return 0.5 * a * tau * tau
+        if tau <= dur - t_r:
+            return 0.5 * d_ramp + vmax * (tau - t_r)
+        rem = dur - tau
+        return d - 0.5 * a * rem * rem
+    t_peak = 0.5 * dur
+    if tau <= t_peak:
+        return 0.5 * a * tau * tau
+    rem = dur - tau
+    return d - 0.5 * a * rem * rem
+
+
+waypoints = st.lists(
+    st.tuples(st.tuples(*[st.floats(-1.0, 1.0)] * 3), st.floats(0.0, 2.0)),
+    min_size=2, max_size=5).map(tuple)
+
+
+@settings(deadline=None)
+@given(waypoints, st.floats(0.01, 2.0), st.floats(0.01, 10.0), st.floats(0.0, 1.0))
+def test_trapezoid_s_is_the_scalar_profile_bit_for_bit(wps, speed, accel, u):
+    traj = sim.RobotTrajectory(waypoints=wps, speed=speed, accel=accel)
+    for t0, t1, kind, data in traj.segments():
+        if kind != "move":
+            continue
+        dur, d = t1 - t0, data[2]
+        t_r = speed / accel
+        taus = np.concatenate([np.linspace(-0.1 * dur, 1.1 * dur, 101),
+                               [0.0, t_r, dur - t_r, 0.5 * dur, dur, u * dur]])
+        got = sim._trapezoid_s(taus, dur, d, speed, accel)
+        want = np.array([trapezoid_s_scalar(tau, dur, d, speed, accel)
+                         for tau in taus.tolist()])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # --- below-HAD metric ------------------------------------------------------
@@ -178,6 +222,101 @@ def test_trace_records_schema(human, trajectory, zone, jet, perception, latency)
     assert first["cond"] == "va"
     assert first["seed"] == 4
     assert first["state"] in {"SAFE", "ACTIVE", "DANGER"}
+
+
+# --- trace file encoding ---------------------------------------------------
+
+def make_trace(rows, cond="v", seed=0):
+    t, d, state, duty = zip(*rows) if rows else ((), (), (), ())
+    return sim.DistanceTrace(t_ms=np.array(t, dtype=np.int64), dist_m=np.array(d),
+                             state=np.array(state, dtype=np.uint8),
+                             duty_pct=np.array(duty), condition=cond, seed=seed)
+
+
+def records_jsonl(trace):
+    return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in trace.records())
+
+
+def full_parse(tmp_path, data):
+    """What analyze takes from a trace through wire.journal_read."""
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(data)
+    records, truncated = wire.journal_read(path)
+    assert not truncated and records
+    return (records[0]["cond"], int(records[0]["seed"]),
+            np.asarray([r["dist_m"] for r in records], dtype=float))
+
+
+def assert_same_parse(got, want):
+    assert got[:2] == want[:2]
+    assert got[2].dtype == np.float64
+    assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64))
+
+
+states = st.sampled_from([s.value for s in SafetyState])
+int64s = st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def traces(draw, seeds=st.integers()):
+    floats = st.floats() if draw(st.booleans()) else st.floats(allow_nan=False,
+                                                               allow_infinity=False)
+    rows = draw(st.lists(st.tuples(int64s, floats, states, floats), max_size=12))
+    return make_trace(rows, draw(st.sampled_from(sim.CONDITIONS)), draw(seeds))
+
+
+EDGE_ROWS = [(0, 0.3, 0, 0.0), (-2**63, -0.0, 1, 5e-324), (2**63 - 1, 1e16, 2, 100.0),
+             (10, 2.2250738585072014e-308, 0, 1.7976931348623157e308)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(traces())
+@example(make_trace([]))
+@example(make_trace(EDGE_ROWS, "va", -10**30))
+@example(make_trace(EDGE_ROWS + [(20, math.nan, 1, 0.0)]))
+@example(make_trace(EDGE_ROWS + [(20, 0.3, 1, math.inf)], "va", 7))
+@example(make_trace(EDGE_ROWS + [(20, -math.inf, 2, -math.inf)]))
+def test_jsonl_equals_json_dumps_of_records(trace):
+    assert trace.jsonl() == records_jsonl(trace)
+
+
+@settings(deadline=None, max_examples=300)
+@given(traces(seeds=int64s))
+@example(make_trace(EDGE_ROWS, "va", -2**63))
+@example(make_trace(EDGE_ROWS + [(20, math.nan, 1, 0.0)]))
+def test_parse_trace_dist_reads_jsonl_exactly(trace):
+    got = sim.parse_trace_dist(trace.jsonl().encode())
+    finite = np.isfinite(trace.dist_m).all() and np.isfinite(trace.duty_pct).all()
+    if len(trace) == 0 or not finite:
+        assert got is None  # NaN/Infinity and empty files go to the full parser
+        return
+    assert_same_parse(got, (trace.condition, trace.seed, trace.dist_m))
+
+
+def test_parse_trace_dist_agrees_with_full_parser_on_damaged_files(tmp_path):
+    data = make_trace(EDGE_ROWS[:3], "va", 12).jsonl().encode()
+    damaged = [data[:k] for k in range(len(data) + 1)]
+    damaged += [data[:k] + bytes([data[k] ^ 1 << bit]) + data[k + 1:]
+                for k in range(len(data)) for bit in range(8)]
+    readable = 0
+    for blob in damaged:
+        got = sim.parse_trace_dist(blob)
+        if got is not None:
+            readable += 1
+            assert_same_parse(got, full_parse(tmp_path, blob))
+    # Whole-line cuts and digit flips stay readable; the rest fall back.
+    assert 3 < readable < len(damaged) // 2
+
+
+def test_parse_trace_dist_rejects_foreign_shapes():
+    line = make_trace([(0, 0.3, 0, 0.0)], "va", 1).jsonl().encode()
+    assert sim.parse_trace_dist(line) is not None
+    for foreign in (b"", line[:-1], line + b"\n", line.replace(b":", b": "),
+                    line.replace(b"0.3", b"3"), line.replace(b"va", b"vb"),
+                    line.replace(b"SAFE", b"safe"), line.replace(b"\n", b"\r\n"),
+                    line.replace(b'"seed":1', b'"seed":1.0'), b"\xef\xbb\xbf" + line,
+                    line.replace(b'"seed":1', b'"seed":1' + b"0" * 19)):
+        assert sim.parse_trace_dist(foreign) is None, foreign
 
 
 # --- analysis --------------------------------------------------------------

@@ -98,8 +98,9 @@ def test_journal_append_is_incremental(tmp_path):
     path = tmp_path / "j.jsonl"
     wire.journal_append(path, [{"a": 1}])
     wire.journal_append(path, [{"b": 2}])
+    wire.journal_append(path, '{"c":3}\n{"d":4}\n')  # already encoded lines
     got, _ = wire.journal_read(path)
-    assert got == [{"a": 1}, {"b": 2}]
+    assert got == [{"a": 1}, {"b": 2}, {"c": 3}, {"d": 4}]
 
 
 def test_journal_tolerates_truncated_tail(tmp_path):
