@@ -100,7 +100,7 @@ def _parse_override(text: str) -> tuple[str, Any]:
     key, raw = text.split("=", 1)
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer past Python's int-string limit
         raise ConfigError(f"override value for {key!r} is not a JSON scalar: {raw!r}") from None
     return key.strip(), value
 
@@ -114,7 +114,7 @@ def load_config(path: str | Path | None = None,
             tree = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also undecodable UTF-8 and overlong integers
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(tree, dict):
             raise ConfigError("config file must hold a JSON object")

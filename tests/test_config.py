@@ -62,6 +62,16 @@ def test_non_finite_file_value_rejected(tmp_path):
         load_config(path)
 
 
+def test_overlong_integer_rejected(tmp_path):
+    digits = "1" * 5000  # past Python's int-string limit: json.loads raises ValueError
+    with pytest.raises(ConfigError):
+        load_config(overrides=[f"sim.tick_ms={digits}"])
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"sim": {{"tick_ms": {digits}}}}}')
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
 def test_malformed_override():
     with pytest.raises(ConfigError):
         load_config(overrides=["safety.had_m"])
