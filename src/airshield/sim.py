@@ -223,6 +223,9 @@ class HumanModel:
 # Trial output
 # ---------------------------------------------------------------------------
 
+_STATE_NAMES = {s.value: s.name for s in SafetyState}
+
+
 @dataclass
 class DistanceTrace:
     """Fixed-tick samples of one trial plus the actuation decision log."""
@@ -241,12 +244,11 @@ class DistanceTrace:
 
     def records(self) -> Iterator[dict]:
         """JSON-ready rows in trace-file field order."""
-        state_names = {s.value: s.name for s in SafetyState}
         for i in range(len(self.t_ms)):
             yield {
                 "t_ms": int(self.t_ms[i]),
                 "dist_m": float(self.dist_m[i]),
-                "state": state_names[int(self.state[i])],
+                "state": _STATE_NAMES[int(self.state[i])],
                 "duty_pct": float(self.duty_pct[i]),
                 "cond": self.condition,
                 "seed": self.seed,
@@ -262,12 +264,11 @@ class DistanceTrace:
         if not (np.isfinite(self.dist_m).all() and np.isfinite(self.duty_pct).all()):
             return "".join(json.dumps(r, separators=(",", ":")) + "\n"
                            for r in self.records())
-        names = {s.value: s.name for s in SafetyState}
         # '"cond":...,"seed":...}', the same on every row.
         tail = json.dumps({"cond": self.condition, "seed": self.seed},
                           separators=(",", ":"))[1:]
         return "".join([
-            f'{{"t_ms":{t},"dist_m":{d!r},"state":"{names[s]}","duty_pct":{u!r},{tail}\n'
+            f'{{"t_ms":{t},"dist_m":{d!r},"state":"{_STATE_NAMES[s]}","duty_pct":{u!r},{tail}\n'
             for t, d, s, u in zip(self.t_ms.tolist(), self.dist_m.tolist(),
                                   self.state.tolist(), self.duty_pct.tolist())])
 
@@ -281,7 +282,7 @@ _JSON_INT = rb"-?(?:0|[1-9][0-9]{0,18})"
 _JSON_FLOAT = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
 _TRACE_LINE = re.compile(
     rb'^\{"t_ms":' + _JSON_INT + rb',"dist_m":(' + _JSON_FLOAT + rb'),"state":"(?:'
-    + "|".join(s.name for s in SafetyState).encode() + rb')","duty_pct":' + _JSON_FLOAT
+    + "|".join(_STATE_NAMES.values()).encode() + rb')","duty_pct":' + _JSON_FLOAT
     + rb',"cond":"(?:' + "|".join(CONDITIONS).encode() + rb')","seed":' + _JSON_INT
     + rb'\}\n', re.MULTILINE)
 
