@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import airflow, geometry, sim, wire
-from .config import ConfigError, RunConfig, config_hash, load_config
+from .config import ConfigError, RunConfig, config_hash, finite_number, load_config
 from .sim import CalibrationFailed, CalibrationTargets
 
 EXIT_OK = 0
@@ -76,12 +77,17 @@ def build_parser() -> argparse.ArgumentParser:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _require(ok: bool, flag: str, rule: str, value: object) -> None:
+    if not ok:
+        raise ConfigError(f"{flag} must be {rule}, got {value}")
+
+
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    _require(args.trials >= 1, "--trials", ">= 1", args.trials)
+    _require(args.seed >= 0, "--seed", ">= 0", args.seed)
     duration = args.duration if args.duration is not None else cfg.duration_s
-    if duration <= 0.0:
-        raise ConfigError(f"--duration must be positive, got {duration}")
+    _require(math.isfinite(duration) and duration > 0.0, "--duration",
+             "positive and finite", duration)
     conditions = sim.CONDITIONS if args.condition == "both" else (args.condition,)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -99,7 +105,6 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
             wire.journal_append(path, trace.jsonl())
             manifest["trials"].append({"file": name, "cond": cond, "seed": seed,
                                        "n_samples": len(trace)})
-    manifest["trials"].sort(key=lambda t: (t["cond"], t["seed"]))
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(manifest['trials'])} trace files to {out_dir}")
@@ -148,21 +153,21 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
         print("need at least 2 matched-seed trial pairs to analyze", file=sys.stderr)
         return EXIT_USAGE
     report = sim.analyze_pairs(v_means, va_means)
-    report.warnings.extend(warnings)
-    payload = report.to_dict()
-    payload["config_sha256"] = config_hash(cfg)
+    report["warnings"].extend(warnings)
+    report["config_sha256"] = config_hash(cfg)
     Path(args.report).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    t_txt = ("t=%.4f p=%.4g" % (report.t_test.statistic, report.t_test.p_value)
-             if report.t_test else "t-test unavailable")
-    print(f"{report.n_pairs} pairs: V {report.v_mean:.4f} m, "
-          f"VA {report.va_mean:.4f} m, {t_txt}")
+        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    t_test = report["paired_t"]
+    t_txt = ("t=%.4f p=%.4g" % (t_test["statistic"], t_test["p_value"])
+             if t_test else "t-test unavailable")
+    print(f"{report['n_pairs']} pairs: V {report['v']['mean']:.4f} m, "
+          f"VA {report['va']['mean']:.4f} m, {t_txt}")
     return EXIT_OK
 
 
 def cmd_perceive(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    _require(args.samples >= 1, "--samples", ">= 1", args.samples)
+    _require(math.isfinite(args.distance), "--distance", "finite", args.distance)
     try:
         errors = airflow.perception_errors(cfg.perception, cfg.jet, cfg.duty_pct,
                                            args.distance, args.samples, args.seed)
@@ -177,23 +182,32 @@ def cmd_perceive(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    _require(args.seed >= 0, "--seed", ">= 0", args.seed)
     target_kv = {}
     if args.targets:
         try:
             target_kv = json.loads(Path(args.targets).read_text(encoding="utf-8"))
         except OSError as exc:
             raise wire.IoFailure(f"cannot read targets file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also undecodable UTF-8 and overlong integers
             raise ConfigError(f"targets file is not valid JSON: {exc}") from exc
-        unknown = set(target_kv) - {f.name for f in
-                                    CalibrationTargets.__dataclass_fields__.values()}
+        if not isinstance(target_kv, dict):
+            raise ConfigError("targets file must hold a JSON object")
+        unknown = set(target_kv) - set(CalibrationTargets.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown target keys: {', '.join(sorted(unknown))}")
-    targets = CalibrationTargets(**target_kv)
-    result = sim.calibrate(targets, args.budget, human=cfg.human,
-                           perception=cfg.perception, jet=cfg.jet,
-                           zone=cfg.safety, traj=cfg.trajectory,
-                           latency=cfg.latency, seed=args.seed)
+        target_kv = {k: finite_number(f"targets.{k}", v) for k, v in target_kv.items()}
+    try:
+        targets = CalibrationTargets(**target_kv)
+    except ValueError as exc:
+        raise ConfigError(f"targets: {exc}") from exc
+    try:
+        result = sim.calibrate(targets, args.budget, human=cfg.human,
+                               perception=cfg.perception, jet=cfg.jet,
+                               zone=cfg.safety, traj=cfg.trajectory,
+                               latency=cfg.latency, seed=args.seed)
+    except (airflow.InsidePotentialCore, airflow.ImperceptibleFlow) as exc:
+        raise ConfigError(str(exc)) from exc
     fitted = {
         "perception.weber": result.perception.weber,
         "sim.attention_p": result.human.attention_p,
@@ -210,8 +224,10 @@ def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_posecheck(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if args.poses < 1:
-        raise ConfigError(f"--poses must be >= 1, got {args.poses}")
+    _require(args.poses >= 1, "--poses", ">= 1", args.poses)
+    _require(args.seed >= 0, "--seed", ">= 0", args.seed)
+    _require(math.isfinite(args.noise_px) and args.noise_px >= 0.0, "--noise-px",
+             "finite and >= 0", args.noise_px)
     rng = np.random.default_rng(args.seed)
     cam = geometry.CameraIntrinsics()
     marker = geometry.MarkerSpec(side_len=0.10)

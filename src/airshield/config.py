@@ -20,7 +20,8 @@ from .pipeline import StageLatencyModel
 from .safety import SafetyZoneConfig
 from .sim import HumanModel, RobotTrajectory, default_trajectory
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "flatten", "config_hash"]
+__all__ = ["ConfigError", "RunConfig", "finite_number", "load_config", "flatten",
+           "config_hash"]
 
 
 class ConfigError(ValueError):
@@ -105,6 +106,23 @@ def _parse_override(text: str) -> tuple[str, Any]:
     return key.strip(), value
 
 
+def finite_number(key: str, value: Any) -> float:
+    """A JSON value as a float, or ConfigError naming ``key``.
+
+    JSON accepts NaN and Infinity, and NaN passes every range check of the
+    typed objects; a bool, or an integer past the float range, is no number.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
+
+
 def load_config(path: str | Path | None = None,
                 overrides: list[str] | None = None) -> RunConfig:
     """Build a validated RunConfig from defaults, a JSON file, and overrides."""
@@ -131,17 +149,7 @@ def load_config(path: str | Path | None = None,
                                            "latency": {}, "sim": {}}
     for key, value in flat.items():
         section, fname = _KEY_MAP[key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
-        # JSON accepts NaN and Infinity, and NaN passes every range check of
-        # the typed objects; an integer past the float range is no number.
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if not math.isfinite(number):
-            raise ConfigError(f"{key} must be a finite number, got {value!r}")
-        sections[section][fname] = number
+        sections[section][fname] = finite_number(key, value)
 
     try:
         sim_kv = sections["sim"]

@@ -38,7 +38,6 @@ __all__ = [
     "HumanModel",
     "DistanceTrace",
     "parse_trace_dist",
-    "TrialReport",
     "CalibrationTargets",
     "CalibrationResult",
     "trajectory_positions",
@@ -527,76 +526,44 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
 # Trial-set analysis
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TrialReport:
-    """Per-condition summary of matched below-HAD means plus test results."""
-
-    n_pairs: int
-    v_mean: float
-    v_sd: float
-    va_mean: float
-    va_sd: float
-    mean_diff_va_minus_v: float
-    v_shapiro: Optional[stats.TestResult] = None
-    va_shapiro: Optional[stats.TestResult] = None
-    t_test: Optional[stats.TestResult] = None
-    warnings: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        def tr(r: Optional[stats.TestResult]) -> Optional[dict]:
-            if r is None:
-                return None
-            d = {"statistic": r.statistic, "p_value": r.p_value}
-            if r.df is not None:
-                d["df"] = r.df
-            return d
-
-        return {
-            "n_pairs": self.n_pairs,
-            "v": {"mean": self.v_mean, "sd": self.v_sd, "shapiro": tr(self.v_shapiro)},
-            "va": {"mean": self.va_mean, "sd": self.va_sd, "shapiro": tr(self.va_shapiro)},
-            "paired_t": tr(self.t_test),
-            "mean_diff_va_minus_v": self.mean_diff_va_minus_v,
-            "warnings": list(self.warnings),
-        }
-
-
-def analyze_pairs(v_means: Sequence[float], va_means: Sequence[float]) -> TrialReport:
-    """Statistics over matched per-trial below-HAD means.
+def analyze_pairs(v_means: Sequence[float], va_means: Sequence[float]) -> dict:
+    """Statistics over matched per-trial below-HAD means, as the JSON-ready
+    report that ``analyze`` writes.
 
     The paired t-test is computed on V - VA differences, so a higher VA
-    separation shows up as a negative statistic.
+    separation shows up as a negative statistic. A test that cannot run on
+    the sample reports None and says why in ``warnings``.
     """
     if len(v_means) != len(va_means):
         raise stats.LengthMismatch("conditions have different pair counts")
     if len(v_means) < 2:
         raise ValueError("need at least 2 matched pairs")
     warnings: list[str] = []
-    v_mean, v_sd = stats.summarize(v_means)
-    va_mean, va_sd = stats.summarize(va_means)
 
-    def try_shapiro(x: Sequence[float], label: str) -> Optional[stats.TestResult]:
+    def attempt(label: str, test, *samples, skip: tuple) -> Optional[dict]:
         try:
-            return stats.shapiro_wilk(x)
-        except (stats.SampleTooSmall, stats.ConstantSample) as exc:
-            warnings.append(f"shapiro[{label}]: {exc}")
+            r = test(*samples)
+        except skip as exc:
+            warnings.append(f"{label}: {exc}")
             return None
+        result = {"statistic": r.statistic, "p_value": r.p_value}
+        if r.df is not None:
+            result["df"] = r.df
+        return result
 
-    t_test = None
-    try:
-        t_test = stats.paired_t(v_means, va_means)
-    except stats.ZeroVarianceDifferences as exc:
-        warnings.append(f"paired_t: {exc}")
-    return TrialReport(
-        n_pairs=len(v_means),
-        v_mean=v_mean, v_sd=v_sd or 0.0,
-        va_mean=va_mean, va_sd=va_sd or 0.0,
-        mean_diff_va_minus_v=va_mean - v_mean,
-        v_shapiro=try_shapiro(v_means, "v"),
-        va_shapiro=try_shapiro(va_means, "va"),
-        t_test=t_test,
-        warnings=warnings,
-    )
+    # The t-test runs first, so its warning leads the Shapiro ones.
+    paired_t = attempt("paired_t", stats.paired_t, v_means, va_means,
+                       skip=(stats.ZeroVarianceDifferences,))
+    report: dict = {"n_pairs": len(v_means)}
+    for label, x in (("v", v_means), ("va", va_means)):
+        mean, sd = stats.summarize(x)
+        report[label] = {"mean": mean, "sd": sd, "shapiro": attempt(
+            f"shapiro[{label}]", stats.shapiro_wilk, x,
+            skip=(stats.SampleTooSmall, stats.ConstantSample))}
+    report["paired_t"] = paired_t
+    report["mean_diff_va_minus_v"] = report["va"]["mean"] - report["v"]["mean"]
+    report["warnings"] = warnings
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +582,11 @@ class CalibrationTargets:
     tol_err_near: float = 0.005
     tol_err_far: float = 0.010
 
+    def __post_init__(self) -> None:
+        for name in ("tol_mean", "tol_err_near", "tol_err_far"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 @dataclass
 class CalibrationResult:
@@ -622,7 +594,6 @@ class CalibrationResult:
     perception: PerceptionModel
     residuals: dict[str, float]
     evaluations: int
-    converged: bool
 
 
 _SEARCH_SPACE = {
@@ -634,12 +605,9 @@ _SEARCH_SPACE = {
 
 
 def calibrate(targets: CalibrationTargets, budget: int, *,
-              human: HumanModel | None = None,
-              perception: PerceptionModel | None = None,
-              jet: JetModel | None = None,
-              zone: SafetyZoneConfig | None = None,
-              traj: RobotTrajectory | None = None,
-              latency: StageLatencyModel | None = None,
+              human: HumanModel, perception: PerceptionModel, jet: JetModel,
+              zone: SafetyZoneConfig, traj: RobotTrajectory,
+              latency: StageLatencyModel,
               trials_per_eval: int = 12, trial_duration_s: float = 120.0,
               mc_samples: int = 20_000, seed: int = 0) -> CalibrationResult:
     """Coordinate-descent fit of the free behavior/perception parameters.
@@ -652,24 +620,15 @@ def calibrate(targets: CalibrationTargets, budget: int, *,
     """
     if budget < 1:
         raise CalibrationFailed("evaluation budget is zero")
-    human = human or HumanModel()
-    perception = perception or PerceptionModel()
-    jet = jet or JetModel()
-    zone = zone or SafetyZoneConfig()
-    traj = traj or default_trajectory()
-    latency = latency or StageLatencyModel()
 
-    evals = 0
+    def models(params: dict[str, float]) -> tuple[HumanModel, PerceptionModel]:
+        return (replace(human, attention_p=params["attention_p"],
+                        excursion_rate=params["excursion_rate"],
+                        retreat_speed=params["retreat_speed"]),
+                PerceptionModel(weber=params["weber"], detect_q=perception.detect_q))
 
     def residuals_for(params: dict[str, float]) -> dict[str, float]:
-        nonlocal evals
-        if evals >= budget:
-            raise _BudgetExhausted()
-        evals += 1
-        pm = PerceptionModel(weber=params["weber"], detect_q=perception.detect_q)
-        hm = replace(human, attention_p=params["attention_p"],
-                     excursion_rate=params["excursion_rate"],
-                     retreat_speed=params["retreat_speed"])
+        hm, pm = models(params)
         err_near = float(np.mean(np.abs(perception_errors(
             pm, jet, 100.0, targets.near_x, mc_samples, seed + 90001))))
         err_far = float(np.mean(np.abs(perception_errors(
@@ -687,13 +646,10 @@ def calibrate(targets: CalibrationTargets, budget: int, *,
             if pair["v"] is not None and pair["va"] is not None:
                 v_vals.append(pair["v"])
                 va_vals.append(pair["va"])
-        if len(v_vals) < max(2, trials_per_eval // 2):
-            return {"v_mean": math.inf, "va_mean": math.inf,
-                    "err_near": err_near - targets.err_near,
-                    "err_far": err_far - targets.err_far}
+        exposed = len(v_vals) >= max(2, trials_per_eval // 2)
         return {
-            "v_mean": float(np.mean(v_vals)) - targets.v_mean,
-            "va_mean": float(np.mean(va_vals)) - targets.va_mean,
+            "v_mean": float(np.mean(v_vals)) - targets.v_mean if exposed else math.inf,
+            "va_mean": float(np.mean(va_vals)) - targets.va_mean if exposed else math.inf,
             "err_near": err_near - targets.err_near,
             "err_far": err_far - targets.err_far,
         }
@@ -714,54 +670,30 @@ def calibrate(targets: CalibrationTargets, budget: int, *,
         "excursion_rate": human.excursion_rate,
         "retreat_speed": human.retreat_speed,
     }
-    best_res: dict[str, float] | None = None
-    best_score = math.inf
-    converged = False
-    try:
-        best_res = residuals_for(params)
-        best_score = score(best_res)
-        converged = within_tol(best_res)
-        passes = 0
-        while not converged and passes < 6:
-            improved = False
-            for name, (lo, hi) in _SEARCH_SPACE.items():
-                span = (hi - lo) / (2 ** (passes + 2))
-                for cand in (params[name] - span, params[name] + span):
-                    cand = min(max(cand, lo), hi)
-                    if cand == params[name]:
-                        continue
-                    trial_params = dict(params, **{name: cand})
-                    res = residuals_for(trial_params)
-                    s = score(res)
-                    if s < best_score:
-                        best_score, best_res, params = s, res, trial_params
-                        improved = True
-                        if within_tol(res):
-                            converged = True
-                            break
-                if converged:
-                    break
-            if converged:
-                break
-            if not improved:
-                passes += 1
-    except _BudgetExhausted:
-        pass
-
-    if best_res is None or not converged:
-        detail = "" if best_res is None else f" (best residuals {best_res})"
-        raise CalibrationFailed(
-            f"targets not met after {evals} of {budget} evaluations{detail}")
-    return CalibrationResult(
-        human=replace(human, attention_p=params["attention_p"],
-                      excursion_rate=params["excursion_rate"],
-                      retreat_speed=params["retreat_speed"]),
-        perception=PerceptionModel(weber=params["weber"], detect_q=perception.detect_q),
-        residuals=best_res,
-        evaluations=evals,
-        converged=converged,
-    )
-
-
-class _BudgetExhausted(Exception):
-    pass
+    best = residuals_for(params)
+    best_score = score(best)
+    evals, passes = 1, 0
+    # The step halves after each pass that brings no improvement. Six such
+    # passes, the budget, or the first fit within every tolerance end the search.
+    while not within_tol(best) and passes < 6 and evals < budget:
+        improved = False
+        for name, (lo, hi) in _SEARCH_SPACE.items():
+            span = (hi - lo) / (2 ** (passes + 2))
+            for cand in (params[name] - span, params[name] + span):
+                cand = min(max(cand, lo), hi)
+                if cand == params[name] or within_tol(best) or evals == budget:
+                    continue
+                trial_params = dict(params, **{name: cand})
+                res = residuals_for(trial_params)
+                evals += 1
+                s = score(res)
+                if s < best_score:
+                    best, best_score, params = res, s, trial_params
+                    improved = True
+        if not improved:
+            passes += 1
+    if not within_tol(best):
+        raise CalibrationFailed(f"targets not met after {evals} of {budget} "
+                                f"evaluations (best residuals {best})")
+    hm, pm = models(params)
+    return CalibrationResult(human=hm, perception=pm, residuals=best, evaluations=evals)

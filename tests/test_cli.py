@@ -183,6 +183,38 @@ def test_calibrate_unknown_target_key_exits_2(tmp_path):
     assert run_cli("calibrate", "--targets", targets, "--budget", "1") == 2
 
 
+@pytest.mark.parametrize("text", ['{"v_mean": "x"}', "[1]", "null", '{"near_x": 0.1}',
+                                  '{"v_mean": 1%s}' % ("0" * 4999), '{"tol_mean": NaN}',
+                                  '{"tol_mean": -1}', '{"v_mean": true}'])
+def test_calibrate_bad_targets_file_exits_2(tmp_path, capsys, text):
+    targets = tmp_path / "targets.json"
+    targets.write_text(text)
+    assert run_cli("calibrate", "--targets", targets, "--budget", "2") == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_calibrate_unreadable_targets_file_exits_3(tmp_path, capsys):
+    assert run_cli("calibrate", "--targets", tmp_path / "missing.json") == 3
+    assert "cannot read targets file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ("simulate", "--duration", "nan"), ("simulate", "--duration", "inf"),
+    ("simulate", "--seed", "-1"), ("posecheck", "--seed", "-1"),
+    ("calibrate", "--seed", "-2000"), ("calibrate", "--seed", "-1"),
+    ("posecheck", "--noise-px", "inf"), ("posecheck", "--noise-px", "nan"),
+    ("posecheck", "--noise-px", "-1"), ("perceive", "--distance", "nan"),
+    ("perceive", "--distance", "inf"),
+])
+def test_bad_numeric_flag_exits_2(tmp_path, capsys, args):
+    extra = {"simulate": ("--trials", "1", "--out", tmp_path / "x"),
+             "posecheck": ("--poses", "2"), "calibrate": ("--budget", "1"),
+             "perceive": ()}[args[0]]
+    assert run_cli(*args, *extra) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {args[1]} must be ")
+    assert not (tmp_path / "x").exists()
+
+
 def test_posecheck_noiseless(capsys):
     assert run_cli("posecheck", "--poses", "150", "--noise-px", "0") == 0
     out = capsys.readouterr().out

@@ -9,7 +9,13 @@ behaviour and must say so.
 
 import hashlib
 
+import pytest
+
+from airshield import sim
+from airshield.airflow import JetModel, PerceptionModel
 from airshield.cli import main
+from airshield.pipeline import StageLatencyModel
+from airshield.safety import SafetyZoneConfig
 
 TRACE_SHA256 = {
     "manifest.json": "0de3bdb2f55cd61c85ca22aa5bd52b3d8e59678846051715d55b32da376f5f0b",
@@ -27,6 +33,23 @@ PERCEIVE_STDOUT_SHA256 = "dfe2ed8b16e872145d38db68966f07adb641406f7a867efce31916
 # print at full precision, so this pins the trial loop and the perception
 # Monte Carlo together.
 CALIBRATE_STDOUT_SHA256 = "7c4bccda604eff99ff48748b16d7e3c949ef380ca4249bec5dfbb7514b2643c4"
+# The coordinate-descent search itself, through sim.calibrate: a fit that
+# converges after 32 evaluations, the same search cut at 14 by its budget,
+# and one that gives up after 49 of 400 evaluations when six passes bring
+# no improvement. Each digest covers the repr of (residuals, evaluations,
+# human, perception), or the failure message.
+NEAR_TARGETS = sim.CalibrationTargets(v_mean=0.33, va_mean=0.34, err_near=0.05,
+                                      tol_mean=0.01)
+NEAR_SEARCH = dict(trials_per_eval=4, trial_duration_s=20, mc_samples=2000, seed=0)
+CALIBRATE_SEARCH_CASES = [
+    (NEAR_TARGETS, 40, NEAR_SEARCH,
+     "9e634671a9f5c573e75ffe8cc9ca21424542f008bb3c7cc4e71dd6ff32869bb8"),
+    (NEAR_TARGETS, 14, NEAR_SEARCH,
+     "32ee0116927bfb1ad369dbd05091d6e0eb5a97a399f9278c80213e5ec8d8adc5"),
+    (sim.CalibrationTargets(tol_mean=0.0), 400,
+     dict(trials_per_eval=2, trial_duration_s=10, mc_samples=500, seed=1),
+     "d9df06b8e9691220744685e70f93cd3c0e3dadef2ce44557f2a87b3e73cb8196"),
+]
 
 
 def sha256(data: bytes) -> str:
@@ -56,3 +79,16 @@ def test_perceive_stdout_is_byte_identical(capsys):
 def test_calibrate_stdout_is_byte_identical(capsys):
     assert main(["calibrate", "--budget", "1", "--seed", "7"]) == 0
     assert sha256(capsys.readouterr().out.encode()) == CALIBRATE_STDOUT_SHA256
+
+
+@pytest.mark.parametrize("targets, budget, search, digest", CALIBRATE_SEARCH_CASES)
+def test_calibrate_search_is_byte_identical(targets, budget, search, digest):
+    try:
+        r = sim.calibrate(targets, budget, human=sim.HumanModel(),
+                          perception=PerceptionModel(), jet=JetModel(),
+                          zone=SafetyZoneConfig(), traj=sim.default_trajectory(),
+                          latency=StageLatencyModel(), **search)
+        text = repr((r.residuals, r.evaluations, r.human, r.perception))
+    except sim.CalibrationFailed as exc:
+        text = str(exc)
+    assert sha256(text.encode()) == digest

@@ -30,3 +30,38 @@ def test_guard_sees_relative_and_absolute_private_imports():
     assert private_imports("from .airflow import JetModel, _helper") == ["airflow._helper"]
     assert private_imports("from airshield.sim import _TASK_MOVE") == ["airshield.sim._TASK_MOVE"]
     assert private_imports("from numpy import _globals") == []
+
+
+def all_mismatch(source: str) -> tuple[list[str], list[str]]:
+    """(names __all__ lists but the module lacks, public classes and
+    functions the module defines but __all__ leaves out)."""
+    tree = ast.parse(source)
+    listed, bound, defined = None, set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            bound.add(node.name)
+            if not node.name.startswith("_"):
+                defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                listed = ast.literal_eval(node.value)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    if listed is None:
+        return [], []
+    return sorted(set(listed) - bound), sorted(defined - set(listed))
+
+
+def test_every_all_matches_its_module():
+    offenders = {path.name: bad for path in sorted(PACKAGE_DIR.glob("*.py"))
+                 if any(bad := all_mismatch(path.read_text(encoding="utf-8")))}
+    assert offenders == {}
+
+
+def test_all_guard_sees_stale_and_unlisted_names():
+    source = '__all__ = ["Gone", "kept"]\ndef kept(): pass\ndef extra(): pass\n'
+    assert all_mismatch(source) == (["Gone"], ["extra"])
+    assert all_mismatch("def anything(): pass\n") == ([], [])
