@@ -7,10 +7,11 @@ Coordinate conventions:
         corner template is ordered counter-clockwise as seen in the image,
         starting at the bottom-left corner of an upright fronto-parallel tag.
 
-Pose recovery runs a normalized direct linear transform on the four
-corner correspondences, decomposes the resulting plane homography into a
-rotation and translation, projects the rotation onto SO(3), and polishes
-the result with a few Gauss-Newton steps on the pixel reprojection error.
+Pose recovery maps the unit square onto the four normalized corners with
+the closed-form square-to-quad homography, decomposes that plane homography
+into a rotation and translation, projects the rotation onto SO(3), and
+polishes the result with Gauss-Newton steps on the pixel reprojection
+error until a step lowers the squared error by no more than 1e-13 of itself.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class CameraIntrinsics:
 @dataclass(frozen=True)
 class MarkerSpec:
     side_len: float = 0.05
-    id: int = 0
 
     def __post_init__(self) -> None:
         if self.side_len <= 0.0:
@@ -80,8 +80,6 @@ class MarkerSpec:
 @dataclass(frozen=True, eq=False)
 class TagObservation:
     corners: np.ndarray  # (4, 2) pixel coordinates, counter-clockwise from bottom-left
-    id: int = 0
-    timestamp_ms: float = 0.0
 
     def __post_init__(self) -> None:
         c = np.asarray(self.corners, dtype=float)
@@ -116,7 +114,6 @@ class MarkerPose:
 @dataclass(frozen=True)
 class TcpPoint:
     position: np.ndarray  # (3,), meters, camera frame
-    timestamp_ms: float = 0.0
 
     def __post_init__(self) -> None:
         p = np.asarray(self.position, dtype=float).reshape(3)
@@ -150,12 +147,11 @@ def project(pose: MarkerPose, spec: MarkerSpec, k: CameraIntrinsics) -> TagObser
     uv = np.empty((4, 2))
     uv[:, 0] = k.fx * pts[:, 0] / z + k.cx
     uv[:, 1] = k.fy * pts[:, 1] / z + k.cy
-    return TagObservation(corners=uv, id=spec.id)
+    return TagObservation(corners=uv)
 
 
 def observe(pose: MarkerPose, spec: MarkerSpec, k: CameraIntrinsics,
-            noise_px: float = 0.0, rng: np.random.Generator | None = None,
-            timestamp_ms: float = 0.0) -> TagObservation:
+            noise_px: float = 0.0, rng: np.random.Generator | None = None) -> TagObservation:
     """Synthetic detector output: projected corners plus i.i.d. pixel noise."""
     obs = project(pose, spec, k)
     corners = obs.corners
@@ -163,7 +159,7 @@ def observe(pose: MarkerPose, spec: MarkerSpec, k: CameraIntrinsics,
         if rng is None:
             rng = np.random.default_rng()
         corners = corners + noise_px * rng.standard_normal((4, 2))
-    return TagObservation(corners=corners, id=spec.id, timestamp_ms=timestamp_ms)
+    return TagObservation(corners=corners)
 
 
 def random_facing_pose(rng: np.random.Generator,
@@ -174,7 +170,9 @@ def random_facing_pose(rng: np.random.Generator,
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(0.0, max_tilt_rad)
-    k = _skew(axis)
+    k = np.array([[0.0, -axis[2], axis[1]],
+                  [axis[2], 0.0, -axis[0]],
+                  [-axis[1], axis[0], 0.0]])
     rot = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
     z = rng.uniform(*z_range)
     t = np.array([rng.uniform(-0.3, 0.3) * z, rng.uniform(-0.25, 0.25) * z, z])
@@ -182,12 +180,13 @@ def random_facing_pose(rng: np.random.Generator,
 
 
 def _check_convex(corners: np.ndarray) -> None:
+    pts = corners.tolist()
     crosses = []
     for i in range(4):
-        a = corners[(i + 1) % 4] - corners[i]
-        b = corners[(i + 2) % 4] - corners[(i + 1) % 4]
-        crosses.append(a[0] * b[1] - a[1] * b[0])
-    span = np.abs(corners - corners.mean(axis=0)).max()
+        (x0, y0), (x1, y1), (x2, y2) = pts[i], pts[(i + 1) % 4], pts[(i + 2) % 4]
+        crosses.append((x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1))
+    mx, my = sum(p[0] for p in pts) / 4.0, sum(p[1] for p in pts) / 4.0
+    span = max(max(abs(x - mx), abs(y - my)) for x, y in pts)
     tol = 1e-9 * max(span * span, 1.0)
     if any(abs(c) <= tol for c in crosses):
         raise DegenerateObservation("corners are collinear or coincident")
@@ -195,112 +194,100 @@ def _check_convex(corners: np.ndarray) -> None:
         raise DegenerateObservation("corners do not form a convex quadrilateral")
 
 
-def _normalizing_transform(pts: np.ndarray) -> np.ndarray:
-    """Similarity moving the centroid to the origin, mean radius to sqrt(2)."""
-    centroid = pts.mean(axis=0)
-    mean_dist = np.mean(np.linalg.norm(pts - centroid, axis=1))
-    if mean_dist <= 0.0:
-        raise DegenerateObservation("all points coincide")
-    s = math.sqrt(2.0) / mean_dist
-    return np.array([[s, 0.0, -s * centroid[0]],
-                     [0.0, s, -s * centroid[1]],
-                     [0.0, 0.0, 1.0]])
-
-
-def _homography_dlt(src_xy: np.ndarray, dst_uv: np.ndarray) -> np.ndarray:
-    """Exact homography through four correspondences, Hartley-normalized."""
-    t_src = _normalizing_transform(src_xy)
-    t_dst = _normalizing_transform(dst_uv)
-    ones = np.ones((4, 1))
-    src_h = (np.hstack([src_xy, ones]) @ t_src.T)
-    dst_h = (np.hstack([dst_uv, ones]) @ t_dst.T)
-    a = np.zeros((8, 9))
-    for i in range(4):
-        x, y = src_h[i, 0], src_h[i, 1]
-        u, v = dst_h[i, 0], dst_h[i, 1]
-        a[2 * i] = [-x, -y, -1.0, 0.0, 0.0, 0.0, u * x, u * y, u]
-        a[2 * i + 1] = [0.0, 0.0, 0.0, -x, -y, -1.0, v * x, v * y, v]
-    _, s, vt = np.linalg.svd(a)
-    if s[-1] < 1e-10 * s[0]:
-        raise DegenerateObservation("homography system is rank-deficient")
-    h_norm = vt[-1].reshape(3, 3)
-    h = np.linalg.inv(t_dst) @ h_norm @ t_src
-    return h / h[2, 2] if abs(h[2, 2]) > 1e-30 else h
+def _square_to_quad(quad: list[tuple[float, float]]) -> np.ndarray:
+    """Homography taking the unit square's corners (0,0), (1,0), (1,1), (0,1)
+    to the four points of ``quad`` in order, in closed form (Heckbert 1989).
+    Four points fix a homography exactly, so nothing is fitted."""
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = quad
+    sx, sy = x0 - x1 + x2 - x3, y0 - y1 + y2 - y3
+    dx1, dx2, dy1, dy2 = x1 - x2, x3 - x2, y1 - y2, y3 - y2
+    den = dx1 * dy2 - dx2 * dy1
+    if den == 0.0:
+        raise DegenerateObservation("corners admit no square-to-quad homography")
+    g = (sx * dy2 - dx2 * sy) / den
+    h = (dx1 * sy - sx * dy1) / den
+    return np.array([[x1 - x0 + g * x1, x3 - x0 + h * x3, x0],
+                     [y1 - y0 + g * y1, y3 - y0 + h * y3, y0],
+                     [g, h, 1.0]])
 
 
 def _nearest_rotation(m: np.ndarray) -> np.ndarray:
     u, _, vt = np.linalg.svd(m)
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    r = u @ vt
+    return u @ (vt * [[1.0], [1.0], [-1.0]]) if np.linalg.det(r) < 0.0 else r
 
 
-def _pose_from_homography(h: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    k_inv = np.array([[1.0 / k.fx, 0.0, -k.cx / k.fx],
-                      [0.0, 1.0 / k.fy, -k.cy / k.fy],
-                      [0.0, 0.0, 1.0]])
-    m = k_inv @ h
+def _pose_from_homography(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation and translation from a homography taking the marker plane to
+    normalized image coordinates."""
     if m[2, 2] < 0.0:  # fix the projective sign so the marker sits in front
         m = -m
-    n1, n2 = np.linalg.norm(m[:, 0]), np.linalg.norm(m[:, 1])
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = m.tolist()
+    n1, n2 = math.hypot(a1, b1, c1), math.hypot(a2, b2, c2)
     if n1 <= 0.0 or n2 <= 0.0:
         raise DegenerateObservation("homography decomposition collapsed")
     lam = math.sqrt(n1 * n2)
-    r1, r2 = m[:, 0] / lam, m[:, 1] / lam
-    t = m[:, 2] / lam
-    r = _nearest_rotation(np.column_stack([r1, r2, np.cross(r1, r2)]))
-    return r, t
+    (x1, y1, z1), (x2, y2, z2) = (a1 / lam, b1 / lam, c1 / lam), (a2 / lam, b2 / lam, c2 / lam)
+    r = _nearest_rotation(np.array([[x1, x2, y1 * z2 - z1 * y2],
+                                    [y1, y2, z1 * x2 - x1 * z2],
+                                    [z1, z2, x1 * y2 - y1 * x2]]))
+    return r, np.array([a3 / lam, b3 / lam, c3 / lam])
 
 
-def _so3_exp(w: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(w)
-    if theta < 1e-12:
-        wx = _skew(w)
-        return np.eye(3) + wx + 0.5 * wx @ wx
-    axis = w / theta
-    wx = _skew(axis)
-    return np.eye(3) + math.sin(theta) * wx + (1.0 - math.cos(theta)) * (wx @ wx)
+# -[a]x as a linear map of a: (a @ _NEG_SKEW).reshape(3, 3) == -[a]x
+_NEG_SKEW = np.array([[0, 0, 0, 0, 0, 1, 0, -1, 0],
+                      [0, 0, -1, 0, 0, 0, 1, 0, 0],
+                      [0, 1, 0, -1, 0, 0, 0, 0, 0]], dtype=float)
 
 
-def _skew(w: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -w[2], w[1]],
-                     [w[2], 0.0, -w[0]],
-                     [-w[1], w[0], 0.0]])
-
-
-def _refine_pose(r: np.ndarray, t: np.ndarray, obj_pts: np.ndarray,
+def _refine_pose(r: np.ndarray, t: np.ndarray, obj_xy: np.ndarray,
                  uv: np.ndarray, k: CameraIntrinsics,
                  max_iter: int = 25) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Newton on reprojection error over (rotation, translation)."""
+    """Gauss-Newton on reprojection error over (rotation, translation).
+
+    The rotation takes a left-multiplicative so(3) step. The loop stops once
+    the squared error falls by no more than 1e-13 of itself; a rise does
+    not stop it, because a later step may still lead downhill. It also stops
+    at an error below 1e-20 px^2, where an exact observation leaves only
+    rounding noise that no step can reduce.
+    """
+    f = np.array([k.fx, k.fy])
+    target = uv - (k.cx, k.cy)
+    ridge = 1e-12 * np.eye(6)
+    prev_cost = math.inf
     for _ in range(max_iter):
-        cam = obj_pts @ r.T + t
-        z = cam[:, 2]
-        if np.any(z <= 0.0):
+        rp = obj_xy @ r[:, :2].T  # R p for the planar corners, (4, 3)
+        cam = rp + t
+        z = cam[:, 2:]
+        if z.min() <= 0.0:
             break
-        pred_u = k.fx * cam[:, 0] / z + k.cx
-        pred_v = k.fy * cam[:, 1] / z + k.cy
-        resid = np.concatenate([pred_u - uv[:, 0], pred_v - uv[:, 1]])
-        jac = np.zeros((8, 6))
-        for i in range(4):
-            x, y, zz = cam[i]
-            # d(pixel)/d(camera point)
-            du = np.array([k.fx / zz, 0.0, -k.fx * x / (zz * zz)])
-            dv = np.array([0.0, k.fy / zz, -k.fy * y / (zz * zz)])
-            # left-multiplicative so(3) perturbation: d(cam)/d(omega) = -[R p]x
-            dcam_dw = -_skew(obj_pts[i] @ r.T)
-            jac[i, :3] = du @ dcam_dw
-            jac[i, 3:] = du
-            jac[4 + i, :3] = dv @ dcam_dw
-            jac[4 + i, 3:] = dv
-        jtj = jac.T @ jac
-        jtr = jac.T @ resid
+        fz = f / z  # d(u)/d(x), d(v)/d(y), (4, 2)
+        pix = fz * cam[:, :2]
+        resid = (pix - target).ravel()  # u0, v0, u1, v1, ...
+        cost = resid @ resid
+        if cost <= 1e-20 or 0.0 <= prev_cost - cost <= 1e-13 * cost:
+            break
+        prev_cost = cost
+        dpix = np.zeros((4, 2, 3))  # d(pixel)/d(camera point)
+        dpix[:, 0, 0], dpix[:, 1, 1] = fz[:, 0], fz[:, 1]
+        dpix[:, :, 2] = -pix / z
+        # d(camera point)/d(omega) = -[R p]x, d(camera point)/d(t) = I
+        dcam_dw = (rp @ _NEG_SKEW).reshape(4, 3, 3)
+        jac = np.concatenate([dpix @ dcam_dw, dpix], axis=2).reshape(8, 6)
         try:
-            delta = np.linalg.solve(jtj + 1e-12 * np.eye(6), -jtr)
+            delta = np.linalg.solve(jac.T @ jac + ridge, -(jac.T @ resid))
         except np.linalg.LinAlgError:
             break
-        r = _so3_exp(delta[:3]) @ r
+        wx, wy, wz = delta[:3].tolist()
+        theta = math.sqrt(wx * wx + wy * wy + wz * wz)
+        # Rodrigues: exp([w]x) = I + a [w]x + b [w]x^2, [w]x^2 = w w^T - theta^2 I
+        a = math.sin(theta) / theta if theta else 1.0
+        b = 0.5 * (math.sin(0.5 * theta) / (0.5 * theta)) ** 2 if theta else 0.5
+        c = 1.0 - b * theta * theta
+        r = np.array([[c + b * wx * wx, b * wx * wy - a * wz, b * wx * wz + a * wy],
+                      [b * wx * wy + a * wz, c + b * wy * wy, b * wy * wz - a * wx],
+                      [b * wx * wz - a * wy, b * wy * wz + a * wx, c + b * wz * wz]]) @ r
         t = t + delta[3:]
-        if np.linalg.norm(delta) < 1e-14:
-            break
     return _nearest_rotation(r), t
 
 
@@ -311,12 +298,16 @@ def estimate_pose(obs: TagObservation, spec: MarkerSpec, k: CameraIntrinsics) ->
     or otherwise leave the homography under-determined.
     """
     _check_convex(obs.corners)
-    obj = marker_corners(spec)
-    h = _homography_dlt(obj[:, :2], obs.corners)
-    r, t = _pose_from_homography(h, k)
+    normalized = [((u - k.cx) / k.fx, (v - k.cy) / k.fy) for u, v in obs.corners.tolist()]
+    s = spec.side_len
+    # marker plane (x, y) -> unit square (x/s + 1/2, 1/2 - y/s) -> normalized image
+    m = _square_to_quad(normalized) @ np.array([[1.0 / s, 0.0, 0.5],
+                                                [0.0, -1.0 / s, 0.5],
+                                                [0.0, 0.0, 1.0]])
+    r, t = _pose_from_homography(m)
     if t[2] <= 0.0:
         raise DegenerateObservation("decomposed pose places the marker behind the camera")
-    r, t = _refine_pose(r, t, obj, obs.corners, k)
+    r, t = _refine_pose(r, t, marker_corners(spec)[:, :2], obs.corners, k)
     return MarkerPose(rotation=r, translation=t)
 
 

@@ -59,16 +59,8 @@ class SafetyDecision:
 
 
 def classify(d: float, cfg: SafetyZoneConfig) -> SafetyState:
-    """Memoryless threshold classification (no hysteresis)."""
-    if d < 0.0:
-        raise NegativeDistance(f"distance must be non-negative, got {d}")
-    if d <= cfg.danger:
-        return SafetyState.DANGER
-    if d <= cfg.had:
-        return SafetyState.ACTIVE
-    if math.isfinite(d):
-        return SafetyState.SAFE
-    return SafetyState.DANGER  # NaN or +inf
+    """Memoryless threshold classification: from SAFE no hysteresis applies."""
+    return step(SafetyState.SAFE, d, cfg).state
 
 
 def step(prev: SafetyState, d: float, cfg: SafetyZoneConfig) -> SafetyDecision:

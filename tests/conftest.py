@@ -1,10 +1,16 @@
 import pytest
+from hypothesis import settings
 
 from airshield.airflow import JetModel, PerceptionModel
 from airshield.geometry import CameraIntrinsics, MarkerSpec
 from airshield.pipeline import StageLatencyModel
 from airshield.safety import SafetyZoneConfig
 from airshield.sim import HumanModel, default_trajectory
+
+# Property tests run numpy and whole trials, whose first calls are slow on a
+# cold or shared host; a per-example deadline would fail on timing alone.
+settings.register_profile("airshield", deadline=None)
+settings.load_profile("airshield")
 
 
 @pytest.fixture

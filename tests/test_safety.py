@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from airshield.safety import (NegativeDistance, SafetyState, SafetyZoneConfig,
@@ -144,30 +144,65 @@ states = st.sampled_from(list(SafetyState))
 distances = st.floats(0.0, 3.0)
 
 
-@settings(deadline=None)
 @given(zones(), states, distances, distances)
 def test_escalation_is_monotone(cfg, prev, d1, d2):
     near, far = min(d1, d2), max(d1, d2)
     assert step(prev, near, cfg).state >= step(prev, far, cfg).state
 
 
-@settings(deadline=None)
 @given(zones(), st.floats(0.0, 1.0))
 def test_no_chatter_inside_the_danger_band(cfg, u):
     d = u * (cfg.danger + cfg.hysteresis)
     assert step(SafetyState.DANGER, d, cfg).state is SafetyState.DANGER
 
 
-@settings(deadline=None)
 @given(zones(), st.sampled_from([SafetyState.ACTIVE, SafetyState.DANGER]), st.floats(0.0, 1.0))
 def test_no_chatter_inside_the_activation_band(cfg, prev, u):
     d = u * (cfg.had + cfg.hysteresis)
     assert step(prev, d, cfg).state >= SafetyState.ACTIVE
 
 
-@settings(deadline=None)
 @given(zones(), states, st.sampled_from([math.nan, math.inf]))
 def test_every_non_finite_distance_is_danger(cfg, prev, d):
     assert classify(d, cfg) is SafetyState.DANGER
     decision = step(prev, d, cfg)
     assert decision.state is SafetyState.DANGER and decision.actuate
+
+
+@st.composite
+def zone_and_distance(draw):
+    """A zone and a distance anywhere, at or next to one of its edges, or
+    not finite."""
+    cfg = draw(zones())
+    edges = [0.0, cfg.danger, cfg.had, cfg.danger + cfg.hysteresis, cfg.had + cfg.hysteresis]
+    edge = draw(st.sampled_from(edges))
+    d = draw(st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.nan]),
+                       st.sampled_from([edge, math.nextafter(edge, -1.0),
+                                        math.nextafter(edge, 2.0)])))
+    return cfg, d
+
+
+def thresholds(d, cfg):
+    """The memoryless rule written out: severe state at a boundary, and
+    DANGER for a distance that is not finite."""
+    if d <= cfg.danger:
+        return SafetyState.DANGER
+    if d <= cfg.had:
+        return SafetyState.ACTIVE
+    return SafetyState.SAFE if math.isfinite(d) else SafetyState.DANGER
+
+
+@given(zone_and_distance())
+@example((SafetyZoneConfig(), 0.25))
+@example((SafetyZoneConfig(), 0.35))
+@example((SafetyZoneConfig(), math.nan))
+@example((SafetyZoneConfig(), math.inf))
+@example((SafetyZoneConfig(), -math.inf))
+def test_classify_is_a_step_from_safe(case):
+    cfg, d = case
+    if d < 0.0:
+        for judge in (lambda: classify(d, cfg), lambda: step(SafetyState.SAFE, d, cfg)):
+            with pytest.raises(NegativeDistance):
+                judge()
+        return
+    assert classify(d, cfg) is step(SafetyState.SAFE, d, cfg).state is thresholds(d, cfg)

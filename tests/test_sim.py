@@ -84,7 +84,6 @@ waypoints = st.lists(
     min_size=2, max_size=5).map(tuple)
 
 
-@settings(deadline=None)
 @given(waypoints, st.floats(0.01, 2.0), st.floats(0.01, 10.0), st.floats(0.0, 1.0))
 def test_trapezoid_s_is_the_scalar_profile_bit_for_bit(wps, speed, accel, u):
     traj = sim.RobotTrajectory(waypoints=wps, speed=speed, accel=accel)
@@ -269,7 +268,7 @@ EDGE_ROWS = [(0, 0.3, 0, 0.0), (-2**63, -0.0, 1, 5e-324), (2**63 - 1, 1e16, 2, 1
              (10, 2.2250738585072014e-308, 0, 1.7976931348623157e308)]
 
 
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(traces())
 @example(make_trace([]))
 @example(make_trace(EDGE_ROWS, "va", -10**30))
@@ -280,7 +279,7 @@ def test_jsonl_equals_json_dumps_of_records(trace):
     assert trace.jsonl() == records_jsonl(trace)
 
 
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(traces(seeds=int64s))
 @example(make_trace(EDGE_ROWS, "va", -2**63))
 @example(make_trace(EDGE_ROWS + [(20, math.nan, 1, 0.0)]))
