@@ -11,7 +11,8 @@ Pose recovery maps the unit square onto the four normalized corners with
 the closed-form square-to-quad homography, decomposes that plane homography
 into a rotation and translation, projects the rotation onto SO(3), and
 polishes the result with Gauss-Newton steps on the pixel reprojection
-error until a step lowers the squared error by no more than 1e-13 of itself.
+error. The polish stops on a relative test: once a step lowers the squared
+error by no more than 1e-13 of that error. A rise does not stop it.
 """
 
 from __future__ import annotations
