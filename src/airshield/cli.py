@@ -202,10 +202,7 @@ def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"targets: {exc}") from exc
     try:
-        result = sim.calibrate(targets, args.budget, human=cfg.human,
-                               perception=cfg.perception, jet=cfg.jet,
-                               zone=cfg.safety, traj=cfg.trajectory,
-                               latency=cfg.latency, seed=args.seed)
+        result = sim.calibrate(targets, args.budget, cfg, seed=args.seed)
     except (airflow.InsidePotentialCore, airflow.ImperceptibleFlow) as exc:
         raise ConfigError(str(exc)) from exc
     fitted = {

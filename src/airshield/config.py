@@ -28,7 +28,8 @@ class ConfigError(ValueError):
     pass
 
 
-# key -> (section attribute, constructor field)
+# dotted key -> (RunConfig attribute holding the value, field name); "run"
+# names RunConfig's own fields.
 _KEY_MAP = {
     "safety.had_m": ("safety", "had"),
     "safety.danger_m": ("safety", "danger"),
@@ -44,23 +45,21 @@ _KEY_MAP = {
     "latency.decide_ms": ("latency", "decide_ms"),
     "latency.transmit_ms": ("latency", "transmit_ms"),
     "latency.actuator_rise_ms": ("latency", "actuator_rise_ms"),
-    "sim.tick_ms": ("sim", "tick_ms"),
-    "sim.duration_s": ("sim", "duration_s"),
-    "sim.duty_pct": ("sim", "duty_pct"),
-    "sim.excursion_rate_hz": ("sim", "excursion_rate"),
-    "sim.attention_p": ("sim", "attention_p"),
-    "sim.reaction_latency_ms": ("sim", "reaction_latency_ms"),
-    "sim.retreat_speed_mps": ("sim", "retreat_speed"),
-    "sim.reach_speed_mps": ("sim", "reach_speed"),
-    "sim.task_speed_mps": ("sim", "task_speed"),
-    "sim.task_dwell_s": ("sim", "task_dwell_s"),
-    "sim.grab_dwell_s": ("sim", "grab_dwell_s"),
-    "sim.notice_delay_max_s": ("sim", "notice_delay_max_s"),
-    "sim.item_near_m": ("sim", "item_near_m"),
-    "sim.item_far_m": ("sim", "item_far_m"),
+    "sim.tick_ms": ("run", "tick_ms"),
+    "sim.duration_s": ("run", "duration_s"),
+    "sim.duty_pct": ("run", "duty_pct"),
+    "sim.excursion_rate_hz": ("human", "excursion_rate"),
+    "sim.attention_p": ("human", "attention_p"),
+    "sim.reaction_latency_ms": ("human", "reaction_latency_ms"),
+    "sim.retreat_speed_mps": ("human", "retreat_speed"),
+    "sim.reach_speed_mps": ("human", "reach_speed"),
+    "sim.task_speed_mps": ("human", "task_speed"),
+    "sim.task_dwell_s": ("human", "task_dwell_s"),
+    "sim.grab_dwell_s": ("human", "grab_dwell_s"),
+    "sim.notice_delay_max_s": ("human", "notice_delay_max_s"),
+    "sim.item_near_m": ("human", "item_near_m"),
+    "sim.item_far_m": ("human", "item_far_m"),
 }
-
-_SIM_ONLY_FIELDS = ("tick_ms", "duration_s", "duty_pct")
 
 
 @dataclass(frozen=True)
@@ -145,23 +144,19 @@ def load_config(path: str | Path | None = None,
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
-    sections: dict[str, dict[str, Any]] = {"safety": {}, "jet": {}, "perception": {},
-                                           "latency": {}, "sim": {}}
+    sections: dict[str, dict[str, Any]] = {section: {} for section, _ in _KEY_MAP.values()}
     for key, value in flat.items():
         section, fname = _KEY_MAP[key]
         sections[section][fname] = finite_number(key, value)
 
     try:
-        sim_kv = sections["sim"]
-        human_kv = {k: v for k, v in sim_kv.items() if k not in _SIM_ONLY_FIELDS}
-        top_kv = {k: v for k, v in sim_kv.items() if k in _SIM_ONLY_FIELDS}
         return RunConfig(
             safety=SafetyZoneConfig(**sections["safety"]),
             jet=JetModel(**sections["jet"]),
             perception=PerceptionModel(**sections["perception"]),
             latency=StageLatencyModel(**sections["latency"]),
-            human=HumanModel(**human_kv),
-            **top_kv,
+            human=HumanModel(**sections["human"]),
+            **sections["run"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -171,10 +166,7 @@ def flatten(cfg: RunConfig) -> dict[str, float]:
     """Full dotted-key view of a config, suitable for hashing and reports."""
     out: dict[str, float] = {}
     for key, (section, fname) in _KEY_MAP.items():
-        if section == "sim":
-            source = cfg if fname in _SIM_ONLY_FIELDS else cfg.human
-        else:
-            source = getattr(cfg, section)
+        source = cfg if section == "run" else getattr(cfg, section)
         out[key] = float(getattr(source, fname))
     return out
 

@@ -296,7 +296,8 @@ def estimate_pose(obs: TagObservation, spec: MarkerSpec, k: CameraIntrinsics) ->
     """Recover the marker pose that minimizes corner reprojection error.
 
     Raises DegenerateObservation when the corners are collinear, concave,
-    or otherwise leave the homography under-determined.
+    or otherwise leave the homography under-determined, and when the pose
+    found puts any tag corner at or behind the camera plane.
     """
     _check_convex(obs.corners)
     normalized = [((u - k.cx) / k.fx, (v - k.cy) / k.fy) for u, v in obs.corners.tolist()]
@@ -305,10 +306,12 @@ def estimate_pose(obs: TagObservation, spec: MarkerSpec, k: CameraIntrinsics) ->
     m = _square_to_quad(normalized) @ np.array([[1.0 / s, 0.0, 0.5],
                                                 [0.0, -1.0 / s, 0.5],
                                                 [0.0, 0.0, 1.0]])
-    r, t = _pose_from_homography(m)
-    if t[2] <= 0.0:
-        raise DegenerateObservation("decomposed pose places the marker behind the camera")
-    r, t = _refine_pose(r, t, marker_corners(spec)[:, :2], obs.corners, k)
+    obj_xy = marker_corners(spec)[:, :2]
+    r, t = _refine_pose(*_pose_from_homography(m), obj_xy, obs.corners, k)
+    # The tag centre is the corners' mean, so a start with t_z <= 0 also
+    # ends here: refinement stops at once on a corner with z <= 0.
+    if (obj_xy @ r[2, :2]).min() + t[2] <= 0.0:
+        raise DegenerateObservation("estimated pose places the marker behind the camera")
     return MarkerPose(rotation=r, translation=t)
 
 

@@ -21,7 +21,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .airflow import (JetModel, PerceptionModel, felt_multipliers, is_felt,
                       perception_errors)
 from .pipeline import StageLatencyModel, draw_detect_ms
 from .safety import SafetyState, SafetyZoneConfig, step
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import RunConfig
 
 __all__ = [
     "CalibrationFailed",
@@ -358,7 +361,6 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     ry = robot[:, 1].tolist()
     rz = robot[:, 2].tolist()
 
-    out_t = np.empty(n, dtype=np.int64)
     out_d = np.empty(n)
     out_state = np.empty(n, dtype=np.uint8)
     out_duty = np.empty(n)
@@ -507,7 +509,6 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                 vis_at = inf
                 air_at = inf
 
-        out_t[i] = round(t * 1000.0)
         out_d[i] = d
         out_state[i] = live_state
         out_duty[i] = duty
@@ -516,8 +517,8 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
             hand_log[i, 1] = hy
             hand_log[i, 2] = hz
 
-    return DistanceTrace(t_ms=out_t, dist_m=out_d, state=out_state,
-                         duty_pct=out_duty, condition=cond, seed=seed,
+    return DistanceTrace(t_ms=np.rint(times * 1000.0).astype(np.int64), dist_m=out_d,
+                         state=out_state, duty_pct=out_duty, condition=cond, seed=seed,
                          decisions=[(c * 1000.0, s, a) for c, s, a in commands],
                          hand_xyz=hand_log)
 
@@ -604,43 +605,43 @@ _SEARCH_SPACE = {
 }
 
 
-def calibrate(targets: CalibrationTargets, budget: int, *,
-              human: HumanModel, perception: PerceptionModel, jet: JetModel,
-              zone: SafetyZoneConfig, traj: RobotTrajectory,
-              latency: StageLatencyModel,
+def calibrate(targets: CalibrationTargets, budget: int, cfg: RunConfig, *,
               trials_per_eval: int = 12, trial_duration_s: float = 120.0,
               mc_samples: int = 20_000, seed: int = 0) -> CalibrationResult:
     """Coordinate-descent fit of the free behavior/perception parameters.
 
-    One evaluation simulates ``trials_per_eval`` matched trial pairs plus
-    the two perception Monte-Carlo runs on fixed seeds (common random
-    numbers), and scores squared deviations from the targets. Raises
-    CalibrationFailed when the budget runs out before all targets sit
-    within their tolerances.
+    The fit runs the loop ``cfg`` describes: its models, its tick
+    (``sim.tick_ms``) and its impeller duty (``sim.duty_pct``), which also
+    drives the perception Monte Carlo. One evaluation simulates
+    ``trials_per_eval`` matched trial pairs plus the two perception
+    Monte-Carlo runs on fixed seeds (common random numbers), and scores
+    squared deviations from the targets. Raises CalibrationFailed when the
+    budget runs out before all targets sit within their tolerances.
     """
     if budget < 1:
         raise CalibrationFailed("evaluation budget is zero")
 
     def models(params: dict[str, float]) -> tuple[HumanModel, PerceptionModel]:
-        return (replace(human, attention_p=params["attention_p"],
+        return (replace(cfg.human, attention_p=params["attention_p"],
                         excursion_rate=params["excursion_rate"],
                         retreat_speed=params["retreat_speed"]),
-                PerceptionModel(weber=params["weber"], detect_q=perception.detect_q))
+                replace(cfg.perception, weber=params["weber"]))
 
     def residuals_for(params: dict[str, float]) -> dict[str, float]:
         hm, pm = models(params)
         err_near = float(np.mean(np.abs(perception_errors(
-            pm, jet, 100.0, targets.near_x, mc_samples, seed + 90001))))
+            pm, cfg.jet, cfg.duty_pct, targets.near_x, mc_samples, seed + 90001))))
         err_far = float(np.mean(np.abs(perception_errors(
-            pm, jet, 100.0, targets.far_x, mc_samples, seed + 90002))))
+            pm, cfg.jet, cfg.duty_pct, targets.far_x, mc_samples, seed + 90002))))
         v_vals, va_vals = [], []
         for j in range(trials_per_eval):
             s = seed + 1000 + j
             pair = {}
             for cond in CONDITIONS:
-                trace = run_trial(cond, hm, traj, zone, jet, pm, latency,
-                                  trial_duration_s, s)
-                pair[cond] = below_had_mean(trace.dist_m, zone.had)
+                trace = run_trial(cond, hm, cfg.trajectory, cfg.safety, cfg.jet, pm,
+                                  cfg.latency, trial_duration_s, s,
+                                  tick_ms=cfg.tick_ms, duty_on=cfg.duty_pct)
+                pair[cond] = below_had_mean(trace.dist_m, cfg.safety.had)
             # A pair without exposure carries no information about the
             # below-HAD statistic; dropping it keeps the estimate unbiased.
             if pair["v"] is not None and pair["va"] is not None:
@@ -665,10 +666,10 @@ def calibrate(targets: CalibrationTargets, budget: int, *,
                 and abs(res["err_far"]) <= targets.tol_err_far)
 
     params = {
-        "weber": perception.weber,
-        "attention_p": human.attention_p,
-        "excursion_rate": human.excursion_rate,
-        "retreat_speed": human.retreat_speed,
+        "weber": cfg.perception.weber,
+        "attention_p": cfg.human.attention_p,
+        "excursion_rate": cfg.human.excursion_rate,
+        "retreat_speed": cfg.human.retreat_speed,
     }
     best = residuals_for(params)
     best_score = score(best)

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
 
 from airshield.config import ConfigError, config_hash, flatten, load_config
 
@@ -105,3 +107,29 @@ def test_config_hash_stable_and_sensitive():
     c = config_hash(load_config(overrides=["safety.had_m=0.4"]))
     assert a == b
     assert a != c
+
+
+# --- flatten <-> load_config -------------------------------------------------
+
+DEFAULTS = flatten(load_config())
+
+
+@st.composite
+def override_sets(draw):
+    """A few dotted keys, each set to its default scaled by 0.5 to 1.5."""
+    keys = draw(st.lists(st.sampled_from(sorted(DEFAULTS)), max_size=5, unique=True))
+    return {k: DEFAULTS[k] * draw(st.floats(0.5, 1.5)) for k in keys}
+
+
+@given(override_sets())
+def test_flatten_round_trips_through_overrides(values):
+    try:
+        cfg = load_config(None, [f"{k}={v!r}" for k, v in values.items()])
+    except ConfigError:
+        reject()  # the draw broke an invariant, such as danger_m <= had_m
+    flat = flatten(cfg)
+    assert list(flat) == list(DEFAULTS)
+    assert flat == {**DEFAULTS, **values}
+    again = load_config(None, [f"{k}={v!r}" for k, v in flat.items()])
+    assert again == cfg
+    assert config_hash(again) == config_hash(cfg)

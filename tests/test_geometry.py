@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from airshield import geometry as g
@@ -142,15 +142,19 @@ def reprojection(pose, spec, k, uv):
 
 
 @given(corner_sets())
+# A Gauss-Newton step takes this start from t_z = 8.95 m to t_z = -0.26 m.
+@example(np.array([[0.0, 0.0], [0.0, 1.0], [0.015625, 1.0], [30.0, 0.0]]))
 def test_any_finite_corners_give_a_pose_or_degenerate(corners):
-    obs = g.TagObservation(corners=corners)
+    obs, marker = g.TagObservation(corners=corners), g.MarkerSpec(side_len=0.10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            est = g.estimate_pose(obs, g.MarkerSpec(side_len=0.10), g.CameraIntrinsics())
+            est = g.estimate_pose(obs, marker, g.CameraIntrinsics())
         except g.DegenerateObservation:
             return
     assert isinstance(est, g.MarkerPose)
+    depths = (g.marker_corners(marker) @ est.rotation.T + est.translation)[:, 2]
+    assert depths.min() > 0.0
 
 
 @given(seeds)

@@ -12,10 +12,8 @@ import hashlib
 import pytest
 
 from airshield import sim
-from airshield.airflow import JetModel, PerceptionModel
 from airshield.cli import main
-from airshield.pipeline import StageLatencyModel
-from airshield.safety import SafetyZoneConfig
+from airshield.config import RunConfig
 
 TRACE_SHA256 = {
     "manifest.json": "0de3bdb2f55cd61c85ca22aa5bd52b3d8e59678846051715d55b32da376f5f0b",
@@ -81,13 +79,18 @@ def test_calibrate_stdout_is_byte_identical(capsys):
     assert sha256(capsys.readouterr().out.encode()) == CALIBRATE_STDOUT_SHA256
 
 
+@pytest.mark.parametrize("override", ["sim.tick_ms=20", "sim.duty_pct=20"])
+def test_calibrate_stdout_follows_the_configured_loop(capsys, override):
+    # calibrate fits the loop the config describes, so a different tick or
+    # duty gives a different fit: here, a failed one for the coarser tick.
+    main(["--set", override, "calibrate", "--budget", "1", "--seed", "7"])
+    assert sha256(capsys.readouterr().out.encode()) != CALIBRATE_STDOUT_SHA256
+
+
 @pytest.mark.parametrize("targets, budget, search, digest", CALIBRATE_SEARCH_CASES)
 def test_calibrate_search_is_byte_identical(targets, budget, search, digest):
     try:
-        r = sim.calibrate(targets, budget, human=sim.HumanModel(),
-                          perception=PerceptionModel(), jet=JetModel(),
-                          zone=SafetyZoneConfig(), traj=sim.default_trajectory(),
-                          latency=StageLatencyModel(), **search)
+        r = sim.calibrate(targets, budget, RunConfig(), **search)
         text = repr((r.residuals, r.evaluations, r.human, r.perception))
     except sim.CalibrationFailed as exc:
         text = str(exc)

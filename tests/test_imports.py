@@ -65,3 +65,30 @@ def test_all_guard_sees_stale_and_unlisted_names():
     source = '__all__ = ["Gone", "kept"]\ndef kept(): pass\ndef extra(): pass\n'
     assert all_mismatch(source) == (["Gone"], ["extra"])
     assert all_mismatch("def anything(): pass\n") == ([], [])
+
+
+def unconfigured_trial_calls(source: str) -> list[int]:
+    """Lines of ``run_trial(...)`` calls that do not pass both ``tick_ms=``
+    and ``duty_on=``, so would run a loop other than the configured one."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "run_trial" and not {"tick_ms", "duty_on"} <= {k.arg for k in node.keywords}:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_every_trial_runs_the_configured_tick_and_duty():
+    offenders = {path.name: lines for path in sorted(PACKAGE_DIR.glob("*.py"))
+                 if (lines := unconfigured_trial_calls(path.read_text(encoding="utf-8")))}
+    assert offenders == {}
+
+
+def test_trial_guard_sees_missing_tick_or_duty():
+    source = ("run_trial(c, h, tr, z, j, p, lat, 120.0, 1, tick_ms=t, duty_on=d)\n"
+              "sim.run_trial(c, h, tr, z, j, p, lat, 120.0, 1, tick_ms=t)\n"
+              "run_trial(c, h, tr, z, j, p, lat, 120.0, 1)\n")
+    assert unconfigured_trial_calls(source) == [2, 3]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from airshield import sim, stats, wire
 from airshield.airflow import PerceptionModel
+from airshield.config import RunConfig
 from airshield.safety import SafetyState
 
 
@@ -344,11 +345,9 @@ def test_analyze_pairs_needs_two():
 
 # --- calibration -----------------------------------------------------------
 
-def test_calibrate_zero_budget_fails(human, trajectory, zone, jet, perception, latency):
+def test_calibrate_zero_budget_fails():
     with pytest.raises(sim.CalibrationFailed):
-        sim.calibrate(sim.CalibrationTargets(), budget=0, human=human,
-                      perception=perception, jet=jet, zone=zone, traj=trajectory,
-                      latency=latency)
+        sim.calibrate(sim.CalibrationTargets(), budget=0, cfg=RunConfig())
 
 
 def test_calibrate_self_consistent_targets_converge(human, trajectory, zone, jet,
@@ -371,8 +370,9 @@ def test_calibrate_self_consistent_targets_converge(human, trajectory, zone, jet
     e35 = float(np.mean(np.abs(perception_errors(perception, jet, 100.0, 0.35, 4000, 90002))))
     targets = sim.CalibrationTargets(v_mean=float(np.mean(v)), va_mean=float(np.mean(va)),
                                      err_near=e25, err_far=e35)
-    result = sim.calibrate(targets, budget=8, human=human, perception=perception,
-                           jet=jet, zone=zone, traj=trajectory, latency=latency,
+    cfg = RunConfig(safety=zone, jet=jet, perception=perception, latency=latency,
+                    human=human, trajectory=trajectory)
+    result = sim.calibrate(targets, budget=8, cfg=cfg,
                            trials_per_eval=6, trial_duration_s=30.0,
                            mc_samples=4000, seed=0)
     assert result.evaluations <= 2
@@ -380,12 +380,10 @@ def test_calibrate_self_consistent_targets_converge(human, trajectory, zone, jet
     assert abs(result.residuals["va_mean"]) <= targets.tol_mean
 
 
-def test_calibrate_reports_deterministic_result(human, trajectory, zone, jet,
-                                                perception, latency):
+def test_calibrate_reports_deterministic_result():
     targets = sim.CalibrationTargets()
-    kw = dict(human=human, perception=perception, jet=jet, zone=zone,
-              traj=trajectory, latency=latency, trials_per_eval=4,
-              trial_duration_s=20.0, mc_samples=2000, seed=3)
+    kw = dict(cfg=RunConfig(), trials_per_eval=4, trial_duration_s=20.0,
+              mc_samples=2000, seed=3)
     try:
         a = sim.calibrate(targets, budget=6, **kw)
         b = sim.calibrate(targets, budget=6, **kw)
@@ -393,6 +391,17 @@ def test_calibrate_reports_deterministic_result(human, trajectory, zone, jet,
     except sim.CalibrationFailed:
         with pytest.raises(sim.CalibrationFailed):
             sim.calibrate(targets, budget=6, **kw)
+
+
+@pytest.mark.parametrize("change", [dict(tick_ms=20.0), dict(duty_pct=20.0)])
+def test_calibrate_fits_the_configured_loop(change):
+    # Tolerances wide enough that the first evaluation is the result, so its
+    # residuals show the loop that was simulated.
+    wide = sim.CalibrationTargets(tol_mean=1.0, tol_err_near=1.0, tol_err_far=1.0)
+    kw = dict(trials_per_eval=4, trial_duration_s=20.0, mc_samples=500, seed=0)
+    default = sim.calibrate(wide, 1, RunConfig(), **kw).residuals
+    changed = sim.calibrate(wide, 1, replace(RunConfig(), **change), **kw).residuals
+    assert changed != default
 
 
 def test_slow_detector_drops_frames_latest_wins(human, trajectory, zone, jet,

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airshield import wire
 from airshield.wire import CommandFrame, Opcode
@@ -58,21 +62,20 @@ def test_round_trip_sample_of_valid_frames():
                 assert wire.decode(wire.encode(f)) == f
 
 
-def test_single_bit_flips_rejected():
-    import numpy as np
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        f = CommandFrame(seq=int(rng.integers(256)),
-                         opcode=list(Opcode)[int(rng.integers(3))],
-                         payload=int(rng.integers(201)))
-        data = bytearray(wire.encode(f))
-        for byte_idx in (1, 2, 3):
-            for bit in range(8):
-                corrupted = bytearray(data)
-                corrupted[byte_idx] ^= 1 << bit
-                with pytest.raises((wire.BadChecksum, wire.UnknownOpcode,
-                                    wire.PayloadOutOfRange)):
-                    wire.decode(bytes(corrupted))
+frames = st.builds(CommandFrame, seq=st.integers(0, 255), opcode=st.sampled_from(Opcode),
+                   payload=st.integers(0, wire.MAX_PAYLOAD))
+
+
+@given(frames)
+def test_single_bit_flips_rejected(frame):
+    data = wire.encode(frame)
+    assert wire.decode(data) == frame
+    for bit in range(8 * wire.FRAME_LEN):
+        corrupted = bytearray(data)
+        corrupted[bit // 8] ^= 1 << (bit % 8)
+        # The header is checked first; any body or checksum flip breaks the XOR.
+        with pytest.raises(wire.BadHeader if bit < 8 else wire.BadChecksum):
+            wire.decode(bytes(corrupted))
 
 
 def test_duty_helper_scales_to_wire_units():
@@ -133,6 +136,32 @@ def test_journal_empty_file(tmp_path):
 def test_journal_missing_file_is_io_failure(tmp_path):
     with pytest.raises(wire.IoFailure):
         wire.journal_read(tmp_path / "nope.jsonl")
+
+
+json_values = (st.none() | st.booleans() | st.integers()
+               | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8))
+journals = st.lists(st.dictionaries(st.text(max_size=4), json_values, max_size=3),
+                    min_size=1, max_size=4)
+
+
+# Each example writes and reads the file once per byte offset.
+@settings(max_examples=30)
+@given(journals)
+def test_journal_read_keeps_every_complete_record_at_every_truncation(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "j.jsonl"
+        wire.journal_append(path, records)
+        data = path.read_bytes()
+        lines = data.split(b"\n")[:-1]
+        for cut in range(len(data) + 1):
+            path.write_bytes(data[:cut])
+            got, truncated = wire.journal_read(path)
+            complete = data[:cut].count(b"\n")
+            tail = data[:cut].rsplit(b"\n", 1)[-1]
+            # A torn tail that is a whole line but for its newline still parses.
+            whole_tail = bool(tail) and tail == lines[complete]
+            assert got == records[:complete + whole_tail]
+            assert truncated == (bool(tail) and not whole_tail)
 
 
 def test_trace_filename_convention():
