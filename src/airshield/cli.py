@@ -12,6 +12,7 @@ analysis failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -42,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run seeded interaction trials")
-    p.add_argument("--condition", choices=["v", "va", "both"], default="both")
+    p.add_argument("--condition", choices=[*sim.CONDITIONS, "both"], default="both")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duration", type=float, default=None, metavar="SEC")
@@ -88,6 +89,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     duration = args.duration if args.duration is not None else cfg.duration_s
     _require(math.isfinite(duration) and duration > 0.0, "--duration",
              "positive and finite", duration)
+    cfg = dataclasses.replace(cfg, duration_s=duration)
     conditions = sim.CONDITIONS if args.condition == "both" else (args.condition,)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -97,7 +99,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
             seed = args.seed + i
             trace = sim.run_trial(cond, cfg.human, cfg.trajectory, cfg.safety,
                                   cfg.jet, cfg.perception, cfg.latency,
-                                  duration, seed, tick_ms=cfg.tick_ms,
+                                  cfg.duration_s, seed, tick_ms=cfg.tick_ms,
                                   duty_on=cfg.duty_pct)
             name = wire.trace_filename(cond, seed)
             path = out_dir / name
@@ -202,7 +204,8 @@ def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"targets: {exc}") from exc
     try:
-        result = sim.calibrate(targets, args.budget, cfg, seed=args.seed)
+        result = sim.calibrate(targets, args.budget, cfg, seed=args.seed,
+                               trial_duration_s=cfg.duration_s)
     except (airflow.InsidePotentialCore, airflow.ImperceptibleFlow) as exc:
         raise ConfigError(str(exc)) from exc
     fitted = {

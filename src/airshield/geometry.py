@@ -63,11 +63,6 @@ class CameraIntrinsics:
         if not (0.0 < self.cx < self.image_w and 0.0 < self.cy < self.image_h):
             raise ValueError("principal point must lie inside the image")
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.fx, 0.0, self.cx],
-                         [0.0, self.fy, self.cy],
-                         [0.0, 0.0, 1.0]])
-
 
 @dataclass(frozen=True)
 class MarkerSpec:
@@ -152,25 +147,22 @@ def project(pose: MarkerPose, spec: MarkerSpec, k: CameraIntrinsics) -> TagObser
 
 
 def observe(pose: MarkerPose, spec: MarkerSpec, k: CameraIntrinsics,
-            noise_px: float = 0.0, rng: np.random.Generator | None = None) -> TagObservation:
+            noise_px: float, rng: np.random.Generator) -> TagObservation:
     """Synthetic detector output: projected corners plus i.i.d. pixel noise."""
     obs = project(pose, spec, k)
     corners = obs.corners
     if noise_px > 0.0:
-        if rng is None:
-            rng = np.random.default_rng()
         corners = corners + noise_px * rng.standard_normal((4, 2))
     return TagObservation(corners=corners)
 
 
 def random_facing_pose(rng: np.random.Generator,
-                       z_range: tuple[float, float] = (0.3, 2.0),
-                       max_tilt_rad: float = 0.6) -> MarkerPose:
-    """Marker pose facing the camera with bounded tilt, inside a generous
-    viewing frustum: the test and ``posecheck`` pose distribution."""
+                       z_range: tuple[float, float] = (0.3, 2.0)) -> MarkerPose:
+    """Marker pose facing the camera, tilted by at most 0.6 rad, inside a
+    generous viewing frustum: the test and ``posecheck`` pose distribution."""
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
-    angle = rng.uniform(0.0, max_tilt_rad)
+    angle = rng.uniform(0.0, 0.6)
     k = np.array([[0.0, -axis[2], axis[1]],
                   [axis[2], 0.0, -axis[0]],
                   [-axis[1], axis[0], 0.0]])
@@ -242,21 +234,20 @@ _NEG_SKEW = np.array([[0, 0, 0, 0, 0, 1, 0, -1, 0],
 
 
 def _refine_pose(r: np.ndarray, t: np.ndarray, obj_xy: np.ndarray,
-                 uv: np.ndarray, k: CameraIntrinsics,
-                 max_iter: int = 25) -> tuple[np.ndarray, np.ndarray]:
+                 uv: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Newton on reprojection error over (rotation, translation).
 
     The rotation takes a left-multiplicative so(3) step. The loop stops once
     the squared error falls by no more than 1e-13 of itself; a rise does
     not stop it, because a later step may still lead downhill. It also stops
     at an error below 1e-20 px^2, where an exact observation leaves only
-    rounding noise that no step can reduce.
+    rounding noise that no step can reduce. It takes at most 25 steps.
     """
     f = np.array([k.fx, k.fy])
     target = uv - (k.cx, k.cy)
     ridge = 1e-12 * np.eye(6)
     prev_cost = math.inf
-    for _ in range(max_iter):
+    for _ in range(25):
         rp = obj_xy @ r[:, :2].T  # R p for the planar corners, (4, 3)
         cam = rp + t
         z = cam[:, 2:]

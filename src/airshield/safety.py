@@ -71,13 +71,11 @@ def step(prev: SafetyState, d: float, cfg: SafetyZoneConfig) -> SafetyDecision:
     """
     if d < 0.0:
         raise NegativeDistance(f"distance must be non-negative, got {d}")
-    if prev is SafetyState.DANGER and d <= cfg.danger + cfg.hysteresis:
+    # Leaving a state takes the hysteresis margin beyond that state's
+    # threshold; the thresholds are positive, so adding 0.0 leaves them exact.
+    if d <= cfg.danger + (cfg.hysteresis if prev is SafetyState.DANGER else 0.0):
         state = SafetyState.DANGER
-    elif d <= cfg.danger:
-        state = SafetyState.DANGER
-    elif prev is not SafetyState.SAFE and d <= cfg.had + cfg.hysteresis:
-        state = SafetyState.ACTIVE
-    elif d <= cfg.had:
+    elif d <= cfg.had + (cfg.hysteresis if prev is not SafetyState.SAFE else 0.0):
         state = SafetyState.ACTIVE
     elif math.isfinite(d):
         state = SafetyState.SAFE

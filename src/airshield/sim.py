@@ -70,32 +70,29 @@ class RobotTrajectory:
     """Periodic waypoint loop followed with a trapezoidal speed profile.
 
     ``waypoints`` holds (position, dwell seconds) pairs; the loop closes
-    from the last waypoint back to the first. ``cycle_period`` defaults to
-    the natural loop duration; a longer period pads with an extra hold at
-    the first waypoint.
+    from the last waypoint back to the first. ``cycle_period`` is the time
+    one pass of the loop takes.
     """
 
     waypoints: tuple[tuple[Vec3, float], ...]
     speed: float = 0.12
     accel: float = 0.6
-    cycle_period: Optional[float] = None
+    cycle_period: float = field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.waypoints) < 2:
             raise ValueError("a trajectory needs at least 2 waypoints")
-        if self.speed <= 0.0 or self.accel <= 0.0:
-            raise ValueError("speed and acceleration must be positive")
-        # The last span ends at the natural loop duration, unless a
-        # cycle_period longer than that padded the loop.
+        if not all(math.isfinite(c) for pos, _ in self.waypoints for c in pos):
+            raise ValueError("waypoint coordinates must be finite")
+        if not all(0.0 <= dwell < math.inf for _, dwell in self.waypoints):
+            raise ValueError("dwell times must be finite and >= 0")
+        if not (0.0 < self.speed < math.inf and 0.0 < self.accel < math.inf):
+            raise ValueError("speed and acceleration must be positive and finite")
         segs = self.segments()
-        end = segs[-1][1] if segs else 0.0
-        if self.cycle_period is None:
-            object.__setattr__(self, "cycle_period", end)
-        elif self.cycle_period < end - 1e-9:
-            raise ValueError(
-                f"cycle_period {self.cycle_period} s is shorter than the "
-                f"path itself ({end:.3f} s)"
-            )
+        period = segs[-1][1] if segs else 0.0
+        if not 0.0 < period < math.inf:
+            raise ValueError(f"a pass of the loop must take positive, finite time, got {period} s")
+        object.__setattr__(self, "cycle_period", period)
 
     def segments(self) -> list[tuple[float, float, str, tuple]]:
         """(t_start, t_end, kind, data) spans covering one cycle."""
@@ -112,8 +109,6 @@ class RobotTrajectory:
                 dur = _trapezoid_time(d, self.speed, self.accel)
                 segs.append((t, t + dur, "move", (pos, nxt, d)))
                 t += dur
-        if self.cycle_period is not None and self.cycle_period > t + 1e-12:
-            segs.append((t, self.cycle_period, "dwell", (self.waypoints[0][0],)))
         return segs
 
 
@@ -174,7 +169,7 @@ def default_trajectory() -> RobotTrajectory:
         ((0.18, 0.02, 0.50), 0.3),
         ((0.20, 0.12, 0.42), 1.2),
         ((0.05, 0.08, 0.52), 0.3),
-    ), speed=0.12, accel=0.6)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +528,9 @@ def analyze_pairs(v_means: Sequence[float], va_means: Sequence[float]) -> dict:
 
     The paired t-test is computed on V - VA differences, so a higher VA
     separation shows up as a negative statistic. A test that cannot run on
-    the sample reports None and says why in ``warnings``.
+    the sample reports None and says why in ``warnings``. Samples of
+    unequal length, or fewer than two pairs, raise as ``stats.paired_t`` does.
     """
-    if len(v_means) != len(va_means):
-        raise stats.LengthMismatch("conditions have different pair counts")
-    if len(v_means) < 2:
-        raise ValueError("need at least 2 matched pairs")
     warnings: list[str] = []
 
     def attempt(label: str, test, *samples, skip: tuple) -> Optional[dict]:

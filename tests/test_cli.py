@@ -41,6 +41,18 @@ def test_simulate_rerun_byte_identical(tmp_path):
     assert read_tree(a) == read_tree(b)
 
 
+def test_manifest_hash_covers_the_duration_flag(tmp_path):
+    def config_sha256(name, *args):
+        out = tmp_path / name
+        assert run_cli(*args, "--condition", "v", "--trials", "1", "--out", out) == 0
+        return json.loads((out / "manifest.json").read_text())["config_sha256"]
+
+    by_flag = config_sha256("flag", "simulate", "--duration", "5")
+    by_config = config_sha256("config", "--set", "sim.duration_s=5", "simulate")
+    assert by_flag == by_config
+    assert config_sha256("other", "simulate", "--duration", "7") != by_flag
+
+
 def test_simulate_alternates_run_trial_and_journal_append(tmp_path, monkeypatch):
     # perfbench/workloads.py times each trial from entering sim.run_trial to
     # the return of its wire.journal_append, patching both module attributes.

@@ -15,8 +15,9 @@ from airshield import sim
 from airshield.cli import main
 from airshield.config import RunConfig
 
+# The manifest's config_sha256 covers the --duration 30 of the run below.
 TRACE_SHA256 = {
-    "manifest.json": "0de3bdb2f55cd61c85ca22aa5bd52b3d8e59678846051715d55b32da376f5f0b",
+    "manifest.json": "f786835ffb2c183291b1bae9148b9db16d7907f910ab25489164e5440907f8da",
     "trial_v_11.jsonl": "9d6197051c130c2efebe095631788c6701ead73c681639e620abbc3ace928bfb",
     "trial_v_12.jsonl": "675877f9c4cb22bef95438c2fc26e67c80e61cf853b0f8d4c378042313a2c447",
     "trial_v_13.jsonl": "28d3771acb0fe860fa7b3be8e1fe3cbc2bbb99e128e4c65fa2e9b43bf7bcb3cb",
@@ -79,10 +80,12 @@ def test_calibrate_stdout_is_byte_identical(capsys):
     assert sha256(capsys.readouterr().out.encode()) == CALIBRATE_STDOUT_SHA256
 
 
-@pytest.mark.parametrize("override", ["sim.tick_ms=20", "sim.duty_pct=20"])
+@pytest.mark.parametrize("override", ["sim.tick_ms=20", "sim.duty_pct=20",
+                                      "sim.duration_s=30"])
 def test_calibrate_stdout_follows_the_configured_loop(capsys, override):
-    # calibrate fits the loop the config describes, so a different tick or
-    # duty gives a different fit: here, a failed one for the coarser tick.
+    # calibrate fits the loop the config describes, so a different tick,
+    # duty or trial length gives a different fit: here, a failed one for
+    # the coarser tick and for the shorter trials.
     main(["--set", override, "calibrate", "--budget", "1", "--seed", "7"])
     assert sha256(capsys.readouterr().out.encode()) != CALIBRATE_STDOUT_SHA256
 

@@ -67,16 +67,18 @@ def test_all_guard_sees_stale_and_unlisted_names():
     assert all_mismatch("def anything(): pass\n") == ([], [])
 
 
+def called_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def unconfigured_trial_calls(source: str) -> list[int]:
     """Lines of ``run_trial(...)`` calls that do not pass both ``tick_ms=``
     and ``duty_on=``, so would run a loop other than the configured one."""
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name == "run_trial" and not {"tick_ms", "duty_on"} <= {k.arg for k in node.keywords}:
+        if (isinstance(node, ast.Call) and called_name(node) == "run_trial"
+                and not {"tick_ms", "duty_on"} <= {k.arg for k in node.keywords}):
             lines.append(node.lineno)
     return lines
 
@@ -92,3 +94,28 @@ def test_trial_guard_sees_missing_tick_or_duty():
               "sim.run_trial(c, h, tr, z, j, p, lat, 120.0, 1, tick_ms=t)\n"
               "run_trial(c, h, tr, z, j, p, lat, 120.0, 1)\n")
     assert unconfigured_trial_calls(source) == [2, 3]
+
+
+def unseeded_rng_calls(source: str) -> list[int]:
+    """Lines of ``default_rng()`` calls with no seed, which draw fresh OS
+    entropy and so break the promise that a run is fixed by ``--seed``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and called_name(node) == "default_rng"
+                and not node.args and not node.keywords):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_random_generator_is_left_unseeded():
+    offenders = {path.name: lines for path in sorted(PACKAGE_DIR.glob("*.py"))
+                 if (lines := unseeded_rng_calls(path.read_text(encoding="utf-8")))}
+    assert offenders == {}
+
+
+def test_rng_guard_sees_unseeded_generators():
+    source = ("np.random.default_rng(seed)\n"
+              "np.random.default_rng()\n"
+              "default_rng()\n"
+              "default_rng(seed=s)\n")
+    assert unseeded_rng_calls(source) == [2, 3]

@@ -206,3 +206,35 @@ def test_classify_is_a_step_from_safe(case):
                 judge()
         return
     assert classify(d, cfg) is step(SafetyState.SAFE, d, cfg).state is thresholds(d, cfg)
+
+
+def hysteresis_rule(prev, d, cfg):
+    """The transition rule written out branch by branch: a state is held
+    until the distance clears its threshold by the hysteresis margin."""
+    if prev is SafetyState.DANGER and d <= cfg.danger + cfg.hysteresis:
+        return SafetyState.DANGER
+    if d <= cfg.danger:
+        return SafetyState.DANGER
+    if prev is not SafetyState.SAFE and d <= cfg.had + cfg.hysteresis:
+        return SafetyState.ACTIVE
+    if d <= cfg.had:
+        return SafetyState.ACTIVE
+    if math.isfinite(d):
+        return SafetyState.SAFE
+    return SafetyState.DANGER
+
+
+@given(zone_and_distance(), states)
+@example((SafetyZoneConfig(), 0.26), SafetyState.DANGER)
+@example((SafetyZoneConfig(), 0.36), SafetyState.ACTIVE)
+@example((SafetyZoneConfig(), 0.36), SafetyState.DANGER)
+@example((SafetyZoneConfig(), math.nan), SafetyState.ACTIVE)
+def test_step_is_the_written_out_hysteresis_rule(case, prev):
+    cfg, d = case
+    if d < 0.0:
+        with pytest.raises(NegativeDistance):
+            step(prev, d, cfg)
+        return
+    decision = step(prev, d, cfg)
+    assert decision.state is hysteresis_rule(prev, d, cfg)
+    assert decision.actuate == (decision.state is not SafetyState.SAFE)
