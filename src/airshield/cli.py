@@ -117,14 +117,13 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     in_dir = Path(args.in_dir)
     files = sorted(in_dir.glob("trial_*.jsonl"))
     if not files:
-        print(f"no trace files found in {in_dir}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"no trace files found in {in_dir}")
     per_seed: dict[int, dict[str, float | None]] = defaultdict(dict)
     warnings: list[str] = []
     for path in files:
         try:
             # Well-formed traces skip the full parser; it reads everything else.
-            parsed = sim.parse_trace_dist(wire.journal_bytes(path))
+            parsed = sim.parse_trace_dist(path.read_bytes())
             if parsed is None:
                 records, truncated = wire.journal_read(path)
                 if truncated:
@@ -138,22 +137,10 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
             per_seed[seed][cond] = sim.below_had_mean(dist_m, cfg.safety.had)
         except (wire.MalformedRecord, KeyError, TypeError, ValueError) as exc:
             warnings.append(f"{path.name}: unreadable trace skipped ({exc})")
-    v_means, va_means, n_dropped = [], [], 0
-    for seed in sorted(per_seed):
-        pair = per_seed[seed]
-        if "v" not in pair or "va" not in pair:
-            n_dropped += 1
-            continue
-        if pair["v"] is None or pair["va"] is None:
-            warnings.append(f"seed {seed}: no samples below HAD, pair dropped")
-            continue
-        v_means.append(pair["v"])
-        va_means.append(pair["va"])
-    if n_dropped:
-        warnings.append(f"{n_dropped} seed(s) present in only one condition")
+    v_means, va_means, pair_warnings = sim.matched_means(per_seed)
+    warnings.extend(pair_warnings)
     if len(v_means) < 2:
-        print("need at least 2 matched-seed trial pairs to analyze", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("need at least 2 matched-seed trial pairs to analyze")
     report = sim.analyze_pairs(v_means, va_means)
     report["warnings"].extend(warnings)
     report["config_sha256"] = config_hash(cfg)
@@ -169,13 +156,10 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_perceive(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require(args.samples >= 1, "--samples", ">= 1", args.samples)
+    _require(args.seed >= 0, "--seed", ">= 0", args.seed)
     _require(math.isfinite(args.distance), "--distance", "finite", args.distance)
-    try:
-        errors = airflow.perception_errors(cfg.perception, cfg.jet, cfg.duty_pct,
-                                           args.distance, args.samples, args.seed)
-    except (airflow.InsidePotentialCore, airflow.ImperceptibleFlow, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    errors = airflow.perception_errors(cfg.perception, cfg.jet, cfg.duty_pct,
+                                       args.distance, args.samples, args.seed)
     abs_err = np.abs(errors)
     print(f"distance {args.distance:.3f} m, {args.samples} samples: "
           f"mean |error| = {abs_err.mean():.4f} +/- {abs_err.std(ddof=1):.4f} m "
@@ -203,11 +187,8 @@ def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> int:
         targets = CalibrationTargets(**target_kv)
     except ValueError as exc:
         raise ConfigError(f"targets: {exc}") from exc
-    try:
-        result = sim.calibrate(targets, args.budget, cfg, seed=args.seed,
-                               trial_duration_s=cfg.duration_s)
-    except (airflow.InsidePotentialCore, airflow.ImperceptibleFlow) as exc:
-        raise ConfigError(str(exc)) from exc
+    result = sim.calibrate(targets, args.budget, cfg, seed=args.seed,
+                           trial_duration_s=cfg.duration_s)
     fitted = {
         "perception.weber": result.perception.weber,
         "sim.attention_p": result.human.attention_p,
@@ -276,13 +257,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, args.overrides)
         return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, airflow.InsidePotentialCore, airflow.ImperceptibleFlow) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CalibrationFailed as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
-    except (wire.IoFailure, OSError) as exc:
+    except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
 

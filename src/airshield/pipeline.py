@@ -32,7 +32,9 @@ class StageLatencyModel:
     actuator_rise_ms: float = 100.0
 
     def __post_init__(self) -> None:
-        for name in ("capture_ms", "detect_ms_mean", "detect_ms_sd",
+        if not self.capture_ms > 0.0:
+            raise ValueError(f"capture_ms must be positive, got {self.capture_ms}")
+        for name in ("detect_ms_mean", "detect_ms_sd",
                      "decide_ms", "transmit_ms", "actuator_rise_ms"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")

@@ -292,11 +292,8 @@ def paired_t(a: Sequence[float], b: Sequence[float]) -> TestResult:
     n = len(a)
     if n < 2:
         raise SampleTooSmall(f"paired t-test requires n >= 2, got {n}")
-    d = [float(ai) - float(bi) for ai, bi in zip(a, b)]
-    d_mean = math.fsum(d) / n
-    ss = math.fsum((di - d_mean) ** 2 for di in d)
-    if ss <= 0.0:
+    d_mean, s_d = summarize([float(ai) - float(bi) for ai, bi in zip(a, b)])
+    if not s_d > 0.0:
         raise ZeroVarianceDifferences("all paired differences are identical")
-    s_d = math.sqrt(ss / (n - 1))
     t = d_mean / (s_d / math.sqrt(n))
     return TestResult(statistic=t, p_value=t_two_sided_p(t, n - 1), df=n - 1)

@@ -38,10 +38,7 @@ __all__ = [
     "MalformedRecord",
     "encode",
     "decode",
-    "set_duty_frame",
-    "stop_frame",
     "journal_append",
-    "journal_bytes",
     "journal_read",
     "trace_filename",
 ]
@@ -131,17 +128,6 @@ def decode(data: bytes) -> CommandFrame:
     return CommandFrame(seq=seq, opcode=opcode, payload=payload)
 
 
-def set_duty_frame(seq: int, duty_pct: float) -> CommandFrame:
-    """Duty command; duty is snapped to the 0.5% wire resolution."""
-    if not 0.0 <= duty_pct <= 100.0:
-        raise PayloadOutOfRange(f"duty must be in [0, 100] percent, got {duty_pct}")
-    return CommandFrame(seq=seq, opcode=Opcode.SET_DUTY, payload=int(round(duty_pct * 2.0)))
-
-
-def stop_frame(seq: int) -> CommandFrame:
-    return CommandFrame(seq=seq, opcode=Opcode.STOP, payload=0)
-
-
 # ---------------------------------------------------------------------------
 # JSON-lines journal
 # ---------------------------------------------------------------------------
@@ -164,14 +150,6 @@ def journal_append(path: str | Path, records: str | Iterable[dict]) -> None:
         raise IoFailure(f"cannot append to journal {path}: {exc}") from exc
 
 
-def journal_bytes(path: str | Path) -> bytes:
-    """The journal file's raw bytes; IoFailure when it cannot be read."""
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read journal {path}: {exc}") from exc
-
-
 def journal_read(path: str | Path) -> tuple[list[dict], bool]:
     """Read all records in write order.
 
@@ -179,7 +157,10 @@ def journal_read(path: str | Path) -> tuple[list[dict], bool]:
     partial line, the signature of a write torn by a crash. A complete but
     unparsable line raises MalformedRecord with its line number.
     """
-    raw = journal_bytes(path)
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"cannot read journal {path}: {exc}") from exc
     records: list[dict] = []
     if not raw:
         return records, False

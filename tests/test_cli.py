@@ -122,10 +122,11 @@ def test_analyze_single_condition_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
-def test_analyze_empty_dir_exits_2(tmp_path):
+def test_analyze_empty_dir_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert run_cli("analyze", "--in", empty, "--report", tmp_path / "r.json") == 2
+    assert capsys.readouterr().err.startswith("config error: no trace files found")
 
 
 def test_analyze_identical_pairs_warns(tmp_path):
@@ -216,7 +217,7 @@ def test_calibrate_unreadable_targets_file_exits_3(tmp_path, capsys):
     ("calibrate", "--seed", "-2000"), ("calibrate", "--seed", "-1"),
     ("posecheck", "--noise-px", "inf"), ("posecheck", "--noise-px", "nan"),
     ("posecheck", "--noise-px", "-1"), ("perceive", "--distance", "nan"),
-    ("perceive", "--distance", "inf"),
+    ("perceive", "--distance", "inf"), ("perceive", "--seed", "-1", "--distance", "0.25"),
 ])
 def test_bad_numeric_flag_exits_2(tmp_path, capsys, args):
     extra = {"simulate": ("--trials", "1", "--out", tmp_path / "x"),
@@ -225,6 +226,16 @@ def test_bad_numeric_flag_exits_2(tmp_path, capsys, args):
     assert run_cli(*args, *extra) == 2
     assert capsys.readouterr().err.startswith(f"config error: {args[1]} must be ")
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", [("simulate", "--trials", "1"),
+                                     ("calibrate", "--budget", "1")])
+def test_zero_frame_interval_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "x"
+    extra = ("--out", out) if command[0] == "simulate" else ()
+    assert run_cli("--set", "latency.capture_ms=0", *command, *extra) == 2
+    assert capsys.readouterr().err.startswith("config error: capture_ms must be positive")
+    assert not out.exists()
 
 
 def test_posecheck_noiseless(capsys):

@@ -119,3 +119,35 @@ def test_rng_guard_sees_unseeded_generators():
               "default_rng()\n"
               "default_rng(seed=s)\n")
     assert unseeded_rng_calls(source) == [2, 3]
+
+
+EXIT_CODES = {"EXIT_USAGE", "EXIT_IO", "EXIT_ANALYSIS"}
+
+
+def exit_codes_outside_main(source: str) -> list[int]:
+    """Lines reading an error exit code outside ``main``, the one place
+    that turns an error into an exit code and a message."""
+    tree = ast.parse(source)
+    in_main = {id(node) for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "main"
+               for node in ast.walk(fn)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in EXIT_CODES
+            and isinstance(node.ctx, ast.Load) and id(node) not in in_main]
+
+
+def test_only_main_turns_errors_into_exit_codes():
+    offenders = {path.name: lines for path in sorted(PACKAGE_DIR.glob("*.py"))
+                 if (lines := exit_codes_outside_main(path.read_text(encoding="utf-8")))}
+    assert offenders == {}
+
+
+def test_exit_code_guard_sees_uses_outside_main():
+    source = ("EXIT_USAGE = 2\n"
+              "def cmd_x():\n"
+              "    return EXIT_USAGE\n"
+              "def main():\n"
+              "    return EXIT_IO\n"
+              "def cmd_y():\n"
+              "    return EXIT_ANALYSIS if x else EXIT_OK\n")
+    assert exit_codes_outside_main(source) == [3, 7]

@@ -14,7 +14,7 @@ def test_end_to_end_latency_default_budget(latency):
 
 
 def test_end_to_end_latency_degenerate_models():
-    zero = pl.StageLatencyModel(capture_ms=0, detect_ms_mean=0, detect_ms_sd=0,
+    zero = pl.StageLatencyModel(detect_ms_mean=0, detect_ms_sd=0,
                                 decide_ms=0, transmit_ms=0, actuator_rise_ms=0)
     assert pl.end_to_end_latency(zero, 1000, seed=2).p95_ms == 0.0
     fixed = pl.StageLatencyModel(detect_ms_sd=0.0)
@@ -38,6 +38,8 @@ def test_detect_draw_truncated_at_zero():
 def test_latency_model_validation():
     with pytest.raises(ValueError):
         pl.StageLatencyModel(detect_ms_mean=-1.0)
+    with pytest.raises(ValueError, match="capture_ms must be positive"):
+        pl.StageLatencyModel(capture_ms=0.0)
 
 
 def test_decide_stage_throughput(zone):

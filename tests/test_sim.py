@@ -353,6 +353,16 @@ def test_analyze_pairs_needs_two():
         sim.analyze_pairs([0.3, 0.31], [0.3])
 
 
+def test_matched_means_keeps_exposed_pairs_in_seed_order():
+    per_seed = {7: {"va": 0.33, "v": 0.31}, 3: {"v": 0.30, "va": 0.32},
+                5: {"v": None, "va": 0.34}, 4: {"v": 0.29}, 9: {"va": 0.35}}
+    v, va, warnings = sim.matched_means(per_seed)
+    assert (v, va) == ([0.30, 0.31], [0.32, 0.33])
+    assert warnings == ["seed 5: no samples below HAD, pair dropped",
+                        "2 seed(s) present in only one condition"]
+    assert sim.matched_means({}) == ([], [], [])
+
+
 # --- calibration -----------------------------------------------------------
 
 def test_calibrate_zero_budget_fails():

@@ -78,14 +78,6 @@ def test_single_bit_flips_rejected(frame):
             wire.decode(bytes(corrupted))
 
 
-def test_duty_helper_scales_to_wire_units():
-    assert wire.set_duty_frame(3, 100.0).payload == 200
-    assert wire.set_duty_frame(3, 49.75).payload == 100  # 0.5% units
-    assert wire.stop_frame(9).payload == 0
-    with pytest.raises(wire.PayloadOutOfRange):
-        wire.set_duty_frame(0, 101.0)
-
-
 # --- journal ---------------------------------------------------------------
 
 def test_journal_round_trip(tmp_path):
