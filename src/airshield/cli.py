@@ -155,7 +155,7 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_perceive(cfg: RunConfig, args: argparse.Namespace) -> int:
-    _require(args.samples >= 1, "--samples", ">= 1", args.samples)
+    _require(args.samples >= 2, "--samples", ">= 2", args.samples)
     _require(args.seed >= 0, "--seed", ">= 0", args.seed)
     _require(math.isfinite(args.distance), "--distance", "finite", args.distance)
     errors = airflow.perception_errors(cfg.perception, cfg.jet, cfg.duty_pct,
@@ -212,18 +212,26 @@ def cmd_posecheck(cfg: RunConfig, args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     cam = geometry.CameraIntrinsics()
     marker = geometry.MarkerSpec(side_len=0.10)
-    rot_errs, trans_errs = [], []
+    rot_errs, trans_errs, degenerate = [], [], 0
     for _ in range(args.poses):
         pose = geometry.random_facing_pose(rng)
         obs = geometry.observe(pose, marker, cam, noise_px=args.noise_px, rng=rng)
-        est = geometry.estimate_pose(obs, marker, cam)
+        try:
+            est = geometry.estimate_pose(obs, marker, cam)
+        except geometry.DegenerateObservation:
+            degenerate += 1
+            continue
         rot_errs.append(geometry.rotation_geodesic_rad(est.rotation, pose.rotation))
         trans_errs.append(float(np.linalg.norm(est.translation - pose.translation)))
-    rot = np.array(rot_errs)
-    trans = np.array(trans_errs)
-    print(f"{args.poses} poses, noise {args.noise_px} px: "
-          f"rotation max {rot.max():.3e} rad (median {np.median(rot):.3e}), "
-          f"translation max {trans.max():.3e} m (median {np.median(trans):.3e})")
+    line = f"{args.poses} poses, noise {args.noise_px} px"
+    if rot_errs:
+        rot = np.array(rot_errs)
+        trans = np.array(trans_errs)
+        line += (f": rotation max {rot.max():.3e} rad (median {np.median(rot):.3e}), "
+                 f"translation max {trans.max():.3e} m (median {np.median(trans):.3e})")
+    if degenerate:
+        line += f"; {degenerate} degenerate observations"
+    print(line)
     return EXIT_OK
 
 

@@ -218,6 +218,7 @@ def test_calibrate_unreadable_targets_file_exits_3(tmp_path, capsys):
     ("posecheck", "--noise-px", "inf"), ("posecheck", "--noise-px", "nan"),
     ("posecheck", "--noise-px", "-1"), ("perceive", "--distance", "nan"),
     ("perceive", "--distance", "inf"), ("perceive", "--seed", "-1", "--distance", "0.25"),
+    ("perceive", "--samples", "1", "--distance", "0.25"),
 ])
 def test_bad_numeric_flag_exits_2(tmp_path, capsys, args):
     extra = {"simulate": ("--trials", "1", "--out", tmp_path / "x"),
@@ -245,6 +246,18 @@ def test_posecheck_noiseless(capsys):
     assert trans_max <= 1e-6
 
 
+def test_posecheck_counts_degenerate_observations(capsys):
+    assert run_cli("posecheck", "--poses", "200", "--noise-px", "10", "--seed", "0") == 0
+    out = capsys.readouterr().out
+    assert out.startswith("200 poses, noise 10.0 px: rotation max ")
+    assert out.endswith("; 11 degenerate observations\n")
+
+
+def test_posecheck_with_no_estimate_prints_only_the_count(capsys):
+    assert run_cli("posecheck", "--poses", "2", "--noise-px", "1000", "--seed", "0") == 0
+    assert capsys.readouterr().out == "2 poses, noise 1000.0 px; 2 degenerate observations\n"
+
+
 def test_codec_check_reports_exact_count(capsys):
     assert run_cli("codec-check") == 0
     assert "154,368 frames OK" in capsys.readouterr().out
@@ -261,6 +274,14 @@ def test_unknown_flag_exits_2(capsys):
         run_cli("simulate", "--frobnicate")
     assert e.value.code == 2
     assert capsys.readouterr().err
+
+
+def test_trial_shorter_than_a_tick_exits_2(tmp_path, capsys):
+    rc = run_cli("--set", "sim.tick_ms=5000", "simulate", "--trials", "1",
+                 "--duration", "2", "--out", tmp_path / "x")
+    assert rc == 2
+    assert "at least one tick" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_bad_config_override_exits_2(tmp_path, capsys):
