@@ -113,6 +113,17 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _manifest_config_hash(in_dir: Path) -> str | None:
+    """The ``config_sha256`` that ``simulate`` wrote into the directory's
+    manifest, or None when there is no readable one."""
+    try:
+        manifest = json.loads((in_dir / "manifest.json").read_bytes())
+    except (OSError, ValueError):
+        return None
+    value = manifest.get("config_sha256") if isinstance(manifest, dict) else None
+    return value if isinstance(value, str) else None
+
+
 def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     in_dir = Path(args.in_dir)
     files = sorted(in_dir.glob("trial_*.jsonl"))
@@ -144,6 +155,7 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = sim.analyze_pairs(v_means, va_means)
     report["warnings"].extend(warnings)
     report["config_sha256"] = config_hash(cfg)
+    report["traces_config_sha256"] = _manifest_config_hash(in_dir)
     Path(args.report).write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     t_test = report["paired_t"]

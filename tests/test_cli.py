@@ -96,6 +96,8 @@ def test_analyze_produces_report(tmp_path, capsys):
     assert payload["n_pairs"] >= 2
     assert set(payload["v"]) == {"mean", "sd", "shapiro"}
     assert "paired_t" in payload and "config_sha256" in payload
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert payload["traces_config_sha256"] == manifest["config_sha256"]
 
 
 def test_analyze_reads_own_traces_without_the_full_parser(tmp_path, monkeypatch):
@@ -145,6 +147,22 @@ def test_analyze_identical_pairs_warns(tmp_path):
     payload = json.loads(report.read_text())
     assert payload["paired_t"] is None
     assert any("paired_t" in w for w in payload["warnings"])
+
+
+@pytest.mark.parametrize("manifest", [None, "not json", "[1]", '{"config_sha256": 5}', "{}"])
+def test_analyze_without_a_manifest_hash_reports_null(tmp_path, manifest):
+    out = tmp_path / "runs"
+    out.mkdir()
+    for seed in (1, 2):
+        for cond, dist in (("v", 0.30), ("va", 0.31 + 0.01 * seed)):
+            wire.journal_append(out / wire.trace_filename(cond, seed),
+                                [{"t_ms": 0, "dist_m": dist, "state": "ACTIVE",
+                                  "duty_pct": 0.0, "cond": cond, "seed": seed}])
+    if manifest is not None:
+        (out / "manifest.json").write_text(manifest)
+    report = tmp_path / "r.json"
+    assert run_cli("analyze", "--in", out, "--report", report) == 0
+    assert json.loads(report.read_text())["traces_config_sha256"] is None
 
 
 def test_analyze_skips_unreadable_trace(tmp_path):

@@ -25,7 +25,9 @@ TRACE_SHA256 = {
     "trial_va_12.jsonl": "0c580f9ce8e8c31f054e4a63b8fdc7fde29281c25e2db61c3b33b09f24376137",
     "trial_va_13.jsonl": "63e1e6dc9f974765cca812ecb5de85d57d4b61a8a73f66392e12263ef7e0c0e0",
 }
-REPORT_SHA256 = "048a54ed9c864d4f064e0a2c6097e953a5c31afcde87f95d3e1c3ee2f1f1aed6"
+# The report names the manifest hash of the traces it read
+# (traces_config_sha256) next to the hash of the analysing config.
+REPORT_SHA256 = "34750b4f9b6367892dd7442325be1a645b9e2124948440bb28e2d8ffe1746c04"
 POSECHECK_STDOUT_SHA256 = "72132334104304acf8c647fe39d7c069f2befa144da99d4040a137c0de9b66e6"
 PERCEIVE_STDOUT_SHA256 = "dfe2ed8b16e872145d38db68966f07adb641406f7a867efce31916ecf9743462"
 # One evaluation at the default parameters already converges; the residuals
