@@ -5,8 +5,8 @@ trace directory), perceive (airflow distance-perception Monte Carlo),
 calibrate (fit free model parameters to targets), posecheck (pose
 round-trip accuracy), codec-check (exhaustive wire-frame sweep).
 
-Exit codes: 0 success, 2 usage/config error, 3 I/O error, 4 calibration or
-analysis failure.
+Exit codes, all set in ``main``: 0 success, 2 usage/config error, 3 I/O
+error, 4 calibration failure.
 """
 
 from __future__ import annotations
@@ -114,13 +114,11 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _manifest_config_hash(in_dir: Path) -> str | None:
-    """The ``config_sha256`` that ``simulate`` wrote into the directory's
-    manifest, or None when there is no readable one."""
+    """The ``config_sha256`` in the directory's manifest; None without one."""
     try:
-        manifest = json.loads((in_dir / "manifest.json").read_bytes())
-    except (OSError, ValueError):
+        value = json.loads((in_dir / "manifest.json").read_bytes())["config_sha256"]
+    except (OSError, ValueError, KeyError, TypeError):
         return None
-    value = manifest.get("config_sha256") if isinstance(manifest, dict) else None
     return value if isinstance(value, str) else None
 
 
@@ -237,10 +235,8 @@ def cmd_posecheck(cfg: RunConfig, args: argparse.Namespace) -> int:
         trans_errs.append(float(np.linalg.norm(est.translation - pose.translation)))
     line = f"{args.poses} poses, noise {args.noise_px} px"
     if rot_errs:
-        rot = np.array(rot_errs)
-        trans = np.array(trans_errs)
-        line += (f": rotation max {rot.max():.3e} rad (median {np.median(rot):.3e}), "
-                 f"translation max {trans.max():.3e} m (median {np.median(trans):.3e})")
+        line += (f": rotation max {max(rot_errs):.3e} rad (median {np.median(rot_errs):.3e}), "
+                 f"translation max {max(trans_errs):.3e} m (median {np.median(trans_errs):.3e})")
     if degenerate:
         line += f"; {degenerate} degenerate observations"
     print(line)

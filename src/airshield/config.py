@@ -78,8 +78,7 @@ class RunConfig:
         if self.tick_ms <= 0.0:
             raise ConfigError(f"sim.tick_ms must be positive, got {self.tick_ms}")
         if self.duration_s * 1000.0 < self.tick_ms:
-            raise ConfigError(f"sim.duration_s must last at least one tick "
-                              f"({self.tick_ms} ms), got {self.duration_s} s")
+            raise ConfigError(f"sim.duration_s must last at least one tick, got {self.duration_s}")
         if not 0.0 <= self.duty_pct <= 100.0:
             raise ConfigError(f"sim.duty_pct must be in [0, 100], got {self.duty_pct}")
 

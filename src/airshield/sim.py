@@ -523,23 +523,19 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
 
 def matched_means(per_seed: Mapping[int, Mapping[str, float | None]]
                   ) -> tuple[list[float], list[float], list[str]]:
-    """(V means, VA means, warnings) over the seeds run in both conditions,
-    in seed order; ``per_seed`` maps seed -> condition -> below-HAD mean.
-
-    A pair without exposure (a None mean) carries no information about the
-    below-HAD statistic; dropping it keeps the estimate unbiased.
-    """
+    """V and VA below-HAD means of the seeds run in both conditions, in seed
+    order, and warnings for the rest. A pair without exposure (a None mean)
+    carries no information about the below-HAD statistic; dropping it keeps
+    the estimate unbiased."""
     v_means, va_means, warnings, one_sided = [], [], [], 0
-    for seed in sorted(per_seed):
-        pair = per_seed[seed]
+    for seed, pair in sorted(per_seed.items()):
         if "v" not in pair or "va" not in pair:
             one_sided += 1
-            continue
-        if pair["v"] is None or pair["va"] is None:
+        elif pair["v"] is None or pair["va"] is None:
             warnings.append(f"seed {seed}: no samples below HAD, pair dropped")
-            continue
-        v_means.append(pair["v"])
-        va_means.append(pair["va"])
+        else:
+            v_means.append(pair["v"])
+            va_means.append(pair["va"])
     if one_sided:
         warnings.append(f"{one_sided} seed(s) present in only one condition")
     return v_means, va_means, warnings
