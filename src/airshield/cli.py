@@ -94,32 +94,27 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"config_sha256": config_hash(cfg), "trials": []}
-    for cond in conditions:
-        for i in range(args.trials):
-            seed = args.seed + i
-            trace = sim.run_trial(cond, cfg.human, cfg.trajectory, cfg.safety,
-                                  cfg.jet, cfg.perception, cfg.latency,
-                                  cfg.duration_s, seed, tick_ms=cfg.tick_ms,
-                                  duty_on=cfg.duty_pct)
-            name = wire.trace_filename(cond, seed)
-            path = out_dir / name
-            path.unlink(missing_ok=True)
-            wire.journal_append(path, trace.jsonl())
-            manifest["trials"].append({"file": name, "cond": cond, "seed": seed,
-                                       "n_samples": len(trace)})
+    seeds = range(args.seed, args.seed + args.trials)
+    for cond, seed, trace in sim.run_trials(cfg, conditions, seeds):
+        name = wire.trace_filename(cond, seed)
+        path = out_dir / name
+        path.unlink(missing_ok=True)
+        wire.journal_append(path, trace.jsonl())
+        manifest["trials"].append({"file": name, "cond": cond, "seed": seed,
+                                   "n_samples": len(trace)})
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(manifest['trials'])} trace files to {out_dir}")
     return EXIT_OK
 
 
-def _manifest_config_hash(in_dir: Path) -> str | None:
-    """The ``config_sha256`` in the directory's manifest; None without one."""
+def _read_manifest(in_dir: Path) -> dict:
+    """The directory's ``manifest.json``; empty without a readable object."""
     try:
-        value = json.loads((in_dir / "manifest.json").read_bytes())["config_sha256"]
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    return value if isinstance(value, str) else None
+        manifest = json.loads((in_dir / "manifest.json").read_bytes())
+    except (OSError, ValueError):
+        return {}
+    return manifest if isinstance(manifest, dict) else {}
 
 
 def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -143,9 +138,21 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
                 parsed = (records[0]["cond"], int(records[0]["seed"]),
                           [r["dist_m"] for r in records])
             cond, seed, dist_m = parsed
+            if cond in per_seed[seed]:
+                warnings.append(f"{path.name}: another trace of {cond} seed {seed} "
+                                "was already read, skipped")
+                continue
             per_seed[seed][cond] = sim.below_had_mean(dist_m, cfg.safety.had)
         except (wire.MalformedRecord, KeyError, TypeError, ValueError) as exc:
             warnings.append(f"{path.name}: unreadable trace skipped ({exc})")
+    manifest = _read_manifest(in_dir)
+    listed = manifest.get("trials")
+    if isinstance(listed, list) and listed:
+        names = {t.get("file") for t in listed
+                 if isinstance(t, dict) and isinstance(t.get("file"), str)}
+        unlisted = sum(path.name not in names for path in files)
+        if unlisted:
+            warnings.append(f"{unlisted} trace file(s) not listed in manifest.json")
     v_means, va_means, pair_warnings = sim.matched_means(per_seed)
     warnings.extend(pair_warnings)
     if len(v_means) < 2:
@@ -153,7 +160,8 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = sim.analyze_pairs(v_means, va_means)
     report["warnings"].extend(warnings)
     report["config_sha256"] = config_hash(cfg)
-    report["traces_config_sha256"] = _manifest_config_hash(in_dir)
+    traces_hash = manifest.get("config_sha256")
+    report["traces_config_sha256"] = traces_hash if isinstance(traces_hash, str) else None
     Path(args.report).write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     t_test = report["paired_t"]

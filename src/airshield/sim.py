@@ -45,6 +45,7 @@ __all__ = [
     "CalibrationResult",
     "trajectory_positions",
     "run_trial",
+    "run_trials",
     "below_had_mean",
     "matched_means",
     "analyze_pairs",
@@ -204,6 +205,8 @@ class HumanModel:
     item_far_m: float = 0.34
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(c) for pos in self.task_positions for c in pos):
+            raise ValueError("task position coordinates must be finite")
         if not 0.0 <= self.attention_p <= 1.0:
             raise ValueError(f"attention_p must be in [0, 1], got {self.attention_p}")
         if self.excursion_rate < 0.0:
@@ -211,10 +214,10 @@ class HumanModel:
         if self.reaction_latency_ms < 0.0:
             raise ValueError("reaction latency must be >= 0")
         for name in ("retreat_speed", "reach_speed", "task_speed"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.item_near_m <= self.item_far_m:
-            raise ValueError("need 0 < item_near_m <= item_far_m")
+        if not 0.0 < self.item_near_m <= self.item_far_m < math.inf:
+            raise ValueError("need 0 < item_near_m <= item_far_m < inf")
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +238,6 @@ class DistanceTrace:
     condition: str
     seed: int
     decisions: list[tuple[float, int, bool]] = field(default_factory=list)
-    hand_xyz: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.t_ms)
@@ -255,13 +257,12 @@ class DistanceTrace:
     def jsonl(self) -> str:
         """The trace file: each of ``records()`` as one compact JSON line.
 
-        Built column by column from one row template. ``repr`` writes a finite
-        float exactly as ``json.dumps`` does, but NaN and infinities differ,
-        so a trace holding one is encoded through ``records()`` instead.
+        Built column by column from one row template; ``repr`` writes a finite
+        float exactly as ``json.dumps`` does. NaN and infinities are not JSON,
+        so a trace holding one raises ValueError.
         """
         if not (np.isfinite(self.dist_m).all() and np.isfinite(self.duty_pct).all()):
-            return "".join(json.dumps(r, separators=(",", ":")) + "\n"
-                           for r in self.records())
+            raise ValueError("a trace file holds finite dist_m and duty_pct only")
         # '"cond":...,"seed":...}', the same on every row.
         tail = json.dumps({"cond": self.condition, "seed": self.seed},
                           separators=(",", ":"))[1:]
@@ -322,8 +323,7 @@ _TASK_MOVE, _TASK_DWELL, _REACH, _GRAB, _RETURN, _RETREAT = range(6)
 def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
               zone: SafetyZoneConfig, jet: JetModel, perception: PerceptionModel,
               latency: StageLatencyModel, duration_s: float, seed: int,
-              tick_ms: float = 10.0, duty_on: float = 100.0,
-              record_hand: bool = False) -> DistanceTrace:
+              tick_ms: float = 10.0, duty_on: float = 100.0) -> DistanceTrace:
     """Simulate one trial; bit-identical for identical arguments."""
     if cond not in CONDITIONS:
         raise ValueError(f"condition must be one of {CONDITIONS}, got {cond!r}")
@@ -331,6 +331,8 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
         raise ValueError(f"duration must be positive, got {duration_s}")
     if tick_ms <= 0.0:
         raise ValueError(f"tick must be positive, got {tick_ms}")
+    if not 0.0 <= duty_on <= 100.0:
+        raise ValueError(f"duty must be in [0, 100], got {duty_on}")
 
     n = int(round(duration_s * 1000.0 / tick_ms))
     dt = tick_ms / 1000.0
@@ -358,7 +360,6 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     out_d = np.empty(n)
     out_state = np.empty(n, dtype=np.uint8)
     out_duty = np.empty(n)
-    hand_log = np.empty((n, 3)) if record_hand else None
 
     # Hand state.
     tray = human.task_positions[0]
@@ -506,15 +507,22 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
         out_d[i] = d
         out_state[i] = live_state
         out_duty[i] = duty
-        if record_hand:
-            hand_log[i, 0] = hx
-            hand_log[i, 1] = hy
-            hand_log[i, 2] = hz
 
     return DistanceTrace(t_ms=np.rint(times * 1000.0).astype(np.int64), dist_m=out_d,
                          state=out_state, duty_pct=out_duty, condition=cond, seed=seed,
-                         decisions=[(c * 1000.0, s, a) for c, s, a in commands],
-                         hand_xyz=hand_log)
+                         decisions=[(c * 1000.0, s, a) for c, s, a in commands])
+
+
+def run_trials(cfg: RunConfig, conditions: Sequence[str], seeds: Sequence[int]
+               ) -> Iterator[tuple[str, int, DistanceTrace]]:
+    """(cond, seed, trace) of the trial ``cfg`` configures, for each seed in
+    each condition, condition by condition; one trace is made per step."""
+    for cond in conditions:
+        for seed in seeds:
+            yield cond, seed, run_trial(cond, cfg.human, cfg.trajectory, cfg.safety,
+                                        cfg.jet, cfg.perception, cfg.latency,
+                                        cfg.duration_s, seed, tick_ms=cfg.tick_ms,
+                                        duty_on=cfg.duty_pct)
 
 
 # ---------------------------------------------------------------------------
@@ -644,15 +652,11 @@ def calibrate(targets: CalibrationTargets, budget: int, cfg: RunConfig, *,
             pm, cfg.jet, cfg.duty_pct, targets.near_x, mc_samples, seed + 90001))))
         err_far = float(np.mean(np.abs(perception_errors(
             pm, cfg.jet, cfg.duty_pct, targets.far_x, mc_samples, seed + 90002))))
-        per_seed: dict[int, dict[str, float | None]] = {}
-        for j in range(trials_per_eval):
-            s = seed + 1000 + j
-            per_seed[s] = {}
-            for cond in CONDITIONS:
-                trace = run_trial(cond, hm, cfg.trajectory, cfg.safety, cfg.jet, pm,
-                                  cfg.latency, trial_duration_s, s,
-                                  tick_ms=cfg.tick_ms, duty_on=cfg.duty_pct)
-                per_seed[s][cond] = below_had_mean(trace.dist_m, cfg.safety.had)
+        fit_cfg = replace(cfg, human=hm, perception=pm, duration_s=trial_duration_s)
+        seeds = range(seed + 1000, seed + 1000 + trials_per_eval)
+        per_seed: dict[int, dict[str, float | None]] = {s: {} for s in seeds}
+        for cond, s, trace in run_trials(fit_cfg, CONDITIONS, seeds):
+            per_seed[s][cond] = below_had_mean(trace.dist_m, cfg.safety.had)
         v_vals, va_vals, _ = matched_means(per_seed)
         exposed = len(v_vals) >= max(2, trials_per_eval // 2)
         return {

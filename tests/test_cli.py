@@ -177,6 +177,40 @@ def test_analyze_skips_unreadable_trace(tmp_path):
     assert payload["n_pairs"] == 3
 
 
+def test_analyze_reads_one_trace_per_condition_and_seed(tmp_path):
+    out, other = tmp_path / "runs", tmp_path / "other"
+    for seed, target in ((0, out), (7, other)):
+        assert run_cli("simulate", "--trials", "3", "--seed", seed, "--duration", "30",
+                       "--out", target) == 0
+    clean, rerun = tmp_path / "clean.json", tmp_path / "rerun.json"
+    assert run_cli("analyze", "--in", out, "--report", clean) == 0
+    # A trace of another run, holding cond "v" and seed 7, renamed to seed 2's.
+    data = (other / "trial_v_7.jsonl").read_bytes().replace(b'"seed":7', b'"seed":2')
+    (out / "trial_v_2.rerun.jsonl").write_bytes(data)
+    assert run_cli("analyze", "--in", out, "--report", rerun) == 0
+    first, second = json.loads(clean.read_text()), json.loads(rerun.read_text())
+    assert second["v"] == first["v"]
+    assert ("trial_v_2.rerun.jsonl: another trace of v seed 2 was already read, skipped"
+            in second["warnings"])
+
+
+def test_analyze_counts_trace_files_the_manifest_does_not_list(tmp_path):
+    out = tmp_path / "runs"
+    assert run_cli("simulate", "--trials", "3", "--duration", "30", "--out", out) == 0
+    report = tmp_path / "r.json"
+    assert run_cli("analyze", "--in", out, "--report", report) == 0
+    first = json.loads(report.read_text())
+    assert not any("manifest" in w for w in first["warnings"])
+    assert run_cli("simulate", "--trials", "2", "--seed", "3", "--duration", "30",
+                   "--out", out) == 0
+    assert run_cli("analyze", "--in", out, "--report", report) == 0
+    second = json.loads(report.read_text())
+    # The files of the first run are still read, and counted once.
+    assert second["n_pairs"] > first["n_pairs"]
+    assert [w for w in second["warnings"] if "manifest" in w] == [
+        "6 trace file(s) not listed in manifest.json"]
+
+
 def test_perceive_reports_calibrated_error(capsys):
     assert run_cli("perceive", "--distance", "0.25", "--samples", "4000",
                    "--seed", "5") == 0

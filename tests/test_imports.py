@@ -96,6 +96,26 @@ def test_trial_guard_sees_missing_tick_or_duty():
     assert unconfigured_trial_calls(source) == [2, 3]
 
 
+def trial_calls(source: str) -> list[int]:
+    """Lines of ``run_trial(...)`` calls, however the function is reached."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and called_name(node) == "run_trial"]
+
+
+def test_one_driver_runs_every_trial():
+    calls = {path.name: lines for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if (lines := trial_calls(path.read_text(encoding="utf-8")))}
+    assert list(calls) == ["sim.py"] and len(calls["sim.py"]) == 1
+
+
+def test_trial_call_guard_sees_every_call():
+    source = ("def run_trial(): pass\n"
+              "run_trial(c)\n"
+              "sim.run_trial(c, tick_ms=t, duty_on=d)\n"
+              "run_trials(cfg, conds, seeds)\n")
+    assert trial_calls(source) == [2, 3]
+
+
 def unseeded_rng_calls(source: str) -> list[int]:
     """Lines of ``default_rng()`` calls with no seed, which draw fresh OS
     entropy and so break the promise that a run is fixed by ``--seed``."""

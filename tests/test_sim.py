@@ -181,11 +181,8 @@ def test_timestamps_strictly_increasing(human, trajectory, zone, jet, perception
 
 def test_hand_speed_bounded_and_distance_continuous(human, trajectory, zone, jet,
                                                     perception, latency):
-    t = run("va", 7, human, trajectory, zone, jet, perception, latency,
-            record_hand=True)
+    t = run("va", 7, human, trajectory, zone, jet, perception, latency)
     dt = 0.010
-    hand_speed = np.linalg.norm(np.diff(t.hand_xyz, axis=0), axis=1) / dt
-    assert hand_speed.max() <= human.retreat_speed + 1e-9
     d_rate = np.abs(np.diff(t.dist_m)) / dt
     assert d_rate.max() <= human.retreat_speed + trajectory.speed + 1e-9
 
@@ -221,6 +218,37 @@ def test_run_trial_argument_validation(human, trajectory, zone, jet, perception,
         run("v", 0, human, trajectory, zone, jet, perception, latency, duration=0.0)
 
 
+@pytest.mark.parametrize("duty_on", [math.nan, math.inf, -1.0, 101.0])
+def test_run_trial_rejects_duty_outside_0_to_100(human, trajectory, zone, jet, perception,
+                                                  latency, duty_on):
+    with pytest.raises(ValueError, match="duty"):
+        run("va", 3, human, trajectory, zone, jet, perception, latency, duty_on=duty_on)
+
+
+@pytest.mark.parametrize("kw", [
+    {"task_positions": ((math.inf, 0.0, 0.0), (0.80, 0.25, 0.60))},
+    {"task_positions": ((0.60, 0.45, 0.60), (0.80, math.nan, 0.60))},
+    {"item_far_m": math.inf}, {"item_near_m": math.nan},
+    {"reach_speed": math.nan}, {"task_speed": math.nan}, {"retreat_speed": math.nan},
+])
+def test_human_model_rejects_non_finite_positions_and_speeds(kw):
+    with pytest.raises(ValueError):
+        sim.HumanModel(**kw)
+
+
+def test_run_trials_yields_condition_major_direct_trials():
+    cfg = RunConfig(duration_s=20.0, duty_pct=80.0, tick_ms=20.0)
+    got = list(sim.run_trials(cfg, sim.CONDITIONS, [4, 2]))
+    assert [(cond, seed) for cond, seed, _ in got] == [("v", 4), ("v", 2), ("va", 4), ("va", 2)]
+    for cond, seed, trace in got:
+        want = sim.run_trial(cond, cfg.human, cfg.trajectory, cfg.safety, cfg.jet,
+                             cfg.perception, cfg.latency, 20.0, seed, 20.0, 80.0)
+        assert (trace.condition, trace.seed) == (cond, seed)
+        for column in ("dist_m", "state", "duty_pct"):
+            a, b = getattr(trace, column), getattr(want, column)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_trace_records_schema(human, trajectory, zone, jet, perception, latency):
     t = run("va", 4, human, trajectory, zone, jet, perception, latency, duration=5.0)
     recs = list(t.records())
@@ -239,6 +267,10 @@ def make_trace(rows, cond="v", seed=0):
     return sim.DistanceTrace(t_ms=np.array(t, dtype=np.int64), dist_m=np.array(d),
                              state=np.array(state, dtype=np.uint8),
                              duty_pct=np.array(duty), condition=cond, seed=seed)
+
+
+def is_finite(trace):
+    return np.isfinite(trace.dist_m).all() and np.isfinite(trace.duty_pct).all()
 
 
 def records_jsonl(trace):
@@ -285,6 +317,10 @@ EDGE_ROWS = [(0, 0.3, 0, 0.0), (-2**63, -0.0, 1, 5e-324), (2**63 - 1, 1e16, 2, 1
 @example(make_trace(EDGE_ROWS + [(20, 0.3, 1, math.inf)], "va", 7))
 @example(make_trace(EDGE_ROWS + [(20, -math.inf, 2, -math.inf)]))
 def test_jsonl_equals_json_dumps_of_records(trace):
+    if not is_finite(trace):
+        with pytest.raises(ValueError):
+            trace.jsonl()  # NaN and Infinity are not JSON
+        return
     assert trace.jsonl() == records_jsonl(trace)
 
 
@@ -293,10 +329,13 @@ def test_jsonl_equals_json_dumps_of_records(trace):
 @example(make_trace(EDGE_ROWS, "va", -2**63))
 @example(make_trace(EDGE_ROWS + [(20, math.nan, 1, 0.0)]))
 def test_parse_trace_dist_reads_jsonl_exactly(trace):
+    if not is_finite(trace):
+        with pytest.raises(ValueError):
+            trace.jsonl()  # NaN and Infinity are not JSON
+        return
     got = sim.parse_trace_dist(trace.jsonl().encode())
-    finite = np.isfinite(trace.dist_m).all() and np.isfinite(trace.duty_pct).all()
-    if len(trace) == 0 or not finite:
-        assert got is None  # NaN/Infinity and empty files go to the full parser
+    if len(trace) == 0:
+        assert got is None  # empty files go to the full parser
         return
     assert_same_parse(got, (trace.condition, trace.seed, trace.dist_m))
 
