@@ -127,7 +127,8 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     for path in files:
         try:
             # Well-formed traces skip the full parser; it reads everything else.
-            parsed = sim.parse_trace_dist(path.read_bytes())
+            with path.open("rb") as stream:
+                parsed = sim.read_trace_dist(stream)
             if parsed is None:
                 records, truncated = wire.journal_read(path)
                 if truncated:

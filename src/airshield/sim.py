@@ -8,11 +8,13 @@ impeller with realistic stage latency, and the human retreats either when
 the airflow is felt (VA condition) or when proximity is noticed visually
 (V condition; the visual channel is also present in VA).
 
-Every random draw comes from named per-trial streams that are fully
-pre-allocated at trial start, so trials are bit-reproducible from their
-seed and the two feedback conditions consume identical randomness: with
-the airflow channel disabled, V and VA traces at equal seeds are
-identical by construction.
+Every random draw comes from named per-trial streams, drawn in full
+whichever channels fire, so trials are bit-reproducible from their seed and
+the two feedback conditions consume identical randomness: with the airflow
+channel disabled, V and VA traces at equal seeds are identical by
+construction. A trial is simulated and encoded in blocks of ``_BLOCK``
+ticks and read back in chunks of ``_READ_BYTES``, so none of these steps
+holds per-tick inputs or text for the whole trial at once.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from __future__ import annotations
 import json
 import math
 import re
+from array import array
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +43,7 @@ __all__ = [
     "RobotTrajectory",
     "HumanModel",
     "DistanceTrace",
-    "parse_trace_dist",
+    "read_trace_dist",
     "CalibrationTargets",
     "CalibrationResult",
     "trajectory_positions",
@@ -209,10 +212,10 @@ class HumanModel:
             raise ValueError("task position coordinates must be finite")
         if not 0.0 <= self.attention_p <= 1.0:
             raise ValueError(f"attention_p must be in [0, 1], got {self.attention_p}")
-        if self.excursion_rate < 0.0:
-            raise ValueError(f"excursion_rate must be >= 0, got {self.excursion_rate}")
-        if self.reaction_latency_ms < 0.0:
-            raise ValueError("reaction latency must be >= 0")
+        for name in ("excursion_rate", "reaction_latency_ms", "task_dwell_s",
+                     "grab_dwell_s", "notice_delay_max_s"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         for name in ("retreat_speed", "reach_speed", "task_speed"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -225,6 +228,12 @@ class HumanModel:
 # ---------------------------------------------------------------------------
 
 _STATE_NAMES = {s.value: s.name for s in SafetyState}
+
+# Ticks of a trial that ``run_trial`` simulates, and ``DistanceTrace.jsonl``
+# encodes, as one piece.
+_BLOCK = 4096
+# Bytes that ``read_trace_dist`` asks its stream for at a time.
+_READ_BYTES = 1 << 18
 
 
 @dataclass
@@ -254,22 +263,24 @@ class DistanceTrace:
                 "seed": self.seed,
             }
 
-    def jsonl(self) -> str:
-        """The trace file: each of ``records()`` as one compact JSON line.
+    def jsonl(self) -> Iterator[str]:
+        """The trace file: each of ``records()`` as one compact JSON line,
+        given as blocks of up to ``_BLOCK`` whole lines.
 
         Built column by column from one row template; ``repr`` writes a finite
         float exactly as ``json.dumps`` does. NaN and infinities are not JSON,
-        so a trace holding one raises ValueError.
+        so a trace holding one raises ValueError here, before any block.
         """
         if not (np.isfinite(self.dist_m).all() and np.isfinite(self.duty_pct).all()):
             raise ValueError("a trace file holds finite dist_m and duty_pct only")
         # '"cond":...,"seed":...}', the same on every row.
         tail = json.dumps({"cond": self.condition, "seed": self.seed},
                           separators=(",", ":"))[1:]
-        return "".join([
+        columns = (self.t_ms, self.dist_m, self.state, self.duty_pct)
+        return ("".join([
             f'{{"t_ms":{t},"dist_m":{d!r},"state":"{_STATE_NAMES[s]}","duty_pct":{u!r},{tail}\n'
-            for t, d, s, u in zip(self.t_ms.tolist(), self.dist_m.tolist(),
-                                  self.state.tolist(), self.duty_pct.tolist())])
+            for t, d, s, u in zip(*(c[lo:lo + _BLOCK].tolist() for c in columns))])
+            for lo in range(0, len(self), _BLOCK))
 
 
 # One trace line exactly as ``DistanceTrace.jsonl`` writes it, capturing the
@@ -286,21 +297,34 @@ _TRACE_LINE = re.compile(
     + rb'\}\n', re.MULTILINE)
 
 
-def parse_trace_dist(data: bytes) -> tuple[str, int, np.ndarray] | None:
-    """(cond, seed, dist_m) of a trace file's bytes, or None.
+def read_trace_dist(stream: BinaryIO) -> tuple[str, int, np.ndarray] | None:
+    """(cond, seed, dist_m) of the trace file open for binary reading as
+    ``stream``, or None.
 
     Reads only files whose every line has the exact shape ``jsonl()``
     writes, and gives for them what the full JSON parser gives: cond and
     seed of the first line and dist_m of every line. Anything else, such as
     a truncated, empty or foreign file, gives None and is left to
-    ``wire.journal_read``.
+    ``wire.journal_read``. The file is read ``_READ_BYTES`` at a time and
+    parsed up to the last whole line read so far.
     """
-    dist = _TRACE_LINE.findall(data)
-    # A match is one whole line, so every line matched when the counts agree.
-    if len(dist) != data.count(b"\n") or not data.endswith(b"\n"):
+    dist = array("d")
+    first = None
+    rest = b""
+    while chunk := stream.read(_READ_BYTES):
+        data = rest + chunk
+        end = data.rfind(b"\n") + 1
+        found = _TRACE_LINE.findall(data, 0, end)
+        # A match is one whole line, so every line matched when the counts agree.
+        if len(found) != data.count(b"\n", 0, end):
+            return None
+        if first is None and end:
+            first = json.loads(data[:data.index(b"\n")])
+        dist.extend(map(float, found))
+        rest = data[end:]
+    if rest or first is None:
         return None
-    first = json.loads(data[:data.index(b"\n")])
-    return first["cond"], first["seed"], np.array([float(d) for d in dist])
+    return first["cond"], first["seed"], np.frombuffer(dist)
 
 
 def below_had_mean(dist_m: np.ndarray | Sequence[float], had: float) -> float | None:
@@ -338,25 +362,19 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     dt = tick_ms / 1000.0
     va = cond == "va"
 
-    # Named random streams, fully pre-allocated so both conditions consume
-    # identical draws regardless of which channels fire.
+    # Named random streams, drawn in full so both conditions consume
+    # identical draws regardless of which channels fire; the per-tick ones
+    # are drawn block by block in the loop below.
     streams = np.random.SeedSequence(seed).spawn(4)
     g_exc, g_event, g_felt, g_lat = (np.random.default_rng(s) for s in streams)
-    exc_u = g_exc.random(n).tolist()
     n_exc_max = int(duration_s) + 16
     item_u = g_event.random(n_exc_max).tolist()
     notice_u = g_event.random(n_exc_max).tolist()
     delay_u = g_event.random(n_exc_max).tolist()
     n_frames = int(duration_s * 1000.0 / latency.capture_ms) + 8
     detect_s = (draw_detect_ms(latency, g_lat, n_frames) / 1000.0).tolist()
-    felt_mult = felt_multipliers(perception, g_felt.standard_normal(n)).tolist()
 
-    times = np.arange(n) * dt
-    robot = trajectory_positions(traj, times)
-    rx = robot[:, 0].tolist()
-    ry = robot[:, 1].tolist()
-    rz = robot[:, 2].tolist()
-
+    out_t = np.empty(n, dtype=np.int64)
     out_d = np.empty(n)
     out_state = np.empty(n, dtype=np.uint8)
     out_duty = np.empty(n)
@@ -403,112 +421,120 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
 
     excursion_p = human.excursion_rate * dt
 
-    for i in range(n):
-        t = i * dt
-        tx, ty, tz = rx[i], ry[i], rz[i]
+    for start in range(0, n, _BLOCK):
+        # The per-tick inputs, one block at a time. Each generator is read in
+        # sequence and the rest is elementwise, so the block size changes no draw.
+        stop = min(start + _BLOCK, n)
+        times = np.arange(start, stop) * dt
+        out_t[start:stop] = np.rint(times * 1000.0)
+        felt_block = felt_multipliers(perception, g_felt.standard_normal(stop - start))
+        for i, exc_u, felt_mult, tx, ty, tz in zip(
+                range(start, stop), g_exc.random(stop - start).tolist(), felt_block.tolist(),
+                *trajectory_positions(traj, times).T.tolist()):
+            t = i * dt
 
-        # --- hand update -------------------------------------------------
-        if phase == _TASK_DWELL:
-            if t >= phase_until:
-                phase = _TASK_MOVE
-        elif phase == _GRAB:
-            if t >= phase_until:
-                phase = _RETURN
-        else:
-            if phase == _TASK_MOVE:
-                gx, gy, gz = task_target
-                speed = human.task_speed
-            elif phase == _REACH:
-                gx, gy, gz = item
-                speed = human.reach_speed
-            elif phase == _RETURN:
-                gx, gy, gz = tray
-                speed = human.reach_speed
-            else:  # _RETREAT
-                gx, gy, gz = tray
-                speed = human.retreat_speed
-            mx, my, mz = gx - hx, gy - hy, gz - hz
-            dist_goal = math.sqrt(mx * mx + my * my + mz * mz)
-            step_len = speed * dt
-            if dist_goal <= step_len:
-                hx, hy, hz = gx, gy, gz
-                if phase == _TASK_MOVE:
-                    phase = _TASK_DWELL
-                    phase_until = t + human.task_dwell_s
-                    task_target = toolbox if task_target is tray else tray
-                elif phase == _REACH:
-                    phase = _GRAB
-                    phase_until = t + human.grab_dwell_s
-                else:  # _RETURN or _RETREAT arrived at the tray
-                    phase = _TASK_DWELL
-                    phase_until = t + human.task_dwell_s
-                    task_target = toolbox
+            # --- hand update ---------------------------------------------
+            if phase == _TASK_DWELL:
+                if t >= phase_until:
+                    phase = _TASK_MOVE
+            elif phase == _GRAB:
+                if t >= phase_until:
+                    phase = _RETURN
             else:
-                f = step_len / dist_goal
-                hx += mx * f
-                hy += my * f
-                hz += mz * f
+                if phase == _TASK_MOVE:
+                    gx, gy, gz = task_target
+                    speed = human.task_speed
+                elif phase == _REACH:
+                    gx, gy, gz = item
+                    speed = human.reach_speed
+                elif phase == _RETURN:
+                    gx, gy, gz = tray
+                    speed = human.reach_speed
+                else:  # _RETREAT
+                    gx, gy, gz = tray
+                    speed = human.retreat_speed
+                mx, my, mz = gx - hx, gy - hy, gz - hz
+                dist_goal = math.sqrt(mx * mx + my * my + mz * mz)
+                step_len = speed * dt
+                if dist_goal <= step_len:
+                    hx, hy, hz = gx, gy, gz
+                    if phase == _TASK_MOVE:
+                        phase = _TASK_DWELL
+                        phase_until = t + human.task_dwell_s
+                        task_target = toolbox if task_target is tray else tray
+                    elif phase == _REACH:
+                        phase = _GRAB
+                        phase_until = t + human.grab_dwell_s
+                    else:  # _RETURN or _RETREAT arrived at the tray
+                        phase = _TASK_DWELL
+                        phase_until = t + human.task_dwell_s
+                        task_target = toolbox
+                else:
+                    f = step_len / dist_goal
+                    hx += mx * f
+                    hy += my * f
+                    hz += mz * f
 
-        # Excursion kick-off from the task loop.
-        if phase <= 1 and exc_count < n_exc_max and exc_u[i] < excursion_p:
-            ux, uy, uz = hx - tx, hy - ty, hz - tz
-            un = math.sqrt(ux * ux + uy * uy + uz * uz)
-            if un > 1e-9:  # degenerate hand-on-TCP geometry: no direction to reach
-                e = exc_count
-                exc_count += 1
-                d_item = human.item_near_m + (human.item_far_m - human.item_near_m) * item_u[e]
-                item = (tx + ux / un * d_item, ty + uy / un * d_item, tz + uz / un * d_item)
-                noticed = notice_u[e] < human.attention_p
-                vis_at = inf
-                air_at = inf
-                crossed = False
-                phase = _REACH
+            # Excursion kick-off from the task loop.
+            if phase <= 1 and exc_count < n_exc_max and exc_u < excursion_p:
+                ux, uy, uz = hx - tx, hy - ty, hz - tz
+                un = math.sqrt(ux * ux + uy * uy + uz * uz)
+                if un > 1e-9:  # degenerate hand-on-TCP geometry: no direction to reach
+                    e = exc_count
+                    exc_count += 1
+                    d_item = human.item_near_m + (human.item_far_m - human.item_near_m) * item_u[e]
+                    item = (tx + ux / un * d_item, ty + uy / un * d_item, tz + uz / un * d_item)
+                    noticed = notice_u[e] < human.attention_p
+                    vis_at = inf
+                    air_at = inf
+                    crossed = False
+                    phase = _REACH
 
-        dx, dy, dz = hx - tx, hy - ty, hz - tz
-        d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            dx, dy, dz = hx - tx, hy - ty, hz - tz
+            d = math.sqrt(dx * dx + dy * dy + dz * dz)
 
-        # --- tracking and decision pipeline ------------------------------
-        while next_capture <= t:
-            # Freshest frame wins; older unprocessed frames are dropped. The
-            # frame keeps its nominal capture time so the decision chain runs
-            # in continuous time, one tick-grid snapshot of the distance.
-            mailbox_d = d
-            mailbox_t = next_capture
-            next_capture += capture_s
-        if mailbox_d is not None and t >= detector_free:
-            done = max(mailbox_t, detector_free) + detect_s[frame_idx]
-            frame_idx += 1
-            decision = step(dec_state, mailbox_d, zone)
-            dec_state = decision.state
-            commands.append((done + decide_s + transmit_s, int(decision.state), decision.actuate))
-            detector_free = done
-            mailbox_d = None
-        while applied < len(commands) and commands[applied][0] <= t:
-            _, live_state, actuate = commands[applied]
-            applied += 1
-            duty_target = duty_on if actuate else 0.0
+            # --- tracking and decision pipeline --------------------------
+            while next_capture <= t:
+                # Freshest frame wins; older unprocessed frames are dropped. The
+                # frame keeps its nominal capture time so the decision chain runs
+                # in continuous time, one tick-grid snapshot of the distance.
+                mailbox_d = d
+                mailbox_t = next_capture
+                next_capture += capture_s
+            if mailbox_d is not None and t >= detector_free:
+                done = max(mailbox_t, detector_free) + detect_s[frame_idx]
+                frame_idx += 1
+                decision = step(dec_state, mailbox_d, zone)
+                dec_state = decision.state
+                commands.append((done + decide_s + transmit_s, int(decision.state), decision.actuate))
+                detector_free = done
+                mailbox_d = None
+            while applied < len(commands) and commands[applied][0] <= t:
+                _, live_state, actuate = commands[applied]
+                applied += 1
+                duty_target = duty_on if actuate else 0.0
 
-        duty += (duty_target - duty) * alpha
+            duty += (duty_target - duty) * alpha
 
-        # --- feedback channels -------------------------------------------
-        if 2 <= phase <= 4:  # reaching, grabbing, or returning near the robot
-            if not crossed and d <= had:
-                crossed = True
-                if noticed:
-                    vis_at = t + delay_u[exc_count - 1] * human.notice_delay_max_s + reaction_s
-            if (va and air_at == inf and duty > 0.0
-                    and is_felt(perception, jet, duty, d, felt_mult[i])):
-                air_at = t + reaction_s
-            if t >= vis_at or t >= air_at:
-                phase = _RETREAT
-                vis_at = inf
-                air_at = inf
+            # --- feedback channels ---------------------------------------
+            if 2 <= phase <= 4:  # reaching, grabbing, or returning near the robot
+                if not crossed and d <= had:
+                    crossed = True
+                    if noticed:
+                        vis_at = t + delay_u[exc_count - 1] * human.notice_delay_max_s + reaction_s
+                if (va and air_at == inf and duty > 0.0
+                        and is_felt(perception, jet, duty, d, felt_mult)):
+                    air_at = t + reaction_s
+                if t >= vis_at or t >= air_at:
+                    phase = _RETREAT
+                    vis_at = inf
+                    air_at = inf
 
-        out_d[i] = d
-        out_state[i] = live_state
-        out_duty[i] = duty
+            out_d[i] = d
+            out_state[i] = live_state
+            out_duty[i] = duty
 
-    return DistanceTrace(t_ms=np.rint(times * 1000.0).astype(np.int64), dist_m=out_d,
+    return DistanceTrace(t_ms=out_t, dist_m=out_d,
                          state=out_state, duty_pct=out_duty, condition=cond, seed=seed,
                          decisions=[(c * 1000.0, s, a) for c, s, a in commands])
 

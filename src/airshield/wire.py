@@ -8,11 +8,11 @@ link. Payloads are duty in 0.5% units (0-200); STOP and PING conventionally
 carry 0x00 but the codec round-trips the full payload range for every
 opcode.
 
-Telemetry is append-only JSON lines. The writer takes either records, which
-it encodes one compact line each, or a str of lines its caller has already
-encoded, such as ``DistanceTrace.jsonl()``. A partial trailing line (torn
-write on crash) is tolerated on read and reported; a malformed line anywhere
-else is an error carrying the 1-based line number.
+Telemetry is append-only JSON lines. The writer takes records, which it
+encodes one compact line each, and blocks of lines its caller has already
+encoded, such as those ``DistanceTrace.jsonl()`` gives. A partial trailing
+line (torn write on crash) is tolerated on read and reported; a malformed
+line anywhere else is an error carrying the 1-based line number.
 """
 
 from __future__ import annotations
@@ -132,18 +132,21 @@ def decode(data: bytes) -> CommandFrame:
 # JSON-lines journal
 # ---------------------------------------------------------------------------
 
-def journal_append(path: str | Path, records: str | Iterable[dict]) -> None:
+def journal_append(path: str | Path, records: str | Iterable[str | dict]) -> None:
     """Append records as JSON lines.
 
-    ``records`` is an iterable of dicts, each written as one compact line,
-    or a str of complete, already encoded lines, written as it is.
+    ``records`` is an iterable whose dicts are each written as one compact
+    line and whose strs, blocks of complete, already encoded lines, are
+    written as they are. A plain str is one such block.
     """
+    if isinstance(records, str):
+        records = (records,)
     try:
         with open(path, "a", encoding="utf-8") as fh:
-            if isinstance(records, str):
-                fh.write(records)
-            else:
-                for rec in records:
+            for rec in records:
+                if isinstance(rec, str):
+                    fh.write(rec)
+                else:
                     fh.write(json.dumps(rec, separators=(",", ":")))
                     fh.write("\n")
     except OSError as exc:

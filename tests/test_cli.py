@@ -111,7 +111,7 @@ def test_analyze_reads_own_traces_without_the_full_parser(tmp_path, monkeypatch)
     with monkeypatch.context() as m:
         m.setattr(wire, "journal_read", refuse)
         assert run_cli("analyze", "--in", out, "--report", fast) == 0
-    monkeypatch.setattr(sim, "parse_trace_dist", lambda data: None)
+    monkeypatch.setattr(sim, "read_trace_dist", lambda stream: None)
     assert run_cli("analyze", "--in", out, "--report", full) == 0
     assert fast.read_bytes() == full.read_bytes()
 

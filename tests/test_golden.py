@@ -25,6 +25,14 @@ TRACE_SHA256 = {
     "trial_va_12.jsonl": "0c580f9ce8e8c31f054e4a63b8fdc7fde29281c25e2db61c3b33b09f24376137",
     "trial_va_13.jsonl": "63e1e6dc9f974765cca812ecb5de85d57d4b61a8a73f66392e12263ef7e0c0e0",
 }
+# 100 s trials hold 10 000 ticks, so they cross the boundaries of the
+# blocks that run_trial simulates, the trace encoder writes and analyze
+# reads (sim._BLOCK ticks each).
+LONG_TRACE_SHA256 = {
+    "manifest.json": "a6f65891471370e27b1a62ae894e66d4054cbfac320f920fd778cacca02485ff",
+    "trial_v_5.jsonl": "81c18c2685f1992ea81ba90f1ede6053386a16b476b4367460238e6b46ef4f97",
+    "trial_va_5.jsonl": "d1ffc483713d202b165cb3c462fa27a5f2d5a119d91dd05d8c12e1a758049e9a",
+}
 # The report names the manifest hash of the traces it read
 # (traces_config_sha256) next to the hash of the analysing config.
 REPORT_SHA256 = "34750b4f9b6367892dd7442325be1a645b9e2124948440bb28e2d8ffe1746c04"
@@ -65,6 +73,14 @@ def test_simulate_and_analyze_outputs_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     assert {p.name: sha256(p.read_bytes()) for p in sorted(traces.iterdir())} == TRACE_SHA256
     assert sha256(report.read_bytes()) == REPORT_SHA256
+
+
+def test_trials_longer_than_one_block_are_byte_identical(tmp_path, capsys):
+    traces = tmp_path / "traces"
+    assert main(["simulate", "--trials", "1", "--seed", "5", "--duration", "100",
+                 "--out", str(traces)]) == 0
+    capsys.readouterr()
+    assert {p.name: sha256(p.read_bytes()) for p in sorted(traces.iterdir())} == LONG_TRACE_SHA256
 
 
 def test_posecheck_stdout_is_byte_identical(capsys):

@@ -1,6 +1,9 @@
+import io
 import json
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -236,6 +239,31 @@ def test_human_model_rejects_non_finite_positions_and_speeds(kw):
         sim.HumanModel(**kw)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name", ["excursion_rate", "reaction_latency_ms", "task_dwell_s",
+                                  "grab_dwell_s", "notice_delay_max_s"])
+def test_human_model_rejects_non_finite_or_negative_times_and_rates(name, value):
+    with pytest.raises(ValueError, match=name):
+        sim.HumanModel(**{name: value})
+    assert getattr(sim.HumanModel(**{name: 0.0}), name) == 0.0
+
+
+@pytest.mark.parametrize("block", [1, 7, 4097])
+def test_block_size_changes_no_trial_output(monkeypatch, block):
+    # 10 000 ticks: several default blocks, and more than one of each size.
+    cfg = RunConfig(duration_s=100.0)
+    want = next(sim.run_trials(cfg, ["va"], [5]))[2]
+    want_text = "".join(want.jsonl())
+    assert any(actuate for _, _, actuate in want.decisions)
+    monkeypatch.setattr(sim, "_BLOCK", block)
+    got = next(sim.run_trials(cfg, ["va"], [5]))[2]
+    for column in ("t_ms", "dist_m", "state", "duty_pct"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.decisions == want.decisions
+    assert "".join(got.jsonl()) == want_text
+
+
 def test_run_trials_yields_condition_major_direct_trials():
     cfg = RunConfig(duration_s=20.0, duty_pct=80.0, tick_ms=20.0)
     got = list(sim.run_trials(cfg, sim.CONDITIONS, [4, 2]))
@@ -309,6 +337,16 @@ EDGE_ROWS = [(0, 0.3, 0, 0.0), (-2**63, -0.0, 1, 5e-324), (2**63 - 1, 1e16, 2, 1
              (10, 2.2250738585072014e-308, 0, 1.7976931348623157e308)]
 
 
+def read_dist(data, read_bytes=None):
+    """read_trace_dist of a file holding ``data``, read ``read_bytes`` at a time."""
+    with mock.patch.object(sim, "_READ_BYTES", read_bytes or sim._READ_BYTES):
+        return sim.read_trace_dist(io.BytesIO(data))
+
+
+def encoded(trace):
+    return "".join(trace.jsonl()).encode()
+
+
 @settings(max_examples=300)
 @given(traces())
 @example(make_trace([]))
@@ -319,21 +357,36 @@ EDGE_ROWS = [(0, 0.3, 0, 0.0), (-2**63, -0.0, 1, 5e-324), (2**63 - 1, 1e16, 2, 1
 def test_jsonl_equals_json_dumps_of_records(trace):
     if not is_finite(trace):
         with pytest.raises(ValueError):
-            trace.jsonl()  # NaN and Infinity are not JSON
+            trace.jsonl()  # NaN and Infinity are not JSON: raised by the call itself
         return
-    assert trace.jsonl() == records_jsonl(trace)
+    assert "".join(trace.jsonl()) == records_jsonl(trace)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_jsonl_blocks_are_whole_lines_at_the_block_edge(extra):
+    n = sim._BLOCK + extra
+    rng = np.random.default_rng(n)
+    trace = make_trace(zip(range(0, 10 * n, 10), rng.random(n).tolist(),
+                           rng.integers(0, 3, n).tolist(), (100.0 * rng.random(n)).tolist()),
+                       "va", n)
+    blocks = list(trace.jsonl())
+    assert "".join(blocks) == records_jsonl(trace)
+    assert [b.count("\n") for b in blocks] == [sim._BLOCK] * (n // sim._BLOCK) + (
+        [n % sim._BLOCK] if n % sim._BLOCK else [])
+    assert all(b.endswith("\n") for b in blocks)
 
 
 @settings(max_examples=300)
-@given(traces(seeds=int64s))
-@example(make_trace(EDGE_ROWS, "va", -2**63))
-@example(make_trace(EDGE_ROWS + [(20, math.nan, 1, 0.0)]))
-def test_parse_trace_dist_reads_jsonl_exactly(trace):
+@given(traces(seeds=int64s), st.one_of(st.none(), st.integers(1, 64)))
+@example(make_trace(EDGE_ROWS, "va", -2**63), None)
+@example(make_trace(EDGE_ROWS, "va", -2**63), 1)
+@example(make_trace(EDGE_ROWS + [(20, math.nan, 1, 0.0)]), None)
+def test_parse_trace_dist_reads_jsonl_exactly(trace, read_bytes):
     if not is_finite(trace):
         with pytest.raises(ValueError):
             trace.jsonl()  # NaN and Infinity are not JSON
         return
-    got = sim.parse_trace_dist(trace.jsonl().encode())
+    got = read_dist(encoded(trace), read_bytes)
     if len(trace) == 0:
         assert got is None  # empty files go to the full parser
         return
@@ -341,29 +394,90 @@ def test_parse_trace_dist_reads_jsonl_exactly(trace):
 
 
 def test_parse_trace_dist_agrees_with_full_parser_on_damaged_files(tmp_path):
-    data = make_trace(EDGE_ROWS[:3], "va", 12).jsonl().encode()
+    data = encoded(make_trace(EDGE_ROWS[:3], "va", 12))
     damaged = [data[:k] for k in range(len(data) + 1)]
     damaged += [data[:k] + bytes([data[k] ^ 1 << bit]) + data[k + 1:]
                 for k in range(len(data)) for bit in range(8)]
     readable = 0
     for blob in damaged:
-        got = sim.parse_trace_dist(blob)
-        if got is not None:
-            readable += 1
-            assert_same_parse(got, full_parse(tmp_path, blob))
+        got, got_in_small_reads = read_dist(blob), read_dist(blob, 7)
+        if got is None:
+            assert got_in_small_reads is None
+            continue
+        readable += 1
+        assert_same_parse(got, full_parse(tmp_path, blob))
+        assert_same_parse(got_in_small_reads, full_parse(tmp_path, blob))
     # Whole-line cuts and digit flips stay readable; the rest fall back.
     assert 3 < readable < len(damaged) // 2
 
 
 def test_parse_trace_dist_rejects_foreign_shapes():
-    line = make_trace([(0, 0.3, 0, 0.0)], "va", 1).jsonl().encode()
-    assert sim.parse_trace_dist(line) is not None
+    line = encoded(make_trace([(0, 0.3, 0, 0.0)], "va", 1))
+    assert read_dist(line) is not None
     for foreign in (b"", line[:-1], line + b"\n", line.replace(b":", b": "),
                     line.replace(b"0.3", b"3"), line.replace(b"va", b"vb"),
                     line.replace(b"SAFE", b"safe"), line.replace(b"\n", b"\r\n"),
                     line.replace(b'"seed":1', b'"seed":1.0'), b"\xef\xbb\xbf" + line,
                     line.replace(b'"seed":1', b'"seed":1' + b"0" * 19)):
-        assert sim.parse_trace_dist(foreign) is None, foreign
+        assert read_dist(foreign) is None, foreign
+
+
+# Lines of a real trial, about 90 to 120 bytes each, read a few bytes at a
+# time so that lines straddle reads and the first line spans several.
+TINY_READS = [1, 7, 50, 121, 1000]
+
+
+@pytest.fixture(scope="module")
+def trial_lines():
+    cfg = RunConfig(duration_s=2.0)
+    trace = next(sim.run_trials(cfg, ["va"], [3]))[2]
+    return trace, encoded(trace)
+
+
+@pytest.mark.parametrize("read_bytes", TINY_READS)
+def test_parse_trace_dist_joins_lines_split_across_reads(trial_lines, read_bytes):
+    trace, data = trial_lines
+    assert len(data.split(b"\n", 1)[0]) > 50
+    assert_same_parse(read_dist(data, read_bytes), (trace.condition, trace.seed, trace.dist_m))
+
+
+@pytest.mark.parametrize("read_bytes", TINY_READS)
+def test_parse_trace_dist_rejects_damage_in_a_later_read(trial_lines, read_bytes):
+    _, data = trial_lines
+    lines = data.splitlines(keepends=True)
+    bad = b"".join(lines[:150]) + lines[150].replace(b'"state"', b'"State"') \
+        + b"".join(lines[151:])
+    assert read_dist(bad, read_bytes) is None
+    assert read_dist(data[:-1], read_bytes) is None  # no final newline
+    assert read_dist(data + b"{}", read_bytes) is None  # a torn last line
+    assert read_dist(b"", read_bytes) is None
+
+
+def io_peaks(tmp_path, duration_s):
+    """Peak traced memory (bytes) of writing a VA trial's trace file, and of
+    reading its distances back."""
+    trace = next(sim.run_trials(RunConfig(duration_s=duration_s), ["va"], [1]))[2]
+    path = tmp_path / f"trial_{duration_s:g}.jsonl"
+    tracemalloc.start()
+    try:
+        wire.journal_append(path, trace.jsonl())
+        _, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        with path.open("rb") as stream:
+            parsed = sim.read_trace_dist(stream)
+        _, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed is not None and len(parsed[2]) == len(trace)
+    return write_peak, read_peak - before
+
+
+def test_trace_write_and_read_memory_does_not_grow_with_trial_length(tmp_path):
+    # Four times the ticks; only the 8-byte dist_m result may grow.
+    short, long = io_peaks(tmp_path, 150.0), io_peaks(tmp_path, 600.0)
+    for label, a, b in zip(("write", "read"), short, long):
+        assert b - a <= 2e6, f"{label} peak grew from {a / 1e6:.2f} to {b / 1e6:.2f} MB"
 
 
 # --- analysis --------------------------------------------------------------

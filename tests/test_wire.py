@@ -98,6 +98,12 @@ def test_journal_append_is_incremental(tmp_path):
     assert got == [{"a": 1}, {"b": 2}, {"c": 3}, {"d": 4}]
 
 
+def test_journal_append_writes_str_blocks_as_they_are(tmp_path):
+    path = tmp_path / "j.jsonl"
+    wire.journal_append(path, iter(['{"a": 1}\n{"b":2}\n', {"c": 3}, "", '{"d":4}\n']))
+    assert path.read_bytes() == b'{"a": 1}\n{"b":2}\n{"c":3}\n{"d":4}\n'
+
+
 def test_journal_tolerates_truncated_tail(tmp_path):
     path = tmp_path / "j.jsonl"
     wire.journal_append(path, [{"i": 0}, {"i": 1}])
