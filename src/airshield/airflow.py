@@ -67,8 +67,8 @@ class JetModel:
     core_k: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.v0 <= 0.0 or self.duct_d <= 0.0 or self.core_k <= 0.0:
-            raise ValueError("jet parameters must be positive")
+        if not all(0.0 < v < math.inf for v in (self.v0, self.duct_d, self.core_k)):
+            raise ValueError("jet parameters must be positive and finite")
 
     @property
     def core_len(self) -> float:
@@ -81,9 +81,9 @@ class PerceptionModel:
     detect_q: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.weber < 0.0:
-            raise ValueError(f"weber fraction must be >= 0, got {self.weber}")
-        if self.detect_q <= 0.0:
+        if not 0.0 <= self.weber < math.inf:
+            raise ValueError(f"weber fraction must be finite and >= 0, got {self.weber}")
+        if not self.detect_q > 0.0:  # an infinite threshold is never felt
             raise ValueError(f"detection threshold must be positive, got {self.detect_q}")
 
 

@@ -126,26 +126,20 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     warnings: list[str] = []
     for path in files:
         try:
-            # Well-formed traces skip the full parser; it reads everything else.
             with path.open("rb") as stream:
-                parsed = sim.read_trace_dist(stream)
-            if parsed is None:
-                records, truncated = wire.journal_read(path)
-                if truncated:
-                    warnings.append(f"{path.name}: truncated trailing line ignored")
-                if not records:
-                    warnings.append(f"{path.name}: empty trace skipped")
-                    continue
-                parsed = (records[0]["cond"], int(records[0]["seed"]),
-                          [r["dist_m"] for r in records])
-            cond, seed, dist_m = parsed
-            if cond in per_seed[seed]:
-                warnings.append(f"{path.name}: another trace of {cond} seed {seed} "
-                                "was already read, skipped")
-                continue
-            per_seed[seed][cond] = sim.below_had_mean(dist_m, cfg.safety.had)
-        except (wire.MalformedRecord, KeyError, TypeError, ValueError) as exc:
+                cond, seed, dist_m, truncated = sim.read_trace_dist(stream)
+        except ValueError as exc:
             warnings.append(f"{path.name}: unreadable trace skipped ({exc})")
+            continue
+        if truncated:
+            warnings.append(f"{path.name}: truncated trailing line ignored")
+        if cond is None:
+            warnings.append(f"{path.name}: empty trace skipped")
+        elif cond in per_seed[seed]:
+            warnings.append(f"{path.name}: another trace of {cond} seed {seed} "
+                            "was already read, skipped")
+        else:
+            per_seed[seed][cond] = sim.below_had_mean(dist_m, cfg.safety.had)
     manifest = _read_manifest(in_dir)
     listed = manifest.get("trials")
     if isinstance(listed, list) and listed:

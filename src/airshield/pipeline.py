@@ -32,12 +32,12 @@ class StageLatencyModel:
     actuator_rise_ms: float = 100.0
 
     def __post_init__(self) -> None:
-        if not self.capture_ms > 0.0:
-            raise ValueError(f"capture_ms must be positive, got {self.capture_ms}")
+        if not 0.0 < self.capture_ms < np.inf:
+            raise ValueError(f"capture_ms must be positive and finite, got {self.capture_ms}")
         for name in ("detect_ms_mean", "detect_ms_sd",
                      "decide_ms", "transmit_ms", "actuator_rise_ms"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

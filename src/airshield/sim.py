@@ -13,8 +13,8 @@ whichever channels fire, so trials are bit-reproducible from their seed and
 the two feedback conditions consume identical randomness: with the airflow
 channel disabled, V and VA traces at equal seeds are identical by
 construction. A trial is simulated and encoded in blocks of ``_BLOCK``
-ticks and read back in chunks of ``_READ_BYTES``, so none of these steps
-holds per-tick inputs or text for the whole trial at once.
+ticks and read back by one reader in chunks of ``_READ_BYTES``, so no step
+holds per-tick inputs or text for a whole trial, whatever a file holds.
 """
 
 from __future__ import annotations
@@ -232,8 +232,10 @@ _STATE_NAMES = {s.value: s.name for s in SafetyState}
 # Ticks of a trial that ``run_trial`` simulates, and ``DistanceTrace.jsonl``
 # encodes, as one piece.
 _BLOCK = 4096
-# Bytes that ``read_trace_dist`` asks its stream for at a time.
+# Bytes that ``read_trace_dist`` asks its stream for at a time, and the
+# longest piece without a newline that it holds before it refuses the file.
 _READ_BYTES = 1 << 18
+_MAX_LINE = 4096
 
 
 @dataclass
@@ -297,34 +299,37 @@ _TRACE_LINE = re.compile(
     + rb'\}\n', re.MULTILINE)
 
 
-def read_trace_dist(stream: BinaryIO) -> tuple[str, int, np.ndarray] | None:
-    """(cond, seed, dist_m) of the trace file open for binary reading as
-    ``stream``, or None.
+def read_trace_dist(stream: BinaryIO) -> tuple[str | None, int | None, np.ndarray, bool]:
+    """(cond, seed, dist_m, truncated) of the trace file open for binary
+    reading as ``stream``: cond and seed of the first line (None without a
+    whole line) and dist_m of every line, as the full JSON parser gives them.
 
-    Reads only files whose every line has the exact shape ``jsonl()``
-    writes, and gives for them what the full JSON parser gives: cond and
-    seed of the first line and dist_m of every line. Anything else, such as
-    a truncated, empty or foreign file, gives None and is left to
-    ``wire.journal_read``. The file is read ``_READ_BYTES`` at a time and
-    parsed up to the last whole line read so far.
+    Any whole line not in the exact shape ``jsonl()`` writes raises
+    ValueError, as does a piece of ``_MAX_LINE`` bytes without a newline. A
+    last piece without a newline is kept if it is a whole trace line and
+    otherwise dropped with truncated True: a write torn by a crash. The file
+    is read ``_READ_BYTES`` at a time and parsed up to the last whole line.
     """
     dist = array("d")
-    first = None
-    rest = b""
+    head = rest = b""
     while chunk := stream.read(_READ_BYTES):
         data = rest + chunk
         end = data.rfind(b"\n") + 1
         found = _TRACE_LINE.findall(data, 0, end)
         # A match is one whole line, so every line matched when the counts agree.
         if len(found) != data.count(b"\n", 0, end):
-            return None
-        if first is None and end:
-            first = json.loads(data[:data.index(b"\n")])
+            bad = next(i for i, line in enumerate(data[:end].split(b"\n"))
+                       if not _TRACE_LINE.match(line + b"\n"))
+            raise ValueError(f"line {len(dist) + bad + 1} is not a trace line")
+        head = head or data[:data.find(b"\n") + 1]
         dist.extend(map(float, found))
         rest = data[end:]
-    if rest or first is None:
-        return None
-    return first["cond"], first["seed"], np.frombuffer(dist)
+        if len(rest) >= _MAX_LINE:
+            raise ValueError(f"line {len(dist) + 1} is longer than {_MAX_LINE} bytes")
+    if last := _TRACE_LINE.match(rest + b"\n"):
+        dist.append(float(last[1]))
+    first = json.loads(head or rest) if dist else {}
+    return first.get("cond"), first.get("seed"), np.frombuffer(dist), bool(rest) and not last
 
 
 def below_had_mean(dist_m: np.ndarray | Sequence[float], had: float) -> float | None:

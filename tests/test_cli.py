@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -103,17 +104,50 @@ def test_analyze_produces_report(tmp_path, capsys):
 def test_analyze_reads_own_traces_without_the_full_parser(tmp_path, monkeypatch):
     out = tmp_path / "runs"
     assert run_cli("simulate", "--trials", "4", "--duration", "60", "--out", out) == 0
-    fast, full = tmp_path / "fast.json", tmp_path / "full.json"
 
     def refuse(path):
         raise AssertionError(f"full parser called on {path}")
 
-    with monkeypatch.context() as m:
-        m.setattr(wire, "journal_read", refuse)
-        assert run_cli("analyze", "--in", out, "--report", fast) == 0
-    monkeypatch.setattr(sim, "read_trace_dist", lambda stream: None)
-    assert run_cli("analyze", "--in", out, "--report", full) == 0
-    assert fast.read_bytes() == full.read_bytes()
+    monkeypatch.setattr(wire, "journal_read", refuse)
+    clean, damaged = tmp_path / "clean.json", tmp_path / "damaged.json"
+    assert run_cli("analyze", "--in", out, "--report", clean) == 0
+    torn = out / "trial_va_3.jsonl"
+    torn.write_bytes(torn.read_bytes() + b'{"t_ms": 1')
+    (out / "trial_v_8.jsonl").write_bytes(b"")
+    wire.journal_append(out / "trial_va_9.jsonl", [{"u_ms": 0, "dist_m": 0.3}])
+    assert run_cli("analyze", "--in", out, "--report", damaged) == 0
+    first, second = json.loads(clean.read_text()), json.loads(damaged.read_text())
+    for key in ("n_pairs", "v", "va", "paired_t"):
+        assert second[key] == first[key]
+    assert second["warnings"] == first["warnings"] + [
+        "trial_v_8.jsonl: empty trace skipped",
+        "trial_va_3.jsonl: truncated trailing line ignored",
+        "trial_va_9.jsonl: unreadable trace skipped (line 1 is not a trace line)",
+        "2 trace file(s) not listed in manifest.json"]
+
+
+def analyze_peak(tmp_path, duration_s):
+    """Peak traced memory (bytes) of analyze over a directory holding a
+    ``duration_s`` trial pair whose VA trace was torn by a crash."""
+    out = tmp_path / f"runs_{duration_s:g}"
+    assert run_cli("simulate", "--trials", "1", "--duration", duration_s, "--out", out) == 0
+    torn = out / "trial_va_0.jsonl"
+    torn.write_bytes(torn.read_bytes() + b'{"t_ms": 1')
+    tracemalloc.start()
+    try:
+        # One pair is too few to analyze, so analyze ends in a config error
+        # after it has read both traces.
+        assert run_cli("analyze", "--in", out, "--report", out / "r.json") == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_analyze_memory_does_not_grow_with_the_length_of_a_torn_trace(tmp_path, capsys):
+    # Four times the ticks; only the 8-byte dist_m columns may grow.
+    short, long = analyze_peak(tmp_path, 150.0), analyze_peak(tmp_path, 600.0)
+    assert long - short <= 2e6, f"peak grew from {short / 1e6:.2f} to {long / 1e6:.2f} MB"
 
 
 def test_analyze_single_condition_exits_2(tmp_path, capsys):

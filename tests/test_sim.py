@@ -2,7 +2,7 @@ import io
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -11,8 +11,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from airshield import sim, stats, wire
-from airshield.airflow import PerceptionModel
+from airshield.airflow import JetModel, PerceptionModel
 from airshield.config import RunConfig
+from airshield.pipeline import StageLatencyModel
 from airshield.safety import SafetyState
 
 
@@ -248,6 +249,18 @@ def test_human_model_rejects_non_finite_or_negative_times_and_rates(name, value)
     assert getattr(sim.HumanModel(**{name: 0.0}), name) == 0.0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("model, name", [
+    (model, f.name) for model in (StageLatencyModel, JetModel, PerceptionModel)
+    for f in fields(model)])
+def test_loop_models_reject_nan_and_infinity(model, name, value):
+    if (name, value) == ("detect_q", math.inf):  # a threshold no airflow reaches
+        assert model(detect_q=value).detect_q == math.inf
+        return
+    with pytest.raises(ValueError):
+        model(**{name: value})
+
+
 @pytest.mark.parametrize("block", [1, 7, 4097])
 def test_block_size_changes_no_trial_output(monkeypatch, block):
     # 10 000 ticks: several default blocks, and more than one of each size.
@@ -306,19 +319,23 @@ def records_jsonl(trace):
 
 
 def full_parse(tmp_path, data):
-    """What analyze takes from a trace through wire.journal_read."""
+    """(cond, seed, dist_m, truncated) of a trace as the full JSON parser,
+    wire.journal_read, gives them; cond and seed None without a record."""
     path = tmp_path / "trace.jsonl"
     path.write_bytes(data)
     records, truncated = wire.journal_read(path)
-    assert not truncated and records
-    return (records[0]["cond"], int(records[0]["seed"]),
-            np.asarray([r["dist_m"] for r in records], dtype=float))
+    first = records[0] if records else {"cond": None, "seed": None}
+    return (first["cond"], first["seed"],
+            np.asarray([r["dist_m"] for r in records], dtype=float), truncated)
 
 
 def assert_same_parse(got, want):
-    assert got[:2] == want[:2]
+    assert got[:2] == want[:2] and got[3] == want[3]
     assert got[2].dtype == np.float64
-    assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64))
+    assert np.array_equal(got[2].view(np.int64), np.asarray(want[2], float).view(np.int64))
+
+
+EMPTY = (None, None, [], False)
 
 
 states = st.sampled_from([s.value for s in SafetyState])
@@ -381,45 +398,89 @@ def test_jsonl_blocks_are_whole_lines_at_the_block_edge(extra):
 @example(make_trace(EDGE_ROWS, "va", -2**63), None)
 @example(make_trace(EDGE_ROWS, "va", -2**63), 1)
 @example(make_trace(EDGE_ROWS + [(20, math.nan, 1, 0.0)]), None)
-def test_parse_trace_dist_reads_jsonl_exactly(trace, read_bytes):
+def test_read_trace_dist_reads_jsonl_exactly(trace, read_bytes):
     if not is_finite(trace):
         with pytest.raises(ValueError):
             trace.jsonl()  # NaN and Infinity are not JSON
         return
     got = read_dist(encoded(trace), read_bytes)
     if len(trace) == 0:
-        assert got is None  # empty files go to the full parser
+        assert_same_parse(got, EMPTY)
         return
-    assert_same_parse(got, (trace.condition, trace.seed, trace.dist_m))
+    assert_same_parse(got, (trace.condition, trace.seed, trace.dist_m, False))
 
 
-def test_parse_trace_dist_agrees_with_full_parser_on_damaged_files(tmp_path):
+def test_read_trace_dist_agrees_with_full_parser_on_damaged_files(tmp_path):
     data = encoded(make_trace(EDGE_ROWS[:3], "va", 12))
-    damaged = [data[:k] for k in range(len(data) + 1)]
-    damaged += [data[:k] + bytes([data[k] ^ 1 << bit]) + data[k + 1:]
-                for k in range(len(data)) for bit in range(8)]
-    readable = 0
-    for blob in damaged:
-        got, got_in_small_reads = read_dist(blob), read_dist(blob, 7)
-        if got is None:
-            assert got_in_small_reads is None
+    cuts = [data[:k] for k in range(len(data) + 1)]
+    flips = [data[:k] + bytes([data[k] ^ 1 << bit]) + data[k + 1:]
+             for k in range(len(data)) for bit in range(8)]
+    refused = not_utf8 = 0
+    for blob in cuts + flips:
+        try:
+            got = read_dist(blob)
+        except ValueError:
+            assert blob not in cuts  # every cut reads as the full parser reads it
+            with pytest.raises(ValueError):
+                read_dist(blob, 7)
+            refused += 1
             continue
-        readable += 1
-        assert_same_parse(got, full_parse(tmp_path, blob))
-        assert_same_parse(got_in_small_reads, full_parse(tmp_path, blob))
-    # Whole-line cuts and digit flips stay readable; the rest fall back.
-    assert 3 < readable < len(damaged) // 2
+        assert_same_parse(read_dist(blob, 7), got)
+        try:
+            want = full_parse(tmp_path, blob)
+        except UnicodeDecodeError:
+            # The last newline flipped to a byte that is not UTF-8: the full
+            # parser cannot decode the last line, which is read as torn.
+            assert blob[:-1] == data[:-1] and got[3]
+            not_utf8 += 1
+            continue
+        assert_same_parse(got, want)
+    # Flips to another digit stay readable; one that leaves no trace line is refused.
+    assert not_utf8 == 1 and 0 < refused < len(flips)
 
 
-def test_parse_trace_dist_rejects_foreign_shapes():
+def test_read_trace_dist_rejects_foreign_shapes():
     line = encoded(make_trace([(0, 0.3, 0, 0.0)], "va", 1))
-    assert read_dist(line) is not None
-    for foreign in (b"", line[:-1], line + b"\n", line.replace(b":", b": "),
+    one_line = ("va", 1, [0.3], False)
+    assert_same_parse(read_dist(line), one_line)
+    assert_same_parse(read_dist(line[:-1]), one_line)  # a whole last line is kept
+    assert_same_parse(read_dist(line + line[:50]), ("va", 1, [0.3], True))
+    assert_same_parse(read_dist(b""), EMPTY)
+    assert_same_parse(read_dist(line[:50]), (None, None, [], True))
+    # The longest last piece without a newline that is held, and one byte more.
+    assert_same_parse(read_dist(line + b" " * (sim._MAX_LINE - 1)), ("va", 1, [0.3], True))
+    with pytest.raises(ValueError, match=f"line 2 is longer than {sim._MAX_LINE} bytes"):
+        read_dist(line + b" " * sim._MAX_LINE)
+    for foreign in (line + b"\n", line.replace(b":", b": "),
                     line.replace(b"0.3", b"3"), line.replace(b"va", b"vb"),
                     line.replace(b"SAFE", b"safe"), line.replace(b"\n", b"\r\n"),
                     line.replace(b'"seed":1', b'"seed":1.0'), b"\xef\xbb\xbf" + line,
-                    line.replace(b'"seed":1', b'"seed":1' + b"0" * 19)):
-        assert read_dist(foreign) is None, foreign
+                    line.replace(b'"seed":1', b'"seed":1' + b"0" * 19),
+                    line.replace(b'"t_ms"', b'"u_ms"'), line + b"{}\n" + line):
+        with pytest.raises(ValueError, match="is not a trace line"):
+            read_dist(foreign)
+
+
+class NewlineFree:
+    """An endless stream of digits that fails the test once more than
+    ``limit`` bytes are asked of it."""
+
+    def __init__(self, limit):
+        self.limit, self.asked = limit, 0
+
+    def read(self, n):
+        self.asked += n
+        assert self.asked <= self.limit, f"{self.asked} bytes read of a newline-free stream"
+        return b"7" * n
+
+
+@pytest.mark.parametrize("read_bytes", [1, 1000, None])
+def test_read_trace_dist_refuses_a_file_without_newlines_after_a_bounded_read(read_bytes):
+    with mock.patch.object(sim, "_READ_BYTES", read_bytes or sim._READ_BYTES):
+        stream = NewlineFree(sim._MAX_LINE + sim._READ_BYTES)
+        with pytest.raises(ValueError, match=f"line 1 is longer than {sim._MAX_LINE} bytes"):
+            sim.read_trace_dist(stream)
+    assert stream.asked >= sim._MAX_LINE
 
 
 # Lines of a real trial, about 90 to 120 bytes each, read a few bytes at a
@@ -438,19 +499,22 @@ def trial_lines():
 def test_parse_trace_dist_joins_lines_split_across_reads(trial_lines, read_bytes):
     trace, data = trial_lines
     assert len(data.split(b"\n", 1)[0]) > 50
-    assert_same_parse(read_dist(data, read_bytes), (trace.condition, trace.seed, trace.dist_m))
+    assert_same_parse(read_dist(data, read_bytes),
+                      (trace.condition, trace.seed, trace.dist_m, False))
 
 
 @pytest.mark.parametrize("read_bytes", TINY_READS)
 def test_parse_trace_dist_rejects_damage_in_a_later_read(trial_lines, read_bytes):
-    _, data = trial_lines
+    trace, data = trial_lines
     lines = data.splitlines(keepends=True)
     bad = b"".join(lines[:150]) + lines[150].replace(b'"state"', b'"State"') \
         + b"".join(lines[151:])
-    assert read_dist(bad, read_bytes) is None
-    assert read_dist(data[:-1], read_bytes) is None  # no final newline
-    assert read_dist(data + b"{}", read_bytes) is None  # a torn last line
-    assert read_dist(b"", read_bytes) is None
+    with pytest.raises(ValueError, match="line 151 is not a trace line"):
+        read_dist(bad, read_bytes)
+    whole = (trace.condition, trace.seed, trace.dist_m, False)
+    assert_same_parse(read_dist(data[:-1], read_bytes), whole)  # no final newline
+    assert_same_parse(read_dist(data + b"{}", read_bytes), whole[:3] + (True,))  # torn
+    assert_same_parse(read_dist(b"", read_bytes), EMPTY)
 
 
 def io_peaks(tmp_path, duration_s):
@@ -469,7 +533,7 @@ def io_peaks(tmp_path, duration_s):
         _, read_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert parsed is not None and len(parsed[2]) == len(trace)
+    assert len(parsed[2]) == len(trace)
     return write_peak, read_peak - before
 
 
