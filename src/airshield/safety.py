@@ -44,8 +44,8 @@ class SafetyZoneConfig:
     hysteresis: float = 0.01
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.danger < self.had:
-            raise ValueError(f"need 0 < danger < had, got danger={self.danger}, had={self.had}")
+        if not 0.0 < self.danger < self.had < math.inf:
+            raise ValueError(f"need 0 < danger < had < inf, got danger={self.danger}, had={self.had}")
         if not 0.0 <= self.hysteresis < (self.had - self.danger) / 2.0:
             raise ValueError(
                 f"hysteresis must be in [0, (had - danger)/2), got {self.hysteresis}"

@@ -12,9 +12,9 @@ Every random draw comes from named per-trial streams, drawn in full
 whichever channels fire, so trials are bit-reproducible from their seed and
 the two feedback conditions consume identical randomness: with the airflow
 channel disabled, V and VA traces at equal seeds are identical by
-construction. A trial is simulated and encoded in blocks of ``_BLOCK``
-ticks and read back by one reader in chunks of ``_READ_BYTES``, so no step
-holds per-tick inputs or text for a whole trial, whatever a file holds.
+construction. Per-tick and per-frame inputs are drawn, and traces encoded,
+in blocks of ``_BLOCK``, and read back in chunks of ``_READ_BYTES``, so no
+step holds inputs or text for a whole trial, whatever a file holds.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass, field, replace
+from itertools import chain, count
 from typing import TYPE_CHECKING, BinaryIO, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -240,7 +241,8 @@ _MAX_LINE = 4096
 
 @dataclass
 class DistanceTrace:
-    """Fixed-tick samples of one trial plus the actuation decision log."""
+    """Fixed-tick samples of one trial plus its decision log: one (command
+    time s, SafetyState value, actuate) entry per processed frame."""
 
     t_ms: np.ndarray
     dist_m: np.ndarray
@@ -286,12 +288,12 @@ class DistanceTrace:
 
 
 # One trace line exactly as ``DistanceTrace.jsonl`` writes it, capturing the
-# dist_m literal. JSON number grammar, with dist_m and duty_pct spelled as
-# floats (a fraction or an exponent) and the integers held to 19 digits, so
-# that ``json.loads`` reads every field of a matching line without error and
-# gives dist_m as ``float`` of its literal.
+# dist_m literal. JSON numbers: integers of up to 19 digits, dist_m and duty_pct
+# as floats of at most 16 digits before the point, 20 after and 3 of exponent, as
+# in any ``repr``; ``json.loads`` agrees on each match and none nears ``_MAX_LINE``.
 _JSON_INT = rb"-?(?:0|[1-9][0-9]{0,18})"
-_JSON_FLOAT = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+_JSON_FLOAT = (rb"-?(?:0|[1-9][0-9]{0,15})"
+               rb"(?:\.[0-9]{1,20}(?:[eE][-+]?[0-9]{1,3})?|[eE][-+]?[0-9]{1,3})")
 _TRACE_LINE = re.compile(
     rb'^\{"t_ms":' + _JSON_INT + rb',"dist_m":(' + _JSON_FLOAT + rb'),"state":"(?:'
     + "|".join(_STATE_NAMES.values()).encode() + rb')","duty_pct":' + _JSON_FLOAT
@@ -368,16 +370,16 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     va = cond == "va"
 
     # Named random streams, drawn in full so both conditions consume
-    # identical draws regardless of which channels fire; the per-tick ones
-    # are drawn block by block in the loop below.
+    # identical draws whichever channels fire; the per-tick and per-frame
+    # ones are drawn in blocks of ``_BLOCK`` as the loop below uses them.
     streams = np.random.SeedSequence(seed).spawn(4)
     g_exc, g_event, g_felt, g_lat = (np.random.default_rng(s) for s in streams)
     n_exc_max = int(duration_s) + 16
     item_u = g_event.random(n_exc_max).tolist()
     notice_u = g_event.random(n_exc_max).tolist()
     delay_u = g_event.random(n_exc_max).tolist()
-    n_frames = int(duration_s * 1000.0 / latency.capture_ms) + 8
-    detect_s = (draw_detect_ms(latency, g_lat, n_frames) / 1000.0).tolist()
+    detect_s = chain.from_iterable((draw_detect_ms(latency, g_lat, _BLOCK) / 1000.0).tolist()
+                                   for _ in count())
 
     out_t = np.empty(n, dtype=np.int64)
     out_d = np.empty(n)
@@ -408,11 +410,10 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     mailbox_d: Optional[float] = None
     mailbox_t = 0.0
     detector_free = 0.0
-    frame_idx = 0
     dec_state = SafetyState.SAFE
     live_state = 0
-    # (command time s, state, actuate) per processed frame; the first
-    # ``applied`` entries have reached the actuator.
+    # (command time s, state, actuate) per processed frame, the trace's
+    # decision log; the first ``applied`` entries have reached the actuator.
     commands: list[tuple[float, int, bool]] = []
     applied = 0
 
@@ -507,8 +508,7 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                 mailbox_t = next_capture
                 next_capture += capture_s
             if mailbox_d is not None and t >= detector_free:
-                done = max(mailbox_t, detector_free) + detect_s[frame_idx]
-                frame_idx += 1
+                done = max(mailbox_t, detector_free) + next(detect_s)
                 decision = step(dec_state, mailbox_d, zone)
                 dec_state = decision.state
                 commands.append((done + decide_s + transmit_s, int(decision.state), decision.actuate))
@@ -539,9 +539,8 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
             out_state[i] = live_state
             out_duty[i] = duty
 
-    return DistanceTrace(t_ms=out_t, dist_m=out_d,
-                         state=out_state, duty_pct=out_duty, condition=cond, seed=seed,
-                         decisions=[(c * 1000.0, s, a) for c, s, a in commands])
+    return DistanceTrace(t_ms=out_t, dist_m=out_d, state=out_state, duty_pct=out_duty,
+                         condition=cond, seed=seed, decisions=commands)
 
 
 def run_trials(cfg: RunConfig, conditions: Sequence[str], seeds: Sequence[int]

@@ -14,7 +14,7 @@ from airshield import sim, stats, wire
 from airshield.airflow import JetModel, PerceptionModel
 from airshield.config import RunConfig
 from airshield.pipeline import StageLatencyModel
-from airshield.safety import SafetyState
+from airshield.safety import SafetyState, SafetyZoneConfig
 
 
 # --- robot trajectory ------------------------------------------------------
@@ -251,7 +251,7 @@ def test_human_model_rejects_non_finite_or_negative_times_and_rates(name, value)
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("model, name", [
-    (model, f.name) for model in (StageLatencyModel, JetModel, PerceptionModel)
+    (model, f.name) for model in (StageLatencyModel, JetModel, PerceptionModel, SafetyZoneConfig)
     for f in fields(model)])
 def test_loop_models_reject_nan_and_infinity(model, name, value):
     if (name, value) == ("detect_q", math.inf):  # a threshold no airflow reaches
@@ -456,9 +456,22 @@ def test_read_trace_dist_rejects_foreign_shapes():
                     line.replace(b"SAFE", b"safe"), line.replace(b"\n", b"\r\n"),
                     line.replace(b'"seed":1', b'"seed":1.0'), b"\xef\xbb\xbf" + line,
                     line.replace(b'"seed":1', b'"seed":1' + b"0" * 19),
+                    line.replace(b"0.3", b"3" * 17 + b".0"),
+                    line.replace(b"0.3", b"0." + b"3" * 21), line.replace(b"0.3", b"3e0001"),
                     line.replace(b'"t_ms"', b'"u_ms"'), line + b"{}\n" + line):
         with pytest.raises(ValueError, match="is not a trace line"):
             read_dist(foreign)
+
+
+@pytest.mark.parametrize("read_bytes", [1, None])
+@pytest.mark.parametrize("number", [b"0." + b"3" * 5000, b"3" * 5000 + b".0",
+                                    b"3e" + b"0" * 5000], ids=["fraction", "integer", "exponent"])
+def test_read_trace_dist_refuses_a_long_number_whatever_the_read_size(read_bytes, number):
+    # Valid JSON for 0.333..., 333...0 and 3.0, but longer than any float's repr.
+    long = encoded(make_trace([(0, 0.3, 0, 0.0)], "va", 1)).replace(b"0.3", number)
+    assert len(long) > sim._MAX_LINE
+    with pytest.raises(ValueError, match="line 1 is"):
+        read_dist(long, read_bytes)
 
 
 class NewlineFree:
@@ -542,6 +555,27 @@ def test_trace_write_and_read_memory_does_not_grow_with_trial_length(tmp_path):
     short, long = io_peaks(tmp_path, 150.0), io_peaks(tmp_path, 600.0)
     for label, a, b in zip(("write", "read"), short, long):
         assert b - a <= 2e6, f"{label} peak grew from {a / 1e6:.2f} to {b / 1e6:.2f} MB"
+
+
+def trial_peak_over_result(duration_s):
+    """Peak traced memory (bytes) of simulating a VA trial, less the memory
+    that the trace it returns keeps."""
+    tracemalloc.start()
+    try:
+        trace = next(sim.run_trials(RunConfig(duration_s=duration_s), ["va"], [1]))[2]
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.decisions) > 0
+    return peak - kept
+
+
+def test_trial_memory_beyond_its_result_does_not_grow_with_trial_length():
+    # The result columns and decision log grow with the trial and are kept;
+    # a second copy of the log or a whole-trial input list grows the rest
+    # by about 1.6 MB over these 450 s.
+    short, long = trial_peak_over_result(150.0), trial_peak_over_result(600.0)
+    assert long - short <= 0.5e6, f"grew from {short / 1e6:.2f} to {long / 1e6:.2f} MB"
 
 
 # --- analysis --------------------------------------------------------------
@@ -666,7 +700,7 @@ def test_actuation_reaction_bound(human, trajectory, zone, jet, perception, late
     for s in range(25):
         t = run("va", s, human, trajectory, zone, jet, perception, latency,
                 duration=120.0)
-        cmds = [ts for ts, st, act in t.decisions if act]
+        cmds = [ts * 1000.0 for ts, st, act in t.decisions if act]
         below = t.dist_m <= zone.had
         above = ~below
         for i in range(50, len(t) - 6):
