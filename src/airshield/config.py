@@ -75,10 +75,11 @@ class RunConfig:
     duty_pct: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.tick_ms <= 0.0:
-            raise ConfigError(f"sim.tick_ms must be positive, got {self.tick_ms}")
-        if self.duration_s * 1000.0 < self.tick_ms:
-            raise ConfigError(f"sim.duration_s must last at least one tick, got {self.duration_s}")
+        if not 0.0 < self.tick_ms < math.inf:
+            raise ConfigError(f"sim.tick_ms must be positive and finite, got {self.tick_ms}")
+        if not self.tick_ms <= self.duration_s * 1000.0 < math.inf:
+            raise ConfigError("sim.duration_s must be finite and last at least one tick, "
+                              f"got {self.duration_s}")
         if not 0.0 <= self.duty_pct <= 100.0:
             raise ConfigError(f"sim.duty_pct must be in [0, 100], got {self.duty_pct}")
 

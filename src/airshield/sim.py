@@ -237,6 +237,10 @@ _BLOCK = 4096
 # longest piece without a newline that it holds before it refuses the file.
 _READ_BYTES = 1 << 18
 _MAX_LINE = 4096
+# Duty (%) within which the impeller settles exactly at its commanded duty:
+# 1/500 of the 0.5 % step an actuator frame carries, where the jet gives about
+# 1e-8 Pa at the HAD against the 0.5 Pa felt threshold.
+_DUTY_SETTLE_PCT = 1e-3
 
 
 @dataclass
@@ -358,10 +362,10 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     """Simulate one trial; bit-identical for identical arguments."""
     if cond not in CONDITIONS:
         raise ValueError(f"condition must be one of {CONDITIONS}, got {cond!r}")
-    if duration_s <= 0.0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
-    if tick_ms <= 0.0:
-        raise ValueError(f"tick must be positive, got {tick_ms}")
+    if not 0.0 < duration_s < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration_s}")
+    if not 0.0 < tick_ms < math.inf:
+        raise ValueError(f"tick must be positive and finite, got {tick_ms}")
     if not 0.0 <= duty_on <= 100.0:
         raise ValueError(f"duty must be in [0, 100], got {duty_on}")
 
@@ -417,7 +421,9 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     commands: list[tuple[float, int, bool]] = []
     applied = 0
 
-    # Actuator first-order response; rise time is to 90% of target.
+    # Actuator first-order response; rise time is to 90% of target. The decay
+    # alone never reaches its target, so within ``_DUTY_SETTLE_PCT`` of it the
+    # duty settles there exactly and a stopped fan reads 0.0.
     tau = latency.actuator_rise_ms / 1000.0 / math.log(10.0)
     alpha = 1.0 - math.exp(-dt / tau) if tau > 0.0 else 1.0
     duty = 0.0
@@ -520,6 +526,8 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                 duty_target = duty_on if actuate else 0.0
 
             duty += (duty_target - duty) * alpha
+            if abs(duty_target - duty) < _DUTY_SETTLE_PCT:
+                duty = duty_target
 
             # --- feedback channels ---------------------------------------
             if 2 <= phase <= 4:  # reaching, grabbing, or returning near the robot

@@ -1,10 +1,11 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, reject
 from hypothesis import strategies as st
 
-from airshield.config import ConfigError, config_hash, flatten, load_config
+from airshield.config import ConfigError, RunConfig, config_hash, flatten, load_config
 
 
 def test_defaults_load():
@@ -55,6 +56,13 @@ def test_non_numeric_value_rejected():
 def test_non_finite_value_rejected(raw):
     with pytest.raises(ConfigError, match="finite"):
         load_config(overrides=[f"sim.tick_ms={raw}"])
+
+
+@pytest.mark.parametrize("kw", [{"tick_ms": math.nan}, {"tick_ms": math.inf},
+                                {"duration_s": math.nan}, {"duration_s": math.inf}])
+def test_run_config_rejects_non_finite_tick_and_duration(kw):
+    with pytest.raises(ConfigError, match="finite"):
+        RunConfig(**kw)
 
 
 def test_non_finite_file_value_rejected(tmp_path):

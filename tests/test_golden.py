@@ -18,20 +18,31 @@ from airshield.config import RunConfig
 # The manifest's config_sha256 covers the --duration 30 of the run below.
 TRACE_SHA256 = {
     "manifest.json": "f786835ffb2c183291b1bae9148b9db16d7907f910ab25489164e5440907f8da",
-    "trial_v_11.jsonl": "9d6197051c130c2efebe095631788c6701ead73c681639e620abbc3ace928bfb",
-    "trial_v_12.jsonl": "675877f9c4cb22bef95438c2fc26e67c80e61cf853b0f8d4c378042313a2c447",
-    "trial_v_13.jsonl": "28d3771acb0fe860fa7b3be8e1fe3cbc2bbb99e128e4c65fa2e9b43bf7bcb3cb",
-    "trial_va_11.jsonl": "3d66863111910bc55fa8a3226211b835e0c29d5c507b885d54b3e2e2b35032a6",
-    "trial_va_12.jsonl": "0c580f9ce8e8c31f054e4a63b8fdc7fde29281c25e2db61c3b33b09f24376137",
-    "trial_va_13.jsonl": "63e1e6dc9f974765cca812ecb5de85d57d4b61a8a73f66392e12263ef7e0c0e0",
+    "trial_v_11.jsonl": "2f3ac6a85de2413d2c7ebbfa5688a2bcac093f34c692629fc748dea38eb581b3",
+    "trial_v_12.jsonl": "24eb36c621517e4c8ff337e3e9c6623dfb0c5790c76ee2261e2f0bf710f74f6b",
+    "trial_v_13.jsonl": "53b92d033e6e2d49e409a5012a5b666c98afb258b64fc8a468885bad13bd0ddf",
+    "trial_va_11.jsonl": "fbd4ab15432243407cb5f96573b14c2ac8323273cac1def39f6513f2767167f0",
+    "trial_va_12.jsonl": "bff36422d2a734b929f49c0e91b10551fd4628f13fcefef90fd2ba52ad8b3c12",
+    "trial_va_13.jsonl": "ce2cc4338cd208386752d67be4b8a81e68757e84e665ea7b521076d6e56525e3",
 }
 # 100 s trials hold 10 000 ticks, so they cross the boundaries of the
 # blocks that run_trial simulates, the trace encoder writes and analyze
 # reads (sim._BLOCK ticks each).
 LONG_TRACE_SHA256 = {
     "manifest.json": "a6f65891471370e27b1a62ae894e66d4054cbfac320f920fd778cacca02485ff",
-    "trial_v_5.jsonl": "81c18c2685f1992ea81ba90f1ede6053386a16b476b4367460238e6b46ef4f97",
-    "trial_va_5.jsonl": "d1ffc483713d202b165cb3c462fa27a5f2d5a119d91dd05d8c12e1a758049e9a",
+    "trial_v_5.jsonl": "b32f69f56804d3637724f292143766774e16b237c17f664b872e62ab4cb8da68",
+    "trial_va_5.jsonl": "8e7838091fb384b390d3d32d58a927c609709755de3fe2c013052188ddca503b",
+}
+# What the hand did and what the loop decided in the six trials above:
+# dist_m, state and the decision log, without the duty column, so a change
+# to the actuator model alone leaves them as they are.
+TRIAL_SHA256 = {
+    "v_11": "e03dc1621bb692550df493d11d5e0a03b2920b3868bd599d8fb59f0be5decd9b",
+    "v_12": "d694f2504dcd2241d5c5d151fa55f5a6eb159a20ce352561f5d03c9b4dda13be",
+    "v_13": "eb1052bcfc74d123f35cf1d84e0a394a6b7395551f86221fbca0ba031293cd05",
+    "va_11": "d08b29c40ef829f512ab8f7b8b44f24b9da0450a6eb5a1154a125155a2283b96",
+    "va_12": "b867f194c7e5e162ff6a2d786343d83e4df5f114d2ad4a672965e613e75f4572",
+    "va_13": "4824e1aa3ff4532ccc335f99493c4bc20e9ea3a10f23f327b8c2dc46022b72e5",
 }
 # The report names the manifest hash of the traces it read
 # (traces_config_sha256) next to the hash of the analysing config.
@@ -81,6 +92,14 @@ def test_trials_longer_than_one_block_are_byte_identical(tmp_path, capsys):
                  "--out", str(traces)]) == 0
     capsys.readouterr()
     assert {p.name: sha256(p.read_bytes()) for p in sorted(traces.iterdir())} == LONG_TRACE_SHA256
+
+
+def test_distance_state_and_decisions_are_bit_identical():
+    got = {}
+    for cond, seed, t in sim.run_trials(RunConfig(duration_s=30.0), sim.CONDITIONS, [11, 12, 13]):
+        got[f"{cond}_{seed}"] = sha256(t.dist_m.tobytes() + t.state.tobytes()
+                                       + repr(t.decisions).encode())
+    assert got == TRIAL_SHA256
 
 
 def test_posecheck_stdout_is_byte_identical(capsys):

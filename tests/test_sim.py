@@ -220,6 +220,33 @@ def test_run_trial_argument_validation(human, trajectory, zone, jet, perception,
         run("x", 0, human, trajectory, zone, jet, perception, latency)
     with pytest.raises(ValueError):
         run("v", 0, human, trajectory, zone, jet, perception, latency, duration=0.0)
+    for duration, tick_ms in [(math.nan, 10.0), (math.inf, 10.0), (60.0, math.nan),
+                              (60.0, math.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            run("v", 0, human, trajectory, zone, jet, perception, latency,
+                duration=duration, tick_ms=tick_ms)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 100.0, 1000.0]),
+       st.sampled_from([100.0, 50.0, 1e-4]))
+def test_duty_settles_exactly_at_its_commanded_value(seed, rise_ms, duty_on):
+    eps = sim._DUTY_SETTLE_PCT
+    cfg = RunConfig(latency=StageLatencyModel(actuator_rise_ms=rise_ms), duty_pct=duty_on,
+                    duration_s=20.0)
+    # Each rise time shrinks the gap to the target tenfold, so after this many
+    # ticks of one command the gap is below eps even from the other end.
+    settle_ticks = max(1, math.ceil(rise_ms / cfg.tick_ms * math.log10(duty_on / eps)) + 1)
+    for _, _, trace in sim.run_trials(cfg, sim.CONDITIONS, [seed]):
+        duty = trace.duty_pct
+        moving = duty[(duty != 0.0) & (duty != duty_on)]
+        assert np.all((moving >= eps) & (moving <= duty_on - eps))
+        # Ticks since the last command that ran the fan (ACTIVE or DANGER):
+        # a SAFE command followed by a long enough quiet stretch, at the end
+        # of the trial too, leaves the fan at exactly 0.0.
+        ticks = np.arange(len(trace))
+        quiet = ticks - np.maximum.accumulate(
+            np.where(trace.state == int(SafetyState.SAFE), -1, ticks))
+        assert np.all(duty[quiet >= settle_ticks] == 0.0)
 
 
 @pytest.mark.parametrize("duty_on", [math.nan, math.inf, -1.0, 101.0])
