@@ -18,7 +18,7 @@ from typing import Any
 from .airflow import JetModel, PerceptionModel
 from .pipeline import StageLatencyModel
 from .safety import SafetyZoneConfig
-from .sim import HumanModel, RobotTrajectory, default_trajectory
+from .sim import HumanModel, RobotTrajectory, default_trajectory, trial_ticks
 
 __all__ = ["ConfigError", "RunConfig", "finite_number", "load_config", "flatten",
            "config_hash"]
@@ -75,13 +75,10 @@ class RunConfig:
     duty_pct: float = 100.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tick_ms < math.inf:
-            raise ConfigError(f"sim.tick_ms must be positive and finite, got {self.tick_ms}")
-        if not self.tick_ms <= self.duration_s * 1000.0 < math.inf:
-            raise ConfigError("sim.duration_s must be finite and last at least one tick, "
-                              f"got {self.duration_s}")
-        if not 0.0 <= self.duty_pct <= 100.0:
-            raise ConfigError(f"sim.duty_pct must be in [0, 100], got {self.duty_pct}")
+        try:
+            trial_ticks(self.duration_s, self.tick_ms, self.duty_pct)
+        except ValueError as exc:  # "tick_ms ..." names the key sim.tick_ms
+            raise ConfigError(f"sim.{exc}") from exc
 
 
 def _flatten_file_tree(tree: dict, prefix: str = "") -> dict[str, Any]:

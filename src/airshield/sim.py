@@ -48,6 +48,7 @@ __all__ = [
     "CalibrationTargets",
     "CalibrationResult",
     "trajectory_positions",
+    "trial_ticks",
     "run_trial",
     "run_trials",
     "below_had_mean",
@@ -259,21 +260,10 @@ class DistanceTrace:
     def __len__(self) -> int:
         return len(self.t_ms)
 
-    def records(self) -> Iterator[dict]:
-        """JSON-ready rows in trace-file field order."""
-        for i in range(len(self.t_ms)):
-            yield {
-                "t_ms": int(self.t_ms[i]),
-                "dist_m": float(self.dist_m[i]),
-                "state": _STATE_NAMES[int(self.state[i])],
-                "duty_pct": float(self.duty_pct[i]),
-                "cond": self.condition,
-                "seed": self.seed,
-            }
-
     def jsonl(self) -> Iterator[str]:
-        """The trace file: each of ``records()`` as one compact JSON line,
-        given as blocks of up to ``_BLOCK`` whole lines.
+        """The trace file: one compact JSON line per tick, fields in the order
+        t_ms, dist_m, state (its name), duty_pct, cond, seed, given as blocks
+        of up to ``_BLOCK`` whole lines.
 
         Built column by column from one row template; ``repr`` writes a finite
         float exactly as ``json.dumps`` does. NaN and infinities are not JSON,
@@ -355,6 +345,20 @@ def below_had_mean(dist_m: np.ndarray | Sequence[float], had: float) -> float | 
 _TASK_MOVE, _TASK_DWELL, _REACH, _GRAB, _RETURN, _RETREAT = range(6)
 
 
+def trial_ticks(duration_s: float, tick_ms: float, duty_pct: float) -> int:
+    """Ticks in a trial of ``duration_s`` at ``tick_ms`` per tick. ValueError
+    unless the tick is positive and finite, the trial finite and at least one
+    tick long, and the impeller duty ``duty_pct`` in [0, 100]."""
+    if not 0.0 < tick_ms < math.inf:
+        raise ValueError(f"tick_ms must be positive and finite, got {tick_ms}")
+    if not tick_ms <= duration_s * 1000.0 < math.inf:
+        raise ValueError("duration_s must be finite and last at least one tick, "
+                         f"got {duration_s}")
+    if not 0.0 <= duty_pct <= 100.0:
+        raise ValueError(f"duty_pct must be in [0, 100], got {duty_pct}")
+    return int(round(duration_s * 1000.0 / tick_ms))
+
+
 def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
               zone: SafetyZoneConfig, jet: JetModel, perception: PerceptionModel,
               latency: StageLatencyModel, duration_s: float, seed: int,
@@ -362,14 +366,7 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     """Simulate one trial; bit-identical for identical arguments."""
     if cond not in CONDITIONS:
         raise ValueError(f"condition must be one of {CONDITIONS}, got {cond!r}")
-    if not 0.0 < duration_s < math.inf:
-        raise ValueError(f"duration must be positive and finite, got {duration_s}")
-    if not 0.0 < tick_ms < math.inf:
-        raise ValueError(f"tick must be positive and finite, got {tick_ms}")
-    if not 0.0 <= duty_on <= 100.0:
-        raise ValueError(f"duty must be in [0, 100], got {duty_on}")
-
-    n = int(round(duration_s * 1000.0 / tick_ms))
+    n = trial_ticks(duration_s, tick_ms, duty_on)
     dt = tick_ms / 1000.0
     va = cond == "va"
 

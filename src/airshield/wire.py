@@ -123,8 +123,6 @@ def decode(data: bytes) -> CommandFrame:
         opcode = Opcode(opcode_raw)
     except ValueError:
         raise UnknownOpcode(f"opcode 0x{opcode_raw:02X} is not defined") from None
-    if payload > MAX_PAYLOAD:
-        raise PayloadOutOfRange(f"payload {payload} exceeds {MAX_PAYLOAD}")
     return CommandFrame(seq=seq, opcode=opcode, payload=payload)
 
 
@@ -132,15 +130,13 @@ def decode(data: bytes) -> CommandFrame:
 # JSON-lines journal
 # ---------------------------------------------------------------------------
 
-def journal_append(path: str | Path, records: str | Iterable[str | dict]) -> None:
+def journal_append(path: str | Path, records: Iterable[str | dict]) -> None:
     """Append records as JSON lines.
 
     ``records`` is an iterable whose dicts are each written as one compact
     line and whose strs, blocks of complete, already encoded lines, are
-    written as they are. A plain str is one such block.
+    written as they are.
     """
-    if isinstance(records, str):
-        records = (records,)
     try:
         with open(path, "a", encoding="utf-8") as fh:
             for rec in records:

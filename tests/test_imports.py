@@ -1,6 +1,7 @@
 """Modules under src/airshield use only each other's public names."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import airshield
@@ -65,6 +66,79 @@ def test_all_guard_sees_stale_and_unlisted_names():
     source = '__all__ = ["Gone", "kept"]\ndef kept(): pass\ndef extra(): pass\n'
     assert all_mismatch(source) == (["Gone"], ["extra"])
     assert all_mismatch("def anything(): pass\n") == ([], [])
+
+
+# The library's callers: itself, the acceptance criteria and the benchmark.
+REPO_DIR = Path(__file__).resolve().parents[1]
+CALLER_FILES = [*sorted(PACKAGE_DIR.glob("*.py")), REPO_DIR / "tests" / "test_acceptance.py",
+                *sorted((REPO_DIR / "perfbench").rglob("*.py"))]
+# Item 3's tracked distance source (ROADMAP) will measure through it.
+UNCALLED_ALLOWED = {"geometry.marker_to_tcp_distance"}
+
+
+def reads(node: ast.AST) -> tuple[Counter, Counter]:
+    """(names loaded, attributes taken) anywhere under ``node``."""
+    names, attrs = Counter(), Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            attrs[n.attr] += 1
+    return names, attrs
+
+
+def unreferenced(sources: dict[str, str], modules: list[str]) -> list[str]:
+    """``module.name`` for each name in a listed module's ``__all__`` that no
+    source reads outside its own definition, and ``module.Class.method`` for
+    each public method of such a class that no source takes as an attribute
+    outside its own body. Names are matched by spelling, not by binding."""
+    trees = {label: ast.parse(text) for label, text in sources.items()}
+    names, attrs = Counter(), Counter()
+    for tree in trees.values():
+        n, a = reads(tree)
+        names += n
+        attrs += a
+    found = []
+    for module in modules:
+        body = trees[module].body
+        listed = next((ast.literal_eval(node.value) for node in body
+                       if isinstance(node, ast.Assign)
+                       and any(getattr(t, "id", None) == "__all__" for t in node.targets)), [])
+        defs = {node.name: node for node in body
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+        for name in listed:
+            own_names, own_attrs = reads(defs[name]) if name in defs else (Counter(), Counter())
+            if names[name] + attrs[name] == own_names[name] + own_attrs[name]:
+                found.append(f"{module}.{name}")
+            if not isinstance(defs.get(name), ast.ClassDef):
+                continue
+            for method in defs[name].body:
+                if (isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+                        and attrs[method.name] == reads(method)[1][method.name]):
+                    found.append(f"{module}.{name}.{method.name}")
+    return sorted(found)
+
+
+def test_every_public_name_has_a_caller():
+    sources = {path.stem if path.parent == PACKAGE_DIR else str(path.relative_to(REPO_DIR)):
+               path.read_text(encoding="utf-8") for path in CALLER_FILES}
+    modules = [path.stem for path in sorted(PACKAGE_DIR.glob("*.py"))]
+    assert set(unreferenced(sources, modules)) == UNCALLED_ALLOWED
+
+
+def test_caller_guard_sees_unused_names_and_methods():
+    lib = ('__all__ = ["used", "alone", "Box", "LIMIT"]\n'
+           "LIMIT = 3\n"
+           "def used(): pass\n"
+           "def alone(): return alone()\n"
+           "class Box:\n"
+           "    def kept(self): pass\n"
+           "    def dropped(self): return self.dropped()\n")
+    caller = "lib.used()\nBox().kept()\n"
+    assert unreferenced({"lib": lib, "caller": caller}, ["lib"]) == [
+        "lib.Box.dropped", "lib.LIMIT", "lib.alone"]
+    assert unreferenced({"lib": lib, "caller": caller + "alone(LIMIT)\n"}, ["lib"]) == [
+        "lib.Box.dropped"]
 
 
 def called_name(call: ast.Call) -> str | None:

@@ -220,6 +220,9 @@ def test_run_trial_argument_validation(human, trajectory, zone, jet, perception,
         run("x", 0, human, trajectory, zone, jet, perception, latency)
     with pytest.raises(ValueError):
         run("v", 0, human, trajectory, zone, jet, perception, latency, duration=0.0)
+    with pytest.raises(ValueError, match="at least one tick"):
+        run("va", 3, human, trajectory, zone, jet, perception, latency, duration=1.0,
+            tick_ms=5000.0)
     for duration, tick_ms in [(math.nan, 10.0), (math.inf, 10.0), (60.0, math.nan),
                               (60.0, math.inf)]:
         with pytest.raises(ValueError, match="finite"):
@@ -317,9 +320,23 @@ def test_run_trials_yields_condition_major_direct_trials():
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def records(trace):
+    """JSON-ready rows of a trace in trace-file field order, one per tick:
+    the rows ``jsonl()`` encodes."""
+    for i in range(len(trace)):
+        yield {
+            "t_ms": int(trace.t_ms[i]),
+            "dist_m": float(trace.dist_m[i]),
+            "state": SafetyState(int(trace.state[i])).name,
+            "duty_pct": float(trace.duty_pct[i]),
+            "cond": trace.condition,
+            "seed": trace.seed,
+        }
+
+
 def test_trace_records_schema(human, trajectory, zone, jet, perception, latency):
     t = run("va", 4, human, trajectory, zone, jet, perception, latency, duration=5.0)
-    recs = list(t.records())
+    recs = list(records(t))
     assert len(recs) == len(t)
     first = recs[0]
     assert list(first) == ["t_ms", "dist_m", "state", "duty_pct", "cond", "seed"]
@@ -342,7 +359,7 @@ def is_finite(trace):
 
 
 def records_jsonl(trace):
-    return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in trace.records())
+    return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records(trace))
 
 
 def full_parse(tmp_path, data):
