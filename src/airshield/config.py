@@ -76,9 +76,12 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         try:
-            trial_ticks(self.duration_s, self.tick_ms, self.duty_pct)
-        except ValueError as exc:  # "tick_ms ..." names the key sim.tick_ms
-            raise ConfigError(f"sim.{exc}") from exc
+            trial_ticks(self.duration_s, self.tick_ms, self.duty_pct, self.latency.capture_ms)
+        except ValueError as exc:
+            # Each message starts with the field it refuses: "tick_ms ..."
+            # names the key sim.tick_ms, "capture_ms ..." latency.capture_ms.
+            section = "latency" if str(exc).startswith("capture_ms") else "sim"
+            raise ConfigError(f"{section}.{exc}") from exc
 
 
 def _flatten_file_tree(tree: dict, prefix: str = "") -> dict[str, Any]:

@@ -58,13 +58,19 @@ class SafetyDecision:
     actuate: bool
 
 
+# The decision for each state, built once; frozen, so every caller can share it.
+_SAFE, _ACTIVE, _DANGER = (SafetyDecision(state=s, actuate=s is not SafetyState.SAFE)
+                           for s in SafetyState)
+
+
 def classify(d: float, cfg: SafetyZoneConfig) -> SafetyState:
     """Memoryless threshold classification: from SAFE no hysteresis applies."""
     return step(SafetyState.SAFE, d, cfg).state
 
 
 def step(prev: SafetyState, d: float, cfg: SafetyZoneConfig) -> SafetyDecision:
-    """One transition of the state machine.
+    """One transition of the state machine, as one of three shared, frozen
+    decisions: one per state, the same object on every call.
 
     Escalation is immediate; de-escalation must clear the threshold plus the
     hysteresis margin. Callers must serialize calls per tracked marker.
@@ -74,11 +80,9 @@ def step(prev: SafetyState, d: float, cfg: SafetyZoneConfig) -> SafetyDecision:
     # Leaving a state takes the hysteresis margin beyond that state's
     # threshold; the thresholds are positive, so adding 0.0 leaves them exact.
     if d <= cfg.danger + (cfg.hysteresis if prev is SafetyState.DANGER else 0.0):
-        state = SafetyState.DANGER
-    elif d <= cfg.had + (cfg.hysteresis if prev is not SafetyState.SAFE else 0.0):
-        state = SafetyState.ACTIVE
-    elif math.isfinite(d):
-        state = SafetyState.SAFE
-    else:  # NaN or +inf
-        state = SafetyState.DANGER
-    return SafetyDecision(state=state, actuate=state is not SafetyState.SAFE)
+        return _DANGER
+    if d <= cfg.had + (cfg.hysteresis if prev is not SafetyState.SAFE else 0.0):
+        return _ACTIVE
+    if math.isfinite(d):
+        return _SAFE
+    return _DANGER  # NaN or +inf

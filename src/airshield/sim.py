@@ -242,6 +242,9 @@ _MAX_LINE = 4096
 # 1/500 of the 0.5 % step an actuator frame carries, where the jet gives about
 # 1e-8 Pa at the HAD against the 0.5 Pa felt threshold.
 _DUTY_SETTLE_PCT = 1e-3
+# Most ticks one trial may hold: about 28 h at the default 10 ms tick, and
+# 250 MB of trace columns.
+_MAX_TICKS = 1e7
 
 
 @dataclass
@@ -345,10 +348,14 @@ def below_had_mean(dist_m: np.ndarray | Sequence[float], had: float) -> float | 
 _TASK_MOVE, _TASK_DWELL, _REACH, _GRAB, _RETURN, _RETREAT = range(6)
 
 
-def trial_ticks(duration_s: float, tick_ms: float, duty_pct: float) -> int:
+def trial_ticks(duration_s: float, tick_ms: float, duty_pct: float,
+                capture_ms: float) -> int:
     """Ticks in a trial of ``duration_s`` at ``tick_ms`` per tick. ValueError
     unless the tick is positive and finite, the trial finite and at least one
-    tick long, and the impeller duty ``duty_pct`` in [0, 100]."""
+    tick long, the impeller duty ``duty_pct`` in [0, 100], the trial at most
+    ``_MAX_TICKS`` ticks long, and the frame interval ``capture_ms`` at least
+    one tick and above 0 s. Each message starts with the name of the value it
+    refuses."""
     if not 0.0 < tick_ms < math.inf:
         raise ValueError(f"tick_ms must be positive and finite, got {tick_ms}")
     if not tick_ms <= duration_s * 1000.0 < math.inf:
@@ -356,7 +363,16 @@ def trial_ticks(duration_s: float, tick_ms: float, duty_pct: float) -> int:
                          f"got {duration_s}")
     if not 0.0 <= duty_pct <= 100.0:
         raise ValueError(f"duty_pct must be in [0, 100], got {duty_pct}")
-    return int(round(duration_s * 1000.0 / tick_ms))
+    ticks = duration_s * 1000.0 / tick_ms
+    if not ticks <= _MAX_TICKS:  # compared as a float: an int() of inf raises
+        raise ValueError(f"tick_ms must leave at most {_MAX_TICKS:,.0f} ticks in the trial, "
+                         f"got {tick_ms} ms for {duration_s} s, {ticks:.3g} ticks")
+    # At most one frame per tick, and a frame interval still above 0 in
+    # seconds, the unit the loop's capture clock steps in, so it passes each tick.
+    if not (capture_ms >= tick_ms and capture_ms / 1000.0 > 0.0):
+        raise ValueError(f"capture_ms must be at least one tick ({tick_ms} ms) and above 0 s, "
+                         f"got {capture_ms}")
+    return int(round(ticks))
 
 
 def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
@@ -366,7 +382,7 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     """Simulate one trial; bit-identical for identical arguments."""
     if cond not in CONDITIONS:
         raise ValueError(f"condition must be one of {CONDITIONS}, got {cond!r}")
-    n = trial_ticks(duration_s, tick_ms, duty_on)
+    n = trial_ticks(duration_s, tick_ms, duty_on, latency.capture_ms)
     dt = tick_ms / 1000.0
     va = cond == "va"
 
@@ -415,8 +431,11 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     live_state = 0
     # (command time s, state, actuate) per processed frame, the trace's
     # decision log; the first ``applied`` entries have reached the actuator.
+    # ``due`` is the command time of ``commands[applied]``, inf while every
+    # command has been applied, so an idle tick tests the queue in one compare.
     commands: list[tuple[float, int, bool]] = []
     applied = 0
+    due = inf
 
     # Actuator first-order response; rise time is to 90% of target. The decay
     # alone never reaches its target, so within ``_DUTY_SETTLE_PCT`` of it the
@@ -514,17 +533,23 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                 done = max(mailbox_t, detector_free) + next(detect_s)
                 decision = step(dec_state, mailbox_d, zone)
                 dec_state = decision.state
-                commands.append((done + decide_s + transmit_s, int(decision.state), decision.actuate))
+                command_t = done + decide_s + transmit_s
+                commands.append((command_t, int(decision.state), decision.actuate))
+                if due == inf:
+                    due = command_t
                 detector_free = done
                 mailbox_d = None
-            while applied < len(commands) and commands[applied][0] <= t:
+            while due <= t:
                 _, live_state, actuate = commands[applied]
                 applied += 1
+                due = commands[applied][0] if applied < len(commands) else inf
                 duty_target = duty_on if actuate else 0.0
 
-            duty += (duty_target - duty) * alpha
-            if abs(duty_target - duty) < _DUTY_SETTLE_PCT:
-                duty = duty_target
+            # A settled duty is left as it is: the update would add 0.0 to it.
+            if duty != duty_target:
+                duty += (duty_target - duty) * alpha
+                if abs(duty_target - duty) < _DUTY_SETTLE_PCT:
+                    duty = duty_target
 
             # --- feedback channels ---------------------------------------
             if 2 <= phase <= 4:  # reaching, grabbing, or returning near the robot

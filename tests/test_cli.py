@@ -1,11 +1,13 @@
 import json
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from airshield import sim, wire
 from airshield.cli import main
+from airshield.config import flatten, load_config
 
 
 def run_cli(*args) -> int:
@@ -368,6 +370,42 @@ def test_trial_shorter_than_a_tick_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "at least one tick" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    # a 0 s frame interval: the capture clock never passed a tick
+    ("latency.capture_ms=5e-324", "latency.capture_ms must be at least one tick (10.0 ms)"),
+    # inf ticks: int(round(inf)) raised OverflowError
+    ("sim.tick_ms=5e-324", "sim.tick_ms must leave at most 10,000,000 ticks"),
+])
+def test_trial_the_loop_cannot_run_exits_2(tmp_path, capsys, override, message):
+    with mock.patch.object(sim, "run_trial", side_effect=AssertionError("trial started")):
+        rc = run_cli("--set", override, "simulate", "--trials", "1", "--duration", "1",
+                     "--out", tmp_path / "x")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "x").exists()
+
+
+def test_duration_flag_shorter_than_a_tick_exits_2(tmp_path, capsys):
+    # The loaded config holds a 120 s trial; --duration makes it shorter than a tick.
+    rc = run_cli("--set", "sim.tick_ms=5000", "--set", "latency.capture_ms=5000", "simulate",
+                 "--trials", "1", "--duration", "2", "--out", tmp_path / "x")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: sim.duration_s must be finite and last at least one tick, got 2.0")
+    assert not (tmp_path / "x").exists()
+
+
+def test_no_extreme_config_value_makes_simulate_hang_or_crash(tmp_path, capsys):
+    # Each key at each value: a 1 s run exits 0 or 2 and raises nothing. The
+    # trial-shape rules refuse a long trial when the config loads, before
+    # --duration shortens it, so no run here is long.
+    for key in sorted(flatten(load_config())):
+        for value in (0, -1, 1e-12, 0.5, 1e12, 1e308, 5e-324):
+            rc = run_cli("--set", f"{key}={value!r}", "simulate", "--trials", "1",
+                         "--duration", "1", "--out", tmp_path / f"{key}={value!r}")
+            assert rc in (0, 2), (key, value)
 
 
 def test_bad_config_override_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from airshield.config import ConfigError, RunConfig, config_hash, flatten, load_config
+from airshield.pipeline import StageLatencyModel
 
 
 def test_defaults_load():
@@ -63,6 +64,21 @@ def test_non_finite_value_rejected(raw):
 def test_run_config_rejects_non_finite_tick_and_duration(kw):
     with pytest.raises(ConfigError, match="finite"):
         RunConfig(**kw)
+
+
+def test_trial_of_more_than_ten_million_ticks_rejected():
+    with pytest.raises(ConfigError, match=r"^sim\.tick_ms must leave at most 10,000,000 ticks"):
+        load_config(overrides=["sim.tick_ms=1e-6", "sim.duration_s=1"])
+    assert RunConfig(tick_ms=1.0, duration_s=1e4, latency=StageLatencyModel(capture_ms=1.0))
+    with pytest.raises(ConfigError, match="at most 10,000,000 ticks"):
+        RunConfig(tick_ms=1.0, duration_s=10_000.001, latency=StageLatencyModel(capture_ms=1.0))
+
+
+def test_frame_interval_shorter_than_a_tick_rejected():
+    refused = r"^latency\.capture_ms must be at least one tick \(40.0 ms\)"
+    with pytest.raises(ConfigError, match=refused):
+        load_config(overrides=["sim.tick_ms=40"])
+    assert load_config(overrides=["sim.tick_ms=33.3"]).tick_ms == 33.3
 
 
 def test_non_finite_file_value_rejected(tmp_path):

@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from airshield.safety import (NegativeDistance, SafetyState, SafetyZoneConfig,
-                              classify, step)
+from airshield.safety import (NegativeDistance, SafetyDecision, SafetyState,
+                              SafetyZoneConfig, classify, step)
 
 
 def test_classify_thresholds(zone):
@@ -238,3 +239,24 @@ def test_step_is_the_written_out_hysteresis_rule(case, prev):
     decision = step(prev, d, cfg)
     assert decision.state is hysteresis_rule(prev, d, cfg)
     assert decision.actuate == (decision.state is not SafetyState.SAFE)
+
+
+@given(zone_and_distance(), states)
+@example((SafetyZoneConfig(), math.nan), SafetyState.SAFE)
+@example((SafetyZoneConfig(), math.inf), SafetyState.ACTIVE)
+@example((SafetyZoneConfig(), 0.25), SafetyState.SAFE)
+@example((SafetyZoneConfig(), 0.35), SafetyState.DANGER)
+@example((SafetyZoneConfig(), 0.36), SafetyState.ACTIVE)
+def test_step_returns_the_shared_frozen_decision_of_its_state(case, prev):
+    cfg, d = case
+    assume(not d < 0.0)  # NaN stays
+    s = hysteresis_rule(prev, d, cfg)
+    expected = SafetyDecision(state=s, actuate=s is not SafetyState.SAFE)
+    decision = step(prev, d, cfg)
+    assert decision == expected
+    assert decision is step(prev, d, cfg)
+    # Frozen, so no caller can change the decision every other caller holds.
+    for name, value in (("state", SafetyState.SAFE), ("actuate", not decision.actuate)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(decision, name, value)
+    assert decision == expected

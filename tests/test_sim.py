@@ -230,6 +230,26 @@ def test_run_trial_argument_validation(human, trajectory, zone, jet, perception,
                 duration=duration, tick_ms=tick_ms)
 
 
+def test_run_trial_refuses_a_trial_its_loop_cannot_run(human, trajectory, zone, jet,
+                                                      perception, latency):
+    # Each is refused before a tick is simulated: np.empty is never reached.
+    cases = [
+        # inf ticks: int(round(inf)) would raise OverflowError
+        (latency, dict(tick_ms=5e-324), "at most 10,000,000 ticks"),
+        # 1e9 ticks
+        (latency, dict(duration=1.0, tick_ms=1e-6), "at most 10,000,000 ticks"),
+        # frames faster than the ticks
+        (StageLatencyModel(capture_ms=5.0), dict(tick_ms=10.0), "capture_ms"),
+        # a frame interval of 0 s: the capture clock would never pass a tick
+        (StageLatencyModel(capture_ms=5e-324), dict(duration=1e-323, tick_ms=5e-324),
+         "capture_ms"),
+    ]
+    with mock.patch.object(sim.np, "empty", side_effect=AssertionError("trial started")):
+        for lat, kw, message in cases:
+            with pytest.raises(ValueError, match=message):
+                run("va", 3, human, trajectory, zone, jet, perception, lat, **kw)
+
+
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 100.0, 1000.0]),
        st.sampled_from([100.0, 50.0, 1e-4]))
 def test_duty_settles_exactly_at_its_commanded_value(seed, rise_ms, duty_on):
@@ -733,6 +753,37 @@ def test_slow_detector_drops_frames_latest_wins(human, trajectory, zone, jet,
     assert len(t.decisions) < n_frames_captured / 2
     cmd_times = [ts for ts, _, _ in t.decisions]
     assert all(b > a for a, b in zip(cmd_times, cmd_times[1:]))
+
+
+@settings(max_examples=12)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sim.CONDITIONS),
+       st.sampled_from([StageLatencyModel(), StageLatencyModel(detect_ms_sd=15.0),
+                        StageLatencyModel(detect_ms_mean=80.0),
+                        StageLatencyModel(transmit_ms=100.0)]))
+@example(1, "va", StageLatencyModel(detect_ms_sd=15.0))
+@example(1, "v", StageLatencyModel(detect_ms_mean=80.0))
+@example(1, "va", StageLatencyModel(transmit_ms=100.0))
+def test_each_tick_shows_the_last_command_due_by_then(seed, cond, latency):
+    # With a noisy or slow detector frames queue and drop, and with a slow
+    # link several commands are in flight at once; the actuator still takes
+    # them in the order of their times.
+    cfg = RunConfig(latency=latency, duration_s=20.0)
+    trace = sim.run_trial(cond, cfg.human, cfg.trajectory, cfg.safety, cfg.jet,
+                          cfg.perception, cfg.latency, cfg.duration_s, seed,
+                          tick_ms=cfg.tick_ms, duty_on=cfg.duty_pct)
+    times = [ts for ts, _, _ in trace.decisions]
+    assert times == sorted(times)
+    # The loop's clock: tick i is at i * dt s.
+    tick_s = np.arange(len(trace)) * (cfg.tick_ms / 1000.0)
+    applied = np.searchsorted(times, tick_s, side="right")
+    states = np.array([int(SafetyState.SAFE)] + [s for _, s, _ in trace.decisions])
+    assert np.array_equal(trace.state, states[applied])
+
+
+def test_a_duty_of_minus_zero_runs_as_zero(human, trajectory, zone, jet, perception, latency):
+    zero, minus_zero = (run("va", 7, human, trajectory, zone, jet, perception, latency,
+                            duty_on=duty) for duty in (0.0, -0.0))
+    assert list(minus_zero.jsonl()) == list(zero.jsonl())
 
 
 # --- reaction latency ------------------------------------------------------
