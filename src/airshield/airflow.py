@@ -8,7 +8,8 @@ Distance perception works by feel of dynamic pressure: the felt pressure is
 the true pressure corrupted by multiplicative discrimination noise (a Weber
 fraction), and the felt value is inverted through the jet law back to a
 distance estimate. Perception therefore only works beyond the potential
-core, where pressure actually varies with distance.
+core, where pressure actually varies with distance. ``pressure_to_distance``
+inverts the law for the felt estimates and, at the threshold, for the range.
 
 The trial loop draws one felt-pressure multiplier per tick from
 ``felt_multipliers`` and asks ``is_felt`` whether the hand feels the jet;
@@ -32,7 +33,6 @@ __all__ = [
     "jet_velocity",
     "dynamic_pressure",
     "pressure_to_distance",
-    "max_perceptible_range",
     "felt_multipliers",
     "is_felt",
     "perception_errors",
@@ -81,8 +81,10 @@ class PerceptionModel:
     detect_q: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.weber < math.inf:
-            raise ValueError(f"weber fraction must be finite and >= 0, got {self.weber}")
+        # The noise is clipped at 3 sigma: a finite 3 * weber keeps felt multipliers finite.
+        if not 0.0 <= _NOISE_CLIP_SIGMA * self.weber < math.inf:
+            raise ValueError(f"weber fraction must be >= 0 and leave 3 * weber finite, "
+                             f"got {self.weber}")
         if not self.detect_q > 0.0:  # an infinite threshold is never felt
             raise ValueError(f"detection threshold must be positive, got {self.detect_q}")
 
@@ -103,26 +105,22 @@ def dynamic_pressure(jm: JetModel, duty: float, x: float) -> float:
     return 0.5 * AIR_DENSITY_KG_M3 * v * v
 
 
-def pressure_to_distance(jm: JetModel, duty: float, q: float) -> float:
-    """Invert the decay-region jet law: the distance where pressure equals q.
+def pressure_to_distance(jm: JetModel, duty: float,
+                         q: float | np.ndarray) -> float | np.ndarray:
+    """Invert the decay-region jet law: the distance where pressure equals q,
+    for a pressure or an array of them.
 
     Pressures at or above the core value map to the core boundary (the law
-    is flat inside the core, so no finer answer exists).
+    is flat inside the core, so no finer answer exists); within rounding of
+    the core value the answer may lie one ulp beyond it.
     """
-    if q <= 0.0:
+    if np.min(q) <= 0.0:
         raise ValueError(f"pressure must be positive, got {q}")
     v_exit = jm.v0 * (duty / 100.0)
     if v_exit <= 0.0:
         raise ValueError("duty must be positive to invert the jet law")
-    v = math.sqrt(2.0 * q / AIR_DENSITY_KG_M3)
-    if v >= v_exit:
-        return jm.core_len
-    return v_exit * jm.core_len / v
-
-
-def max_perceptible_range(pm: PerceptionModel, jm: JetModel, duty: float) -> float:
-    """Distance at which dynamic pressure falls to the detection threshold."""
-    return pressure_to_distance(jm, duty, pm.detect_q)
+    v = np.sqrt(2.0 * q / AIR_DENSITY_KG_M3)
+    return np.maximum(v_exit * jm.core_len / v, jm.core_len)
 
 
 def felt_multipliers(pm: PerceptionModel, z: np.ndarray) -> np.ndarray:
@@ -135,17 +133,6 @@ def is_felt(pm: PerceptionModel, jm: JetModel, duty: float, x: float, mult: floa
     """Whether the pressure at x, scaled by the felt multiplier, reaches the
     detection threshold."""
     return dynamic_pressure(jm, duty, x) * mult >= pm.detect_q
-
-
-def _invert_felt(pm: PerceptionModel, jm: JetModel, duty: float,
-                 q_felt: np.ndarray) -> np.ndarray:
-    """Vectorized inverse of the jet law with core and range clamps."""
-    v_exit = jm.v0 * (duty / 100.0)
-    q_core = dynamic_pressure(jm, duty, 0.0)
-    x_max = max_perceptible_range(pm, jm, duty)
-    q_eff = np.clip(q_felt, pm.detect_q, q_core)
-    v = np.sqrt(2.0 * q_eff / AIR_DENSITY_KG_M3)
-    return np.clip(v_exit * jm.core_len / v, jm.core_len, x_max)
 
 
 def _check_perceivable(pm: PerceptionModel, jm: JetModel, duty: float, true_x: float) -> float:
@@ -176,5 +163,8 @@ def perception_errors(pm: PerceptionModel, jm: JetModel, duty: float,
         return np.zeros(n)
     rng = np.random.default_rng(seed)
     q_felt = q * felt_multipliers(pm, rng.standard_normal(n))
-    return _invert_felt(pm, jm, duty, q_felt) - true_x
+    # A felt pressure is judged between the threshold and the core value; sqrt and
+    # division round monotonically, so q >= detect_q keeps each estimate in range.
+    q_eff = np.clip(q_felt, pm.detect_q, dynamic_pressure(jm, duty, 0.0))
+    return pressure_to_distance(jm, duty, q_eff) - true_x
 

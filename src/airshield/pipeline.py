@@ -38,6 +38,12 @@ class StageLatencyModel:
                      "decide_ms", "transmit_ms", "actuator_rise_ms"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        # numpy's normal draw stays below 13.8 sd: its ziggurat returns at most
+        # r + ln(1/U)/r, r ~ 3.654, with U >= 2**-53. So a finite mean + 16 sd
+        # keeps every detect time drawn finite.
+        if not self.detect_ms_mean + 16.0 * self.detect_ms_sd < np.inf:
+            raise ValueError(f"detect_ms_sd must leave detect_ms_mean + 16 * detect_ms_sd finite, "
+                             f"got {self.detect_ms_sd} with a mean of {self.detect_ms_mean}")
 
 
 @dataclass(frozen=True)

@@ -77,14 +77,17 @@ class RobotTrajectory:
     """Periodic waypoint loop followed with a trapezoidal speed profile.
 
     ``waypoints`` holds (position, dwell seconds) pairs; the loop closes
-    from the last waypoint back to the first. ``cycle_period`` is the time
-    one pass of the loop takes.
+    from the last waypoint back to the first. It is laid out once, in
+    ``_table``, one row per timed move: start and end time, start and end
+    point, length; a dwell is a move of length 0. ``cycle_period`` is the
+    time one pass of the loop takes, the end time of the last row.
     """
 
     waypoints: tuple[tuple[Vec3, float], ...]
     speed: float = 0.12
     accel: float = 0.6
     cycle_period: float = field(init=False)
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.waypoints) < 2:
@@ -95,28 +98,22 @@ class RobotTrajectory:
             raise ValueError("dwell times must be finite and >= 0")
         if not (0.0 < self.speed < math.inf and 0.0 < self.accel < math.inf):
             raise ValueError("speed and acceleration must be positive and finite")
-        segs = self.segments()
-        period = segs[-1][1] if segs else 0.0
-        if not 0.0 < period < math.inf:
-            raise ValueError(f"a pass of the loop must take positive, finite time, got {period} s")
-        object.__setattr__(self, "cycle_period", period)
-
-    def segments(self) -> list[tuple[float, float, str, tuple]]:
-        """(t_start, t_end, kind, data) spans covering one cycle."""
-        segs: list[tuple[float, float, str, tuple]] = []
+        rows = []
         t = 0.0
-        n = len(self.waypoints)
-        for i, (pos, dwell) in enumerate(self.waypoints):
+        for (pos, dwell), (nxt, _) in zip(self.waypoints, self.waypoints[1:] + self.waypoints[:1]):
             if dwell > 0.0:
-                segs.append((t, t + dwell, "dwell", (pos,)))
+                rows.append((t, t + dwell, *pos, *pos, 0.0))
                 t += dwell
-            nxt = self.waypoints[(i + 1) % n][0]
             d = _dist3(pos, nxt)
             if d > 0.0:
                 dur = _trapezoid_time(d, self.speed, self.accel)
-                segs.append((t, t + dur, "move", (pos, nxt, d)))
+                rows.append((t, t + dur, *pos, *nxt, d))
                 t += dur
-        return segs
+        period = rows[-1][1] if rows else 0.0
+        if not 0.0 < period < math.inf:
+            raise ValueError(f"a pass of the loop must take positive, finite time, got {period} s")
+        object.__setattr__(self, "cycle_period", period)
+        object.__setattr__(self, "_table", np.array(rows))
 
 
 def _dist3(a: Vec3, b: Vec3) -> float:
@@ -124,49 +121,39 @@ def _dist3(a: Vec3, b: Vec3) -> float:
 
 
 def _trapezoid_time(d: float, vmax: float, a: float) -> float:
-    if d <= 0.0:
-        return 0.0
     d_ramp = vmax * vmax / a
     if d >= d_ramp:
         return d / vmax + vmax / a
     return 2.0 * math.sqrt(d / a)
 
 
-def _trapezoid_s(tau: np.ndarray, dur: float, d: float, vmax: float,
+def _trapezoid_s(tau: np.ndarray, dur: np.ndarray, d: np.ndarray, vmax: float,
                  a: float) -> np.ndarray:
-    """Arc length covered at each of the times ``tau`` into a trapezoidal move."""
+    """Arc length at times ``tau`` into trapezoidal moves of durations ``dur``, lengths ``d``."""
     tau = np.minimum(np.maximum(tau, 0.0), dur)
     rem = dur - tau
     accel = 0.5 * a * tau * tau
     decel = d - 0.5 * a * rem * rem
     d_ramp = vmax * vmax / a
-    if d >= d_ramp:
-        t_r = vmax / a
-        cruise = 0.5 * d_ramp + vmax * (tau - t_r)
-        return np.where(tau < t_r, accel, np.where(tau <= dur - t_r, cruise, decel))
-    return np.where(tau <= 0.5 * dur, accel, decel)
+    t_r = vmax / a
+    cruise = 0.5 * d_ramp + vmax * (tau - t_r)
+    return np.where(d >= d_ramp,
+                    np.where(tau < t_r, accel, np.where(tau <= dur - t_r, cruise, decel)),
+                    np.where(tau <= 0.5 * dur, accel, decel))
 
 
 def trajectory_positions(traj: RobotTrajectory, times: np.ndarray) -> np.ndarray:
     """Vectorized TCP positions for an array of times, shape (n, 3)."""
-    segs = traj.segments()
-    ends = [s[1] for s in segs]
+    table = traj._table
     phases = np.mod(times, traj.cycle_period)
-    idx = np.searchsorted(ends, phases, side="right")
-    idx = np.minimum(idx, len(segs) - 1)
-    out = np.empty((len(times), 3))
-    for j, (t0, t1, kind, data) in enumerate(segs):
-        mask = idx == j
-        if not np.any(mask):
-            continue
-        if kind == "dwell":
-            out[mask] = data[0]
-            continue
-        pos, nxt, d = data
-        s = _trapezoid_s(phases[mask] - t0, t1 - t0, d, traj.speed, traj.accel)
+    idx = np.minimum(np.searchsorted(table[:, 1], phases, side="right"), len(table) - 1)
+    rows = table[idx]
+    t0, t1, p0, p1, d = rows[:, 0], rows[:, 1], rows[:, 2:5], rows[:, 5:8], rows[:, 8]
+    s = _trapezoid_s(phases - t0, t1 - t0, d, traj.speed, traj.accel)
+    # A dwell row has d = 0, so its f is inf or nan; it keeps its point as is.
+    with np.errstate(divide="ignore", invalid="ignore"):
         f = (s / d)[:, None]
-        out[mask] = np.asarray(pos) + f * (np.asarray(nxt) - np.asarray(pos))
-    return out
+        return np.where(d[:, None] > 0.0, p0 + f * (p1 - p0), p0)
 
 
 def default_trajectory() -> RobotTrajectory:
@@ -391,10 +378,7 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     # ones are drawn in blocks of ``_BLOCK`` as the loop below uses them.
     streams = np.random.SeedSequence(seed).spawn(4)
     g_exc, g_event, g_felt, g_lat = (np.random.default_rng(s) for s in streams)
-    n_exc_max = int(duration_s) + 16
-    item_u = g_event.random(n_exc_max).tolist()
-    notice_u = g_event.random(n_exc_max).tolist()
-    delay_u = g_event.random(n_exc_max).tolist()
+    item_u, notice_u, delay_u = g_event.random((3, int(duration_s) + 16)).tolist()
     detect_s = chain.from_iterable((draw_detect_ms(latency, g_lat, _BLOCK) / 1000.0).tolist()
                                    for _ in count())
 
@@ -504,7 +488,7 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                     hz += mz * f
 
             # Excursion kick-off from the task loop.
-            if phase <= 1 and exc_count < n_exc_max and exc_u < excursion_p:
+            if phase <= 1 and exc_count < len(item_u) and exc_u < excursion_p:
                 ux, uy, uz = hx - tx, hy - ty, hz - tz
                 un = math.sqrt(ux * ux + uy * uy + uz * uz)
                 if un > 1e-9:  # degenerate hand-on-TCP geometry: no direction to reach

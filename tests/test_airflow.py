@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from airshield import airflow
 from airshield.airflow import (ImperceptibleFlow, InsidePotentialCore, JetModel,
@@ -85,7 +87,7 @@ def test_inside_core_rejected(jet, perception):
 
 
 def test_imperceptible_flow_raised_beyond_range(jet, perception):
-    x_max = airflow.max_perceptible_range(perception, jet, 100.0)
+    x_max = airflow.pressure_to_distance(jet, 100.0, perception.detect_q)
     with pytest.raises(ImperceptibleFlow):
         airflow.perception_errors(perception, jet, 100.0, x_max * 1.2, 1, 1)
     with pytest.raises(ImperceptibleFlow):
@@ -95,7 +97,30 @@ def test_imperceptible_flow_raised_beyond_range(jet, perception):
 def test_estimates_stay_in_physical_range(jet, perception):
     est = airflow.perception_errors(perception, jet, 100.0, 0.25, 20_000, 5) + 0.25
     assert est.min() >= jet.core_len
-    assert est.max() <= airflow.max_perceptible_range(perception, jet, 100.0)
+    assert est.max() <= airflow.pressure_to_distance(jet, 100.0, perception.detect_q)
+
+
+@given(st.floats(0.5, 100.0), st.floats(0.01, 0.3), st.floats(1.0, 10.0), st.floats(0.0, 2.0),
+       st.floats(1e-3, 50.0), st.floats(1.0, 100.0), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_estimates_lie_between_core_and_range(v0, duct_d, core_k, weber, detect_q, duty, u,
+                                              seed):
+    jm, pm = JetModel(v0, duct_d, core_k), PerceptionModel(weber, detect_q)
+    x_max = airflow.pressure_to_distance(jm, duty, detect_q)
+    true_x = jm.core_len + u * (x_max - jm.core_len)
+    assume(true_x > jm.core_len and airflow.dynamic_pressure(jm, duty, true_x) >= detect_q)
+    # Rounded subtraction is monotone, so an estimate in [core_len, x_max]
+    # gives an error in [core_len - true_x, x_max - true_x] exactly.
+    errs = airflow.perception_errors(pm, jm, duty, true_x, 200, seed)
+    assert np.all(errs >= jm.core_len - true_x) and np.all(errs <= x_max - true_x)
+    # The array call is the scalar call at each pressure, felt ones included.
+    q_core = airflow.dynamic_pressure(jm, duty, 0.0)
+    q = np.concatenate([[detect_q, q_core],
+                        np.random.default_rng(seed).uniform(detect_q, q_core, 50)])
+    x = airflow.pressure_to_distance(jm, duty, q)
+    assert np.all(x >= jm.core_len) and np.all(x <= x_max)
+    want = np.array([airflow.pressure_to_distance(jm, duty, qi) for qi in q.tolist()])
+    assert np.array_equal(x.view(np.int64), want.view(np.int64))
 
 
 def test_default_weber_meets_near_target():
@@ -127,5 +152,9 @@ def test_model_validation():
         JetModel(v0=-1.0)
     with pytest.raises(ValueError):
         PerceptionModel(weber=-0.1)
+    with pytest.raises(ValueError, match="3 \\* weber finite"):
+        PerceptionModel(weber=1e308)
+    assert np.isfinite(airflow.felt_multipliers(PerceptionModel(weber=5e307),
+                                                np.array([-9.0, 9.0]))).all()
     with pytest.raises(ValueError):
         PerceptionModel(detect_q=0.0)

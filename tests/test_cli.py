@@ -397,15 +397,19 @@ def test_duration_flag_shorter_than_a_tick_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_no_extreme_config_value_makes_simulate_hang_or_crash(tmp_path, capsys):
-    # Each key at each value: a 1 s run exits 0 or 2 and raises nothing. The
-    # trial-shape rules refuse a long trial when the config loads, before
-    # --duration shortens it, so no run here is long.
+    # Each key at each value: a 1 s run exits 0 or 2 and raises nothing, not
+    # even a numpy overflow warning. The trial-shape rules refuse a long trial
+    # when the config loads, before --duration shortens it, so no run here is long.
     for key in sorted(flatten(load_config())):
         for value in (0, -1, 1e-12, 0.5, 1e12, 1e308, 5e-324):
             rc = run_cli("--set", f"{key}={value!r}", "simulate", "--trials", "1",
                          "--duration", "1", "--out", tmp_path / f"{key}={value!r}")
             assert rc in (0, 2), (key, value)
+            err = capsys.readouterr().err
+            if value == 1e308 and key in ("latency.detect_ms_sd", "perception.weber"):
+                assert rc == 2 and err.startswith(f"config error: {key.split('.')[1]}"), key
 
 
 def test_bad_config_override_exits_2(tmp_path, capsys):

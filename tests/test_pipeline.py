@@ -40,6 +40,11 @@ def test_latency_model_validation():
         pl.StageLatencyModel(detect_ms_mean=-1.0)
     with pytest.raises(ValueError, match="capture_ms must be positive"):
         pl.StageLatencyModel(capture_ms=0.0)
+    with pytest.raises(ValueError, match="^detect_ms_sd must leave"):
+        pl.StageLatencyModel(detect_ms_mean=1e308, detect_ms_sd=1e307)
+    # the widest spread the bound allows still draws finite times
+    lat = pl.StageLatencyModel(detect_ms_sd=1e308 / 16)
+    assert np.isfinite(pl.draw_detect_ms(lat, np.random.default_rng(0), 1000)).all()
 
 
 def test_decide_stage_throughput(zone):

@@ -92,25 +92,51 @@ waypoints = st.lists(
     min_size=2, max_size=5).map(tuple)
 
 
+def scalar_loop(wps, speed, accel):
+    """One pass of the loop as (t_start, t_end, start, end, length) spans,
+    walked one waypoint at a time; a dwell is a span of length 0."""
+    spans, t = [], 0.0
+    for (p, dwell), (q, _) in zip(wps, wps[1:] + wps[:1]):
+        if dwell > 0.0:
+            spans.append((t, t + dwell, p, p, 0.0))
+            t += dwell
+        d = math.sqrt((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2)
+        if d > 0.0:
+            d_ramp = speed * speed / accel
+            dur = d / speed + speed / accel if d >= d_ramp else 2.0 * math.sqrt(d / accel)
+            spans.append((t, t + dur, p, q, d))
+            t += dur
+    return spans
+
+
+def scalar_position(spans, speed, accel, time):
+    phase = time % spans[-1][1]
+    k = min(sum(t1 <= phase for _, t1, *_ in spans), len(spans) - 1)
+    t0, t1, p, q, d = spans[k]
+    if d == 0.0:
+        return [float(c) for c in p]
+    f = trapezoid_s_scalar(phase - t0, t1 - t0, d, speed, accel) / d
+    return [a + f * (b - a) for a, b in zip(p, q)]
+
+
 @given(waypoints, st.floats(0.01, 2.0), st.floats(0.01, 10.0), st.floats(0.0, 1.0))
+@example(wps=(((-0.0, 0.5, 0.0), 1.0), ((1.0, 0.5, 0.0), 0.0)), speed=0.5, accel=2.0, u=0.5)
 def test_trapezoid_s_is_the_scalar_profile_bit_for_bit(wps, speed, accel, u):
     # Coinciding waypoints without a dwell make a loop that takes no time,
-    # which RobotTrajectory rejects; such a loop has no move to check.
-    assume(any(dwell > 0.0 for _, dwell in wps) or any(
-        sim._trapezoid_time(sim._dist3(p, q), speed, accel) > 0.0
-        for (p, _), (q, _) in zip(wps, wps[1:] + wps[:1])))
+    # which RobotTrajectory rejects; such a loop has no position to check.
+    spans = scalar_loop(wps, speed, accel)
+    assume(spans and spans[-1][1] > 0.0)
     traj = sim.RobotTrajectory(waypoints=wps, speed=speed, accel=accel)
-    for t0, t1, kind, data in traj.segments():
-        if kind != "move":
-            continue
-        dur, d = t1 - t0, data[2]
-        t_r = speed / accel
-        taus = np.concatenate([np.linspace(-0.1 * dur, 1.1 * dur, 101),
-                               [0.0, t_r, dur - t_r, 0.5 * dur, dur, u * dur]])
-        got = sim._trapezoid_s(taus, dur, d, speed, accel)
-        want = np.array([trapezoid_s_scalar(tau, dur, d, speed, accel)
-                         for tau in taus.tolist()])
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    period = traj.cycle_period
+    assert period == spans[-1][1]
+    t_r = speed / accel
+    times = [-1e-300, period, 2.0 * period, -u * period, (1.0 + u) * period]
+    for t0, t1, *_ in spans:
+        times += [t0, t1, t0 + t_r, t1 - t_r, 0.5 * (t0 + t1), t0 + u * (t1 - t0)]
+    times = np.concatenate([np.linspace(-period, 2.0 * period, 301), times])
+    got = sim.trajectory_positions(traj, times)
+    want = np.array([scalar_position(spans, speed, accel, t) for t in times.tolist()])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # --- below-HAD metric ------------------------------------------------------
