@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import sys
 from collections import defaultdict
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -93,19 +95,30 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     conditions = sim.CONDITIONS if args.condition == "both" else (args.condition,)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {"config_sha256": config_hash(cfg), "trials": []}
+    had = cfg.safety.had
+    manifest = {"config_sha256": config_hash(cfg), "had_m": had, "trials": []}
     seeds = range(args.seed, args.seed + args.trials)
     for cond, seed, trace in sim.run_trials(cfg, conditions, seeds):
         name = wire.trace_filename(cond, seed)
         path = out_dir / name
         path.unlink(missing_ok=True)
-        wire.journal_append(path, trace.jsonl())
+        digest = hashlib.sha256()
+        wire.journal_append(path, _hashed(trace.jsonl(), digest))
         manifest["trials"].append({"file": name, "cond": cond, "seed": seed,
-                                   "n_samples": len(trace)})
+                                   "n_samples": len(trace), "sha256": digest.hexdigest(),
+                                   "below_had_m": sim.below_had_mean(trace.dist_m, had)})
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(manifest['trials'])} trace files to {out_dir}")
     return EXIT_OK
+
+
+def _hashed(blocks: Iterable[str], digest: hashlib._Hash) -> Iterator[str]:
+    """``blocks`` as they are, each fed to ``digest`` as the bytes it is
+    written as: trace blocks are ASCII."""
+    for block in blocks:
+        digest.update(block.encode())
+        yield block
 
 
 def _read_manifest(in_dir: Path) -> dict:
@@ -117,30 +130,72 @@ def _read_manifest(in_dir: Path) -> dict:
     return manifest if isinstance(manifest, dict) else {}
 
 
+def _stored_means(manifest: dict, had: float) -> dict[str, dict]:
+    """The manifest's trial entries by file name, for the files whose stored
+    below-HAD mean ``analyze`` may take in place of a parse: none unless the
+    means were taken at ``had``, and only entries of the shape ``simulate``
+    writes."""
+    had_m, listed = manifest.get("had_m"), manifest.get("trials")
+    if not (isinstance(had_m, float) and had_m == had and isinstance(listed, list)):
+        return {}
+    return {t["file"]: t for t in listed if _usable_entry(t)}
+
+
+_HEX = frozenset("0123456789abcdef")
+
+
+def _usable_entry(t: object) -> bool:
+    """Whether a manifest entry has the shape ``simulate`` writes."""
+    if not isinstance(t, dict):
+        return False
+    cond, seed, digest, mean = (t.get(k) for k in ("cond", "seed", "sha256", "below_had_m"))
+    return (cond in sim.CONDITIONS and isinstance(seed, int) and not isinstance(seed, bool)
+            and t.get("file") == wire.trace_filename(cond, seed)
+            and isinstance(digest, str) and len(digest) == 64 and set(digest) <= _HEX
+            and (mean is None or isinstance(mean, float) and math.isfinite(mean)))
+
+
+def _file_sha256(path: Path) -> str:
+    """SHA-256 of a file, read ``sim._READ_BYTES`` at a time."""
+    digest = hashlib.sha256()
+    with path.open("rb") as stream:
+        while chunk := stream.read(sim._READ_BYTES):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     in_dir = Path(args.in_dir)
     files = sorted(in_dir.glob("trial_*.jsonl"))
     if not files:
         raise ConfigError(f"no trace files found in {in_dir}")
+    manifest = _read_manifest(in_dir)
+    stored = _stored_means(manifest, cfg.safety.had)
     per_seed: dict[int, dict[str, float | None]] = defaultdict(dict)
     warnings: list[str] = []
     for path in files:
-        try:
-            with path.open("rb") as stream:
-                cond, seed, dist_m, truncated = sim.read_trace_dist(stream)
-        except ValueError as exc:
-            warnings.append(f"{path.name}: unreadable trace skipped ({exc})")
-            continue
-        if truncated:
-            warnings.append(f"{path.name}: truncated trailing line ignored")
+        entry = stored.get(path.name)
+        if entry is not None and _file_sha256(path) == entry["sha256"]:
+            cond, seed, mean = entry["cond"], entry["seed"], entry["below_had_m"]
+        else:
+            if entry is not None:
+                warnings.append(f"{path.name}: does not match manifest.json")
+            try:
+                with path.open("rb") as stream:
+                    cond, seed, dist_m, truncated = sim.read_trace_dist(stream)
+            except ValueError as exc:
+                warnings.append(f"{path.name}: unreadable trace skipped ({exc})")
+                continue
+            if truncated:
+                warnings.append(f"{path.name}: truncated trailing line ignored")
+            mean = sim.below_had_mean(dist_m, cfg.safety.had)
         if cond is None:
             warnings.append(f"{path.name}: empty trace skipped")
         elif cond in per_seed[seed]:
             warnings.append(f"{path.name}: another trace of {cond} seed {seed} "
                             "was already read, skipped")
         else:
-            per_seed[seed][cond] = sim.below_had_mean(dist_m, cfg.safety.had)
-    manifest = _read_manifest(in_dir)
+            per_seed[seed][cond] = mean
     listed = manifest.get("trials")
     if isinstance(listed, list) and listed:
         names = {t.get("file") for t in listed

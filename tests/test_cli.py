@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -123,6 +125,7 @@ def test_analyze_reads_own_traces_without_the_full_parser(tmp_path, monkeypatch)
         assert second[key] == first[key]
     assert second["warnings"] == first["warnings"] + [
         "trial_v_8.jsonl: empty trace skipped",
+        "trial_va_3.jsonl: does not match manifest.json",
         "trial_va_3.jsonl: truncated trailing line ignored",
         "trial_va_9.jsonl: unreadable trace skipped (line 1 is not a trace line)",
         "2 trace file(s) not listed in manifest.json"]
@@ -245,6 +248,117 @@ def test_analyze_counts_trace_files_the_manifest_does_not_list(tmp_path):
     assert second["n_pairs"] > first["n_pairs"]
     assert [w for w in second["warnings"] if "manifest" in w] == [
         "6 trace file(s) not listed in manifest.json"]
+
+
+def test_manifest_names_each_trace_digest_and_the_had_of_its_means(tmp_path):
+    out = tmp_path / "runs"
+    assert run_cli("--set", "safety.had_m=0.4", "simulate", "--trials", "2",
+                   "--duration", "20", "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["had_m"] == 0.4
+    for t in manifest["trials"]:
+        assert t["sha256"] == hashlib.sha256((out / t["file"]).read_bytes()).hexdigest()
+
+
+def analyze_report(out: Path, report: Path) -> bytes:
+    assert run_cli("analyze", "--in", out, "--report", report) == 0
+    return report.read_bytes()
+
+
+def edit_manifest(out: Path, edit) -> None:
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def parsed_files(monkeypatch) -> list[str]:
+    """Names of the files ``analyze`` hands to ``sim.read_trace_dist`` from now on."""
+    names, read = [], sim.read_trace_dist
+
+    def spy(stream):
+        names.append(Path(stream.name).name)
+        return read(stream)
+
+    monkeypatch.setattr(sim, "read_trace_dist", spy)
+    return names
+
+
+@pytest.mark.parametrize("trials, duration_s", [(3, 30), (20, 8)])
+def test_analyze_takes_the_stored_means_exactly_as_the_parse_gives_them(
+        tmp_path, monkeypatch, trials, duration_s):
+    out = tmp_path / "runs"
+    assert run_cli("simulate", "--trials", trials, "--duration", duration_s, "--out", out) == 0
+    means = [t["below_had_m"] for t in json.loads((out / "manifest.json").read_text())["trials"]]
+    # Both trees hold a trial in which the hand never entered the zone.
+    assert None in means
+
+    def refuse(stream):
+        raise AssertionError(f"{stream.name} parsed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "read_trace_dist", refuse)
+        stored = analyze_report(out, tmp_path / "stored.json")
+    edit_manifest(out, lambda m: m.pop("had_m"))
+    assert analyze_report(out, tmp_path / "parsed.json") == stored
+
+
+def _set_first(key, value):
+    return lambda m: m["trials"][0].update({key: value})
+
+
+def _set_had(value):
+    return lambda m: m.update(had_m=value)
+
+
+SEED_11_FILES = [wire.trace_filename(c, s) for c in sim.CONDITIONS for s in (11, 12, 13)]
+
+
+@pytest.mark.parametrize("edit, parsed", [
+    (_set_first("below_had_m", "0.3"), SEED_11_FILES[:1]),
+    (_set_first("below_had_m", 0), SEED_11_FILES[:1]),
+    (_set_first("below_had_m", math.nan), SEED_11_FILES[:1]),
+    (_set_first("seed", True), SEED_11_FILES[:1]),
+    (_set_first("seed", "11"), SEED_11_FILES[:1]),
+    (_set_first("sha256", "ab"), SEED_11_FILES[:1]),
+    (lambda m: m["trials"][0].update(sha256=m["trials"][0]["sha256"].upper()),
+     SEED_11_FILES[:1]),
+    (_set_first("seed", 12), SEED_11_FILES[:1]),
+    (_set_first("cond", "va"), SEED_11_FILES[:1]),
+    (_set_first("cond", "x"), SEED_11_FILES[:1]),
+    (_set_had(0.36), SEED_11_FILES),
+    (_set_had("0.35"), SEED_11_FILES),
+    (_set_had(True), SEED_11_FILES),
+    (_set_had(None), SEED_11_FILES),
+], ids=["mean-str", "mean-int", "mean-nan", "seed-bool", "seed-str", "sha256-short",
+        "sha256-upper", "file-of-another-seed", "file-of-another-cond", "cond-unknown",
+        "had-other", "had-str", "had-bool", "had-null"])
+def test_analyze_parses_a_file_whose_manifest_entry_it_cannot_use(
+        tmp_path, monkeypatch, edit, parsed):
+    out = tmp_path / "runs"
+    assert run_cli("simulate", "--trials", 3, "--seed", 11, "--duration", 30,
+                   "--out", out) == 0
+    edit_manifest(out, lambda m: m.pop("had_m"))
+    expected = analyze_report(out, tmp_path / "parsed.json")
+    edit_manifest(out, _set_had(0.35))
+    edit_manifest(out, edit)
+    names = parsed_files(monkeypatch)
+    assert analyze_report(out, tmp_path / "r.json") == expected
+    assert names == parsed
+
+
+def test_analyze_warns_about_a_trace_that_does_not_match_the_manifest(tmp_path):
+    out = tmp_path / "runs"
+    assert run_cli("simulate", "--trials", 3, "--duration", 60, "--out", out) == 0
+    clean = json.loads(analyze_report(out, tmp_path / "clean.json"))
+    # One dist_m digit of a VA trace changed: a whole, readable trace line.
+    path = out / "trial_va_1.jsonl"
+    path.write_bytes(path.read_bytes().replace(b'"dist_m":0.3', b'"dist_m":0.1', 1))
+    tampered = json.loads(analyze_report(out, tmp_path / "tampered.json"))
+    assert tampered["warnings"] == clean["warnings"] + [
+        "trial_va_1.jsonl: does not match manifest.json"]
+    assert tampered["v"] == clean["v"]
+    assert tampered["va"]["mean"] < clean["va"]["mean"]
 
 
 def test_perceive_reports_calibrated_error(capsys):

@@ -15,9 +15,10 @@ from airshield import sim
 from airshield.cli import main
 from airshield.config import RunConfig
 
-# The manifest's config_sha256 covers the --duration 30 of the run below.
+# The manifest's config_sha256 covers the --duration 30 of the run below; it
+# also pins each trace's sha256 and below-HAD mean, and the HAD of those means.
 TRACE_SHA256 = {
-    "manifest.json": "f786835ffb2c183291b1bae9148b9db16d7907f910ab25489164e5440907f8da",
+    "manifest.json": "6f4816e2d9d41ff9b7190d647ab9b3b842d4e811402cf39276d8ff2a75abbe52",
     "trial_v_11.jsonl": "2f3ac6a85de2413d2c7ebbfa5688a2bcac093f34c692629fc748dea38eb581b3",
     "trial_v_12.jsonl": "24eb36c621517e4c8ff337e3e9c6623dfb0c5790c76ee2261e2f0bf710f74f6b",
     "trial_v_13.jsonl": "53b92d033e6e2d49e409a5012a5b666c98afb258b64fc8a468885bad13bd0ddf",
@@ -29,7 +30,7 @@ TRACE_SHA256 = {
 # blocks that run_trial simulates, the trace encoder writes and analyze
 # reads (sim._BLOCK ticks each).
 LONG_TRACE_SHA256 = {
-    "manifest.json": "a6f65891471370e27b1a62ae894e66d4054cbfac320f920fd778cacca02485ff",
+    "manifest.json": "7bd14fa121c4efdb0dc49ee9273add7d1016a8ec2f24cb4df920dab7ce433eb4",
     "trial_v_5.jsonl": "b32f69f56804d3637724f292143766774e16b237c17f664b872e62ab4cb8da68",
     "trial_va_5.jsonl": "8e7838091fb384b390d3d32d58a927c609709755de3fe2c013052188ddca503b",
 }
