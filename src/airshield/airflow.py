@@ -162,7 +162,10 @@ def perception_errors(pm: PerceptionModel, jm: JetModel, duty: float,
     if pm.weber == 0.0:
         return np.zeros(n)
     rng = np.random.default_rng(seed)
-    q_felt = q * felt_multipliers(pm, rng.standard_normal(n))
+    # A Weber fraction near the float range can take a felt pressure to inf,
+    # which the clip below judges as the core value.
+    with np.errstate(over="ignore"):
+        q_felt = q * felt_multipliers(pm, rng.standard_normal(n))
     # A felt pressure is judged between the threshold and the core value; sqrt and
     # division round monotonically, so q >= detect_q keeps each estimate in range.
     q_eff = np.clip(q_felt, pm.detect_q, dynamic_pressure(jm, duty, 0.0))

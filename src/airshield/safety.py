@@ -61,6 +61,9 @@ class SafetyDecision:
 # The decision for each state, built once; frozen, so every caller can share it.
 _SAFE, _ACTIVE, _DANGER = (SafetyDecision(state=s, actuate=s is not SafetyState.SAFE)
                            for s in SafetyState)
+# The states ``step`` compares with, bound once: an enum member looked up on
+# its class costs several times a module global.
+_STATE_SAFE, _STATE_DANGER = SafetyState.SAFE, SafetyState.DANGER
 
 
 def classify(d: float, cfg: SafetyZoneConfig) -> SafetyState:
@@ -79,9 +82,9 @@ def step(prev: SafetyState, d: float, cfg: SafetyZoneConfig) -> SafetyDecision:
         raise NegativeDistance(f"distance must be non-negative, got {d}")
     # Leaving a state takes the hysteresis margin beyond that state's
     # threshold; the thresholds are positive, so adding 0.0 leaves them exact.
-    if d <= cfg.danger + (cfg.hysteresis if prev is SafetyState.DANGER else 0.0):
+    if d <= cfg.danger + (cfg.hysteresis if prev is _STATE_DANGER else 0.0):
         return _DANGER
-    if d <= cfg.had + (cfg.hysteresis if prev is not SafetyState.SAFE else 0.0):
+    if d <= cfg.had + (cfg.hysteresis if prev is not _STATE_SAFE else 0.0):
         return _ACTIVE
     if math.isfinite(d):
         return _SAFE

@@ -15,6 +15,12 @@ channel disabled, V and VA traces at equal seeds are identical by
 construction. Per-tick and per-frame inputs are drawn, and traces encoded,
 in blocks of ``_BLOCK``, and read back in chunks of ``_READ_BYTES``, so no
 step holds inputs or text for a whole trial, whatever a file holds.
+
+Within a block the loop does per tick only what changes every tick: it moves
+the hand and stores the distance. The block's excursion candidates, the
+ticks whose draw falls below the per-tick excursion chance, are found in one
+comparison before the loop, and the state and duty columns are filled at the
+block's end from the ticks where they change.
 """
 
 from __future__ import annotations
@@ -362,6 +368,14 @@ def trial_ticks(duration_s: float, tick_ms: float, duty_pct: float,
     return int(round(ticks))
 
 
+def _fill_from_marks(out: np.ndarray, stop: int, marks: list[tuple[int, float]]) -> None:
+    """Fill ``out`` from the first mark's tick up to ``stop`` so each tick holds
+    the value of the last mark at or before it; of several marks on one tick,
+    the last one counts."""
+    ticks, values = zip(*marks)
+    out[ticks[0]:stop] = np.repeat(values, np.diff(ticks, append=stop))
+
+
 def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
               zone: SafetyZoneConfig, jet: JetModel, perception: PerceptionModel,
               latency: StageLatencyModel, duration_s: float, seed: int,
@@ -396,12 +410,17 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     phase_until = human.task_dwell_s
     item: Vec3 = tray
     exc_count = 0
+    exc_max = len(item_u)
     crossed = False
     noticed = False
     vis_at = math.inf
     air_at = math.inf
     reaction_s = human.reaction_latency_ms / 1000.0
     inf = math.inf
+    sqrt = math.sqrt
+    task_step = human.task_speed * dt
+    reach_step = human.reach_speed * dt
+    retreat_step = human.retreat_speed * dt
 
     # Pipeline state.
     capture_s = latency.capture_ms / 1000.0
@@ -440,9 +459,18 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
         times = np.arange(start, stop) * dt
         out_t[start:stop] = np.rint(times * 1000.0)
         felt_block = felt_multipliers(perception, g_felt.standard_normal(stop - start))
-        for i, exc_u, felt_mult, tx, ty, tz in zip(
-                range(start, stop), g_exc.random(stop - start).tolist(), felt_block.tolist(),
-                *trajectory_positions(traj, times).T.tolist()):
+        # The ticks whose draw may start an excursion, then inf: the loop
+        # tests the rest of an excursion's conditions on these ticks only.
+        kicks = iter((np.flatnonzero(g_exc.random(stop - start) < excursion_p)
+                      + start).tolist() + [inf])
+        next_kick = next(kicks)
+        # (tick, value) marks of the state and duty columns: the values the
+        # block opens with, then each tick that may change one; the columns
+        # are filled from them at the block's end.
+        state_marks = [(start, live_state)]
+        duty_marks = [(start, duty)]
+        for i, tx, ty, tz in zip(range(start, stop),
+                                 *trajectory_positions(traj, times).T.tolist()):
             t = i * dt
 
             # --- hand update ---------------------------------------------
@@ -455,19 +483,18 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
             else:
                 if phase == _TASK_MOVE:
                     gx, gy, gz = task_target
-                    speed = human.task_speed
+                    step_len = task_step
                 elif phase == _REACH:
                     gx, gy, gz = item
-                    speed = human.reach_speed
+                    step_len = reach_step
                 elif phase == _RETURN:
                     gx, gy, gz = tray
-                    speed = human.reach_speed
+                    step_len = reach_step
                 else:  # _RETREAT
                     gx, gy, gz = tray
-                    speed = human.retreat_speed
+                    step_len = retreat_step
                 mx, my, mz = gx - hx, gy - hy, gz - hz
-                dist_goal = math.sqrt(mx * mx + my * my + mz * mz)
-                step_len = speed * dt
+                dist_goal = sqrt(mx * mx + my * my + mz * mz)
                 if dist_goal <= step_len:
                     hx, hy, hz = gx, gy, gz
                     if phase == _TASK_MOVE:
@@ -488,22 +515,26 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                     hz += mz * f
 
             # Excursion kick-off from the task loop.
-            if phase <= 1 and exc_count < len(item_u) and exc_u < excursion_p:
-                ux, uy, uz = hx - tx, hy - ty, hz - tz
-                un = math.sqrt(ux * ux + uy * uy + uz * uz)
-                if un > 1e-9:  # degenerate hand-on-TCP geometry: no direction to reach
-                    e = exc_count
-                    exc_count += 1
-                    d_item = human.item_near_m + (human.item_far_m - human.item_near_m) * item_u[e]
-                    item = (tx + ux / un * d_item, ty + uy / un * d_item, tz + uz / un * d_item)
-                    noticed = notice_u[e] < human.attention_p
-                    vis_at = inf
-                    air_at = inf
-                    crossed = False
-                    phase = _REACH
+            if i == next_kick:
+                next_kick = next(kicks)
+                if phase <= 1 and exc_count < exc_max:
+                    ux, uy, uz = hx - tx, hy - ty, hz - tz
+                    un = sqrt(ux * ux + uy * uy + uz * uz)
+                    if un > 1e-9:  # degenerate hand-on-TCP geometry: no direction to reach
+                        e = exc_count
+                        exc_count += 1
+                        d_item = (human.item_near_m
+                                  + (human.item_far_m - human.item_near_m) * item_u[e])
+                        item = (tx + ux / un * d_item, ty + uy / un * d_item,
+                                tz + uz / un * d_item)
+                        noticed = notice_u[e] < human.attention_p
+                        vis_at = inf
+                        air_at = inf
+                        crossed = False
+                        phase = _REACH
 
             dx, dy, dz = hx - tx, hy - ty, hz - tz
-            d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            d = sqrt(dx * dx + dy * dy + dz * dz)
 
             # --- tracking and decision pipeline --------------------------
             while next_capture <= t:
@@ -524,16 +555,20 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                 detector_free = done
                 mailbox_d = None
             while due <= t:
-                _, live_state, actuate = commands[applied]
+                _, state, actuate = commands[applied]
                 applied += 1
                 due = commands[applied][0] if applied < len(commands) else inf
                 duty_target = duty_on if actuate else 0.0
+                if state != live_state:
+                    live_state = state
+                    state_marks.append((i, state))
 
             # A settled duty is left as it is: the update would add 0.0 to it.
             if duty != duty_target:
                 duty += (duty_target - duty) * alpha
                 if abs(duty_target - duty) < _DUTY_SETTLE_PCT:
                     duty = duty_target
+                duty_marks.append((i, duty))
 
             # --- feedback channels ---------------------------------------
             if 2 <= phase <= 4:  # reaching, grabbing, or returning near the robot
@@ -542,7 +577,7 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                     if noticed:
                         vis_at = t + delay_u[exc_count - 1] * human.notice_delay_max_s + reaction_s
                 if (va and air_at == inf and duty > 0.0
-                        and is_felt(perception, jet, duty, d, felt_mult)):
+                        and is_felt(perception, jet, duty, d, float(felt_block[i - start]))):
                     air_at = t + reaction_s
                 if t >= vis_at or t >= air_at:
                     phase = _RETREAT
@@ -550,8 +585,9 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                     air_at = inf
 
             out_d[i] = d
-            out_state[i] = live_state
-            out_duty[i] = duty
+
+        _fill_from_marks(out_state, stop, state_marks)
+        _fill_from_marks(out_duty, stop, duty_marks)
 
     return DistanceTrace(t_ms=out_t, dist_m=out_d, state=out_state, duty_pct=out_duty,
                          condition=cond, seed=seed, decisions=commands)

@@ -526,6 +526,19 @@ def test_no_extreme_config_value_makes_simulate_hang_or_crash(tmp_path, capsys):
                 assert rc == 2 and err.startswith(f"config error: {key.split('.')[1]}"), key
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_no_extreme_config_value_makes_perceive_crash(capsys):
+    # The perception Monte Carlo at each key and value: exit 0 or 2, and no
+    # numpy overflow warning, not even where the felt pressure passes the
+    # float range (perception.weber=5e307).
+    for key in sorted(flatten(load_config())):
+        for value in (0, -1, 1e-12, 0.5, 1e12, 1e308, 5e-324, 5e307):
+            rc = run_cli("--set", f"{key}={value!r}", "perceive", "--distance", "0.5",
+                         "--samples", "1000")
+            assert rc in (0, 2), (key, value)
+            capsys.readouterr()
+
+
 def test_bad_config_override_exits_2(tmp_path, capsys):
     rc = run_cli("--set", "nope.key=1", "simulate", "--trials", "1",
                  "--out", tmp_path / "x")

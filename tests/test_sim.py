@@ -340,17 +340,27 @@ def test_loop_models_reject_nan_and_infinity(model, name, value):
 @pytest.mark.parametrize("block", [1, 7, 4097])
 def test_block_size_changes_no_trial_output(monkeypatch, block):
     # 10 000 ticks: several default blocks, and more than one of each size.
+    # The second config starts excursions often and ramps the fan slowly
+    # behind a slow link, so blocks open mid-excursion, with a state and a
+    # duty held over from the block before.
     cfg = RunConfig(duration_s=100.0)
-    want = next(sim.run_trials(cfg, ["va"], [5]))[2]
-    want_text = "".join(want.jsonl())
-    assert any(actuate for _, _, actuate in want.decisions)
+    edgy = replace(cfg, human=replace(cfg.human, excursion_rate=2.0),
+                   latency=replace(cfg.latency, transmit_ms=100.0, actuator_rise_ms=1000.0))
+    runs = [(c, cond) for c in (cfg, edgy) for cond in sim.CONDITIONS]
+    wants = [next(sim.run_trials(c, [cond], [5]))[2] for c, cond in runs]
+    assert all(any(actuate for _, _, actuate in want.decisions) for want in wants)
+    # Some block opens on a state, and some on a duty, other than a trial's first.
+    edges = np.arange(block, len(wants[0]), block)
+    assert any((want.state[edges] > 0).any() for want in wants[2:])
+    assert any((want.duty_pct[edges] > 0).any() for want in wants[2:])
     monkeypatch.setattr(sim, "_BLOCK", block)
-    got = next(sim.run_trials(cfg, ["va"], [5]))[2]
-    for column in ("t_ms", "dist_m", "state", "duty_pct"):
-        a, b = getattr(got, column), getattr(want, column)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert got.decisions == want.decisions
-    assert "".join(got.jsonl()) == want_text
+    for (c, cond), want in zip(runs, wants):
+        got = next(sim.run_trials(c, [cond], [5]))[2]
+        for column in ("t_ms", "dist_m", "state", "duty_pct"):
+            a, b = getattr(got, column), getattr(want, column)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (cond, column)
+        assert got.decisions == want.decisions
+        assert "".join(got.jsonl()) == "".join(want.jsonl())
 
 
 def test_run_trials_yields_condition_major_direct_trials():
@@ -804,6 +814,36 @@ def test_each_tick_shows_the_last_command_due_by_then(seed, cond, latency):
     applied = np.searchsorted(times, tick_s, side="right")
     states = np.array([int(SafetyState.SAFE)] + [s for _, s, _ in trace.decisions])
     assert np.array_equal(trace.state, states[applied])
+
+
+@settings(max_examples=12)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sim.CONDITIONS),
+       st.sampled_from([StageLatencyModel(), StageLatencyModel(detect_ms_sd=15.0),
+                        StageLatencyModel(detect_ms_mean=80.0),
+                        StageLatencyModel(transmit_ms=100.0)]))
+@example(1, "va", StageLatencyModel(detect_ms_sd=15.0))
+@example(1, "v", StageLatencyModel(detect_ms_mean=80.0))
+@example(1, "va", StageLatencyModel(transmit_ms=100.0))
+def test_each_tick_shows_the_duty_its_state_drives(seed, cond, latency):
+    # The impeller moves toward the duty of the tick's state (full duty unless
+    # SAFE) by the first-order step, and within the settle band takes it exactly.
+    # Frequent excursions run the fan in nearly every trial.
+    cfg = RunConfig(latency=latency, duration_s=20.0,
+                    human=sim.HumanModel(excursion_rate=0.5))
+    trace = sim.run_trial(cond, cfg.human, cfg.trajectory, cfg.safety, cfg.jet,
+                          cfg.perception, cfg.latency, cfg.duration_s, seed,
+                          tick_ms=cfg.tick_ms, duty_on=cfg.duty_pct)
+    tau = latency.actuator_rise_ms / 1000.0 / math.log(10.0)
+    alpha = 1.0 - math.exp(-cfg.tick_ms / 1000.0 / tau)
+    duty, want = 0.0, []
+    for state in trace.state.tolist():
+        target = cfg.duty_pct if state != SafetyState.SAFE else 0.0
+        duty += (target - duty) * alpha
+        if abs(target - duty) < sim._DUTY_SETTLE_PCT:
+            duty = target
+        want.append(duty)
+    assume(trace.duty_pct.max() > 0.0)
+    assert trace.duty_pct.tobytes() == np.array(want).tobytes()
 
 
 def test_a_duty_of_minus_zero_runs_as_zero(human, trajectory, zone, jet, perception, latency):
