@@ -32,6 +32,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_ANALYSIS = 4
 
+_HASH_CHUNK = 1 << 18  # bytes of a file hashed per read
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -156,10 +158,10 @@ def _usable_entry(t: object) -> bool:
 
 
 def _file_sha256(path: Path) -> str:
-    """SHA-256 of a file, read ``sim._READ_BYTES`` at a time."""
+    """SHA-256 of a file, read ``_HASH_CHUNK`` bytes at a time."""
     digest = hashlib.sha256()
     with path.open("rb") as stream:
-        while chunk := stream.read(sim._READ_BYTES):
+        while chunk := stream.read(_HASH_CHUNK):
             digest.update(chunk)
     return digest.hexdigest()
 

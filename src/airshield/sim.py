@@ -401,18 +401,16 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     out_state = np.empty(n, dtype=np.uint8)
     out_duty = np.empty(n)
 
-    # Hand state.
+    # Hand state; ``goal`` and the tick's ``step_len`` are set as the phase changes.
     tray = human.task_positions[0]
     toolbox = human.task_positions[1]
     hx, hy, hz = tray
     phase = _TASK_DWELL
     task_target = toolbox
     phase_until = human.task_dwell_s
-    item: Vec3 = tray
     exc_count = 0
     exc_max = len(item_u)
     crossed = False
-    noticed = False
     vis_at = math.inf
     air_at = math.inf
     reaction_s = human.reaction_latency_ms / 1000.0
@@ -477,37 +475,25 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
             if phase == _TASK_DWELL:
                 if t >= phase_until:
                     phase = _TASK_MOVE
+                    goal, step_len = task_target, task_step
             elif phase == _GRAB:
                 if t >= phase_until:
                     phase = _RETURN
+                    goal, step_len = tray, reach_step
             else:
-                if phase == _TASK_MOVE:
-                    gx, gy, gz = task_target
-                    step_len = task_step
-                elif phase == _REACH:
-                    gx, gy, gz = item
-                    step_len = reach_step
-                elif phase == _RETURN:
-                    gx, gy, gz = tray
-                    step_len = reach_step
-                else:  # _RETREAT
-                    gx, gy, gz = tray
-                    step_len = retreat_step
+                gx, gy, gz = goal
                 mx, my, mz = gx - hx, gy - hy, gz - hz
                 dist_goal = sqrt(mx * mx + my * my + mz * mz)
                 if dist_goal <= step_len:
                     hx, hy, hz = gx, gy, gz
-                    if phase == _TASK_MOVE:
-                        phase = _TASK_DWELL
-                        phase_until = t + human.task_dwell_s
-                        task_target = toolbox if task_target is tray else tray
-                    elif phase == _REACH:
+                    if phase == _REACH:
                         phase = _GRAB
                         phase_until = t + human.grab_dwell_s
-                    else:  # _RETURN or _RETREAT arrived at the tray
+                    else:  # a task move, a return or a retreat ends in a task dwell
+                        task_target = (tray if phase == _TASK_MOVE and task_target is toolbox
+                                       else toolbox)
                         phase = _TASK_DWELL
                         phase_until = t + human.task_dwell_s
-                        task_target = toolbox
                 else:
                     f = step_len / dist_goal
                     hx += mx * f
@@ -525,9 +511,11 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                         exc_count += 1
                         d_item = (human.item_near_m
                                   + (human.item_far_m - human.item_near_m) * item_u[e])
-                        item = (tx + ux / un * d_item, ty + uy / un * d_item,
+                        goal = (tx + ux / un * d_item, ty + uy / un * d_item,
                                 tz + uz / un * d_item)
-                        noticed = notice_u[e] < human.attention_p
+                        step_len = reach_step
+                        notice_s = (delay_u[e] * human.notice_delay_max_s
+                                    if notice_u[e] < human.attention_p else inf)
                         vis_at = inf
                         air_at = inf
                         crossed = False
@@ -574,13 +562,13 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
             if 2 <= phase <= 4:  # reaching, grabbing, or returning near the robot
                 if not crossed and d <= had:
                     crossed = True
-                    if noticed:
-                        vis_at = t + delay_u[exc_count - 1] * human.notice_delay_max_s + reaction_s
+                    vis_at = t + notice_s + reaction_s
                 if (va and air_at == inf and duty > 0.0
                         and is_felt(perception, jet, duty, d, float(felt_block[i - start]))):
                     air_at = t + reaction_s
                 if t >= vis_at or t >= air_at:
                     phase = _RETREAT
+                    goal, step_len = tray, retreat_step
                     vis_at = inf
                     air_at = inf
 

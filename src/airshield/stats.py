@@ -1,21 +1,23 @@
 """Hypothesis-testing kernel: Shapiro-Wilk, paired t-test, descriptive stats.
 
-Deliberately self-contained: the p-value machinery (regularized incomplete
-beta, normal CDF/quantile) lives here so that results never depend on the
-host's statistics stack.
+Deliberately self-contained, with no third-party statistics stack: the
+p-value machinery (regularized incomplete beta, normal CDF) lives here, and
+the normal quantile comes from the standard library's ``statistics``.
 
 References:
     Royston (1995), Remark AS R94, Applied Statistics 44(4): Shapiro-Wilk
     coefficient and p-value approximations, valid for 3 <= n <= 5000.
     Press et al., Numerical Recipes 3rd ed., 6.4: continued fraction for
     the incomplete beta function (Lentz's method).
-    Acklam (2003): rational approximation of the normal quantile.
+    Wichura (1988), Algorithm AS 241, Applied Statistics 37(3): the normal
+    quantile, as ``statistics.NormalDist.inv_cdf`` computes it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional, Sequence
 
 __all__ = [
@@ -30,7 +32,6 @@ __all__ = [
     "shapiro_wilk",
     "paired_t",
     "normal_cdf",
-    "normal_ppf",
     "reg_inc_beta",
     "t_two_sided_p",
 ]
@@ -87,53 +88,12 @@ def summarize(x: Sequence[float]) -> tuple[float, Optional[float]]:
 # ---------------------------------------------------------------------------
 
 _SQRT2 = math.sqrt(2.0)
-
-# Acklam's rational approximation coefficients.
-_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
+_STD_NORMAL = NormalDist()
 
 
 def normal_cdf(z: float) -> float:
     """Standard normal CDF via the complementary error function."""
     return 0.5 * math.erfc(-z / _SQRT2)
-
-
-def normal_ppf(p: float) -> float:
-    """Standard normal quantile, |error| ~ 1e-15 after one Halley step."""
-    if not 0.0 < p < 1.0:
-        if p == 0.0:
-            return -math.inf
-        if p == 1.0:
-            return math.inf
-        raise ValueError(f"quantile argument must be in [0, 1], got {p}")
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q + _PPF_C[3]) * q
-               + _PPF_C[4]) * q + _PPF_C[5])
-             / ((((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q + _PPF_D[3]) * q + 1.0))
-    elif p <= p_high:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_PPF_A[0] * r + _PPF_A[1]) * r + _PPF_A[2]) * r + _PPF_A[3]) * r
-               + _PPF_A[4]) * r + _PPF_A[5]) * q
-             / (((((_PPF_B[0] * r + _PPF_B[1]) * r + _PPF_B[2]) * r + _PPF_B[3]) * r
-                 + _PPF_B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -((((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q + _PPF_C[3]) * q
-                + _PPF_C[4]) * q + _PPF_C[5])
-              / ((((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q + _PPF_D[3]) * q + 1.0))
-    # One Halley refinement against the exact CDF.
-    err = normal_cdf(x) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
 
 
 # ---------------------------------------------------------------------------
@@ -154,25 +114,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, max_iter + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # The even then the odd coefficient of step m, one Lentz update each.
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < fpmin:
+                d = fpmin
+            c = 1.0 + aa / c
+            if abs(c) < fpmin:
+                c = fpmin
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             return h
     raise RuntimeError("incomplete beta continued fraction did not converge")
@@ -217,7 +170,7 @@ def _sw_coefficients(n: int) -> list[float]:
     if n == 3:
         r = math.sqrt(0.5)
         return [-r, 0.0, r]
-    m = [normal_ppf((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)]
+    m = [_STD_NORMAL.inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)]
     ss = math.fsum(mi * mi for mi in m)
     rsn = 1.0 / math.sqrt(n)
 

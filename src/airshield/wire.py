@@ -152,33 +152,28 @@ def journal_append(path: str | Path, records: Iterable[str | dict]) -> None:
 def journal_read(path: str | Path) -> tuple[list[dict], bool]:
     """Read all records in write order.
 
-    Returns (records, truncated); truncated is True when the file ends in a
-    partial line, the signature of a write torn by a crash. A complete but
-    unparsable line raises MalformedRecord with its line number.
+    Returns (records, truncated). Blank lines are skipped, and a complete
+    line that does not parse raises MalformedRecord with its line number.
+    The text after the last newline is a record if it parses; otherwise it
+    is a write torn by a crash, and truncated is True unless it is empty.
     """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise IoFailure(f"cannot read journal {path}: {exc}") from exc
     records: list[dict] = []
-    if not raw:
-        return records, False
-    lines = raw.split(b"\n")
-    ends_complete = raw.endswith(b"\n")
-    if ends_complete:
-        lines = lines[:-1]
-    for i, line in enumerate(lines):
-        is_last = i == len(lines) - 1
+    *lines, tail = raw.split(b"\n")
+    for i, line in enumerate(lines, start=1):
         if not line.strip():
-            if is_last and not ends_complete:
-                return records, True
             continue
         try:
             records.append(json.loads(line))
         except json.JSONDecodeError as exc:
-            if is_last and not ends_complete:
-                return records, True
-            raise MalformedRecord(i + 1, str(exc)) from exc
+            raise MalformedRecord(i, str(exc)) from exc
+    try:
+        records.append(json.loads(tail))
+    except json.JSONDecodeError:
+        return records, bool(tail)
     return records, False
 
 

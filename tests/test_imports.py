@@ -10,15 +10,35 @@ PACKAGE_DIR = Path(airshield.__file__).parent
 
 
 def private_imports(source: str) -> list[str]:
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        internal = node.level > 0 or (node.module or "").split(".")[0] == "airshield"
-        if internal:
-            found += [f"{node.module or '.'}.{a.name}" for a in node.names
-                      if a.name.startswith("_")]
+    """Private names taken from airshield modules: ``from x import _name``,
+    and ``x._name`` read from a module ``x`` bound by an import."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            internal = node.level > 0 or (node.module or "").split(".")[0] == "airshield"
+            if internal:
+                found += [f"{node.module or '.'}.{a.name}" for a in node.names
+                          if a.name.startswith("_")]
+            if internal and node.module in (None, "airshield"):
+                modules |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names
+                        if a.name.split(".")[0] == "airshield"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.endswith("__") and (owner := dotted(node.value)) in modules):
+            found.append(f"{owner}.{node.attr}")
     return found
+
+
+def dotted(node: ast.AST) -> str | None:
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute) and (base := dotted(node.value)) is not None:
+        return f"{base}.{node.attr}"
+    return None
 
 
 def test_no_module_imports_a_private_name_from_another():
@@ -31,6 +51,14 @@ def test_guard_sees_relative_and_absolute_private_imports():
     assert private_imports("from .airflow import JetModel, _helper") == ["airflow._helper"]
     assert private_imports("from airshield.sim import _TASK_MOVE") == ["airshield.sim._TASK_MOVE"]
     assert private_imports("from numpy import _globals") == []
+
+
+def test_guard_sees_private_attribute_reads_of_sibling_modules():
+    assert private_imports("from . import cli, sim\nsim._READ_BYTES") == ["sim._READ_BYTES"]
+    assert private_imports("from airshield import wire as w\nw._x") == ["w._x"]
+    assert private_imports("import airshield.sim\nairshield.sim._BLOCK") == [
+        "airshield.sim._BLOCK"]
+    assert private_imports("from . import sim\nsim.__name__\nself._cache\nnp._core") == []
 
 
 def all_mismatch(source: str) -> tuple[list[str], list[str]]:

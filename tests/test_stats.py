@@ -109,7 +109,7 @@ def test_shapiro_matches_reference_implementation():
     # (n <= 5, 6..11, >= 12).
     import scipy.stats as ss
     rng = np.random.default_rng(0)
-    for n in (4, 5, 6, 8, 11, 12, 20, 50, 200):
+    for n in (4, 5, 6, 8, 11, 12, 20, 50, 200, 5000):
         for trial in range(4):
             x = rng.standard_normal(n) * rng.uniform(0.5, 3) + rng.uniform(-5, 5)
             if trial % 2:
@@ -198,9 +198,3 @@ def test_reg_inc_beta_endpoints_and_symmetry():
     for x in (0.1, 0.5, 0.9):
         assert stats.reg_inc_beta(2.5, 1.5, x) == pytest.approx(
             1.0 - stats.reg_inc_beta(1.5, 2.5, 1.0 - x), abs=1e-12)
-
-
-def test_normal_quantile_round_trip():
-    for p in (1e-9, 1e-4, 0.02, 0.3, 0.5, 0.77, 0.999, 1 - 1e-9):
-        z = stats.normal_ppf(p)
-        assert stats.normal_cdf(z) == pytest.approx(p, rel=1e-10, abs=1e-13)

@@ -93,7 +93,7 @@ def test_journal_append_is_incremental(tmp_path):
     path = tmp_path / "j.jsonl"
     wire.journal_append(path, [{"a": 1}])
     wire.journal_append(path, [{"b": 2}])
-    wire.journal_append(path, '{"c":3}\n{"d":4}\n')  # already encoded lines
+    wire.journal_append(path, '{"c":3}\n\n{"d":4}\n')  # already encoded lines, one blank
     got, _ = wire.journal_read(path)
     assert got == [{"a": 1}, {"b": 2}, {"c": 3}, {"d": 4}]
 
@@ -105,13 +105,15 @@ def test_journal_append_writes_str_blocks_as_they_are(tmp_path):
 
 
 def test_journal_tolerates_truncated_tail(tmp_path):
-    path = tmp_path / "j.jsonl"
-    wire.journal_append(path, [{"i": 0}, {"i": 1}])
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write('{"i": 2, "dist"')  # torn write, no newline
-    got, truncated = wire.journal_read(path)
-    assert got == [{"i": 0}, {"i": 1}]
-    assert truncated
+    # Torn writes, no newline: a partial record, and the whitespace before one.
+    for k, tail in enumerate(('{"i": 2, "dist"', "  ")):
+        path = tmp_path / f"j{k}.jsonl"
+        wire.journal_append(path, [{"i": 0}, {"i": 1}])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(tail)
+        got, truncated = wire.journal_read(path)
+        assert got == [{"i": 0}, {"i": 1}]
+        assert truncated
 
 
 def test_journal_malformed_line_reports_position(tmp_path):
