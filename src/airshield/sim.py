@@ -20,7 +20,10 @@ Within a block the loop does per tick only what changes every tick: it moves
 the hand and stores the distance. The block's excursion candidates, the
 ticks whose draw falls below the per-tick excursion chance, are found in one
 comparison before the loop, and the state and duty columns are filled at the
-block's end from the ticks where they change.
+block's end from the ticks where they change. Idle ticks, in the task loop
+beyond the HAD with the state SAFE, the fan stopped and no command in flight,
+run a span at a time: the hand walks task moves laid out once per trial, the
+distances are taken in numpy, and each frame decides SAFE without ``step``.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ import json
 import math
 import re
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import chain, count
+from itertools import chain, count, islice
+from operator import itemgetter
 from typing import TYPE_CHECKING, BinaryIO, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -238,6 +243,8 @@ _DUTY_SETTLE_PCT = 1e-3
 # Most ticks one trial may hold: about 28 h at the default 10 ms tick, and
 # 250 MB of trace columns.
 _MAX_TICKS = 1e7
+# Most ticks of a task move laid out for idle spans; a longer one runs tick by tick.
+_MOVE_TICKS = 4096
 
 
 @dataclass
@@ -376,6 +383,104 @@ def _fill_from_marks(out: np.ndarray, stop: int, marks: list[tuple[int, float]])
     out[ticks[0]:stop] = np.repeat(values, np.diff(ticks, append=stop))
 
 
+class _TaskLoop:
+    """The hand's task loop, laid out once per trial for its idle spans. A task
+    move starts exactly at the tray or the toolbox, as arrivals snap to their
+    goal, so ``points`` (and ``xyz``) hold both moves by the loop's recurrence:
+    the start, a step per tick and the goal itself on arrival. Indexed by
+    ``target is toolbox``: a move's first row (where the dwell before it is
+    spent), its last row (the arrival; -1 for one longer than ``_MOVE_TICKS``
+    ticks, not laid out) and the row of each point it holds while moving."""
+
+    def __init__(self, tray: Vec3, toolbox: Vec3, step_len: float, dwell_s: float) -> None:
+        self.tray, self.toolbox, self.dwell_s = tray, toolbox, dwell_s
+        self.points, self.first, self.last, self.row = [], [], [], []
+        for start, goal in ((toolbox, tray), (tray, toolbox)):
+            (hx, hy, hz), (gx, gy, gz) = start, goal
+            path = [tuple(start)]
+            while len(path) <= _MOVE_TICKS:
+                mx, my, mz = gx - hx, gy - hy, gz - hz
+                dist_goal = math.sqrt(mx * mx + my * my + mz * mz)
+                if dist_goal <= step_len:
+                    break
+                f = step_len / dist_goal
+                hx += mx * f
+                hy += my * f
+                hz += mz * f
+                path.append((hx, hy, hz))
+            arrived = len(path) <= _MOVE_TICKS
+            first = len(self.points)
+            self.first.append(first)
+            self.last.append(first + len(path) if arrived else -1)
+            self.row.append({p: first + k for k, p in enumerate(path)} if arrived else {})
+            self.points += path + [goal] if arrived else [start]
+        self.xyz = np.array(self.points, dtype=float)
+
+    def walk(self, phase: int, target: Vec3, until: float, hand: Vec3,
+             times: list[float], lo: int, hi: int) -> tuple[np.ndarray, list]:
+        """The hand's rows of ``points`` on ticks ``lo``.. of a block with tick
+        times ``times``, from its ``phase``, ``target``, dwell end ``until`` and
+        ``hand`` after tick ``lo - 1``; and its (tick, phase, target, until)
+        after that tick and after each tick where the phase changes. The walk
+        stops at ``hi``, before a move not laid out, or at once when the hand
+        is moving off its laid-out move."""
+        marks, pieces, r = [(lo - 1, phase, target, until)], [np.arange(0)], lo
+        if phase == _TASK_MOVE:  # on from the row after the hand's, if it has one
+            k = self.row[target is self.toolbox].get(hand, -2) + 1
+            r = lo if k > 0 else hi
+        while r < hi:
+            box = target is self.toolbox
+            if phase == _TASK_DWELL:  # ends on the first tick at or after ``until``
+                end = bisect_left(times, until, r, hi)
+                pieces.append(np.full(end - r, self.first[box]))
+                r = end
+                if r == hi or self.last[box] < 0:
+                    break
+                phase, k = _TASK_MOVE, self.first[box]
+                marks.append((r, phase, target, until))
+            else:
+                n = min(self.last[box] + 1 - k, hi - r)
+                pieces.append(np.arange(k, k + n))
+                r += n
+                if k + n <= self.last[box]:
+                    break
+                phase, target = _TASK_DWELL, self.tray if box else self.toolbox
+                until = times[r - 1] + self.dwell_s
+                marks.append((r - 1, phase, target, until))
+        return np.concatenate(pieces), marks
+
+
+def _idle_frames(commands: list, times: list[float], dist: np.ndarray, lo: int, hi: int,
+                 next_capture: float, mailbox_t: float, detector_free: float, capture_s: float,
+                 detect_s: Iterator[float], decide_s: float, transmit_s: float) -> tuple:
+    """Run the frames of an idle span, block ticks ``lo``..``hi - 1`` with tick
+    times ``times`` and distances ``dist[r - lo]``, as the trial loop does,
+    appending their decisions to ``commands``. The span opens with the mailbox
+    empty, and from SAFE a finite distance beyond the HAD decides SAFE, so no
+    frame calls ``step``. Returns (next_capture, mailbox_d, mailbox_t,
+    detector_free); a frame not yet processed stays in the mailbox."""
+    held, r = -1, lo  # held: the tick of the frame in the mailbox, -1 while it is empty
+    while True:
+        at = bisect_left(times, next_capture, r, hi)
+        # A held frame waits while the detector is busy, up to the next capture.
+        if held < 0 or times[at - 1] < detector_free:
+            if at == hi:
+                break
+            t = times[at]
+            while next_capture <= t:
+                mailbox_t = next_capture
+                next_capture += capture_s
+            held, r = at, at + 1
+            if t < detector_free:
+                continue
+        # max(mailbox_t, detector_free), without the call
+        done = (detector_free if detector_free > mailbox_t else mailbox_t) + next(detect_s)
+        commands.append((done + decide_s + transmit_s, 0, False))
+        detector_free = done
+        held = -1
+    return next_capture, None if held < 0 else float(dist[held - lo]), mailbox_t, detector_free
+
+
 def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
               zone: SafetyZoneConfig, jet: JetModel, perception: PerceptionModel,
               latency: StageLatencyModel, duration_s: float, seed: int,
@@ -450,11 +555,16 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
 
     excursion_p = human.excursion_rate * dt
 
+    task_loop = _TaskLoop(tray, toolbox, task_step, human.task_dwell_s)
+    idle_from = 0  # the last walk saw the hand within the HAD up to this tick
+
     for start in range(0, n, _BLOCK):
         # The per-tick inputs, one block at a time. Each generator is read in
         # sequence and the rest is elementwise, so the block size changes no draw.
         stop = min(start + _BLOCK, n)
         times = np.arange(start, stop) * dt
+        tick_s = times.tolist()
+        tcp = trajectory_positions(traj, times)
         out_t[start:stop] = np.rint(times * 1000.0)
         felt_block = felt_multipliers(perception, g_felt.standard_normal(stop - start))
         # The ticks whose draw may start an excursion, then inf: the loop
@@ -467,8 +577,39 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
         # are filled from them at the block's end.
         state_marks = [(start, live_state)]
         duty_marks = [(start, duty)]
-        for i, tx, ty, tz in zip(range(start, stop),
-                                 *trajectory_positions(traj, times).T.tolist()):
+        ticks = zip(range(start, stop), *tcp.T.tolist())
+        for i, tx, ty, tz in ticks:
+            # --- idle span -----------------------------------------------
+            # In the task loop with nothing in flight, the state SAFE and the fan
+            # stopped, the ticks before the next excursion candidate where the
+            # hand stays beyond the HAD run as one span: each frame decides SAFE.
+            if (phase <= 1 and due == inf and live_state == 0 and duty == 0.0
+                    and idle_from <= i < next_kick):
+                lo = i - start
+                rows, marks = task_loop.walk(phase, task_target, phase_until, (hx, hy, hz),
+                                             tick_s, lo, min(stop, next_kick) - start)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    dx, dy, dz = (task_loop.xyz[rows] - tcp[lo:lo + len(rows)]).T
+                    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+                far = (dist > had) & (dist < inf)
+                span = int(np.argmin(np.append(far, False)))
+                idle_from = i + span + int(np.argmax(np.append(far[span:], True)))
+                if span:
+                    last = lo + span - 1
+                    out_d[i:i + span] = dist[:span]
+                    _, phase, task_target, phase_until = next(
+                        m for m in reversed(marks) if m[0] <= last)
+                    hx, hy, hz = task_loop.points[rows[span - 1]]
+                    if phase == _TASK_MOVE:
+                        goal, step_len = task_target, task_step
+                    next_capture, mailbox_d, mailbox_t, detector_free = _idle_frames(
+                        commands, tick_s, dist, lo, last + 1, next_capture, mailbox_t,
+                        detector_free, capture_s, detect_s, decide_s, transmit_s)
+                    applied = bisect_right(commands, tick_s[last], applied, key=itemgetter(0))
+                    due = commands[applied][0] if applied < len(commands) else inf
+                    next(islice(ticks, span - 1, span - 1), None)
+                    continue
+
             t = i * dt
 
             # --- hand update ---------------------------------------------
@@ -576,6 +717,7 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
 
         _fill_from_marks(out_state, stop, state_marks)
         _fill_from_marks(out_duty, stop, duty_marks)
+        ticks = tick_s = tcp = None  # freed before the next block's inputs are made
 
     return DistanceTrace(t_ms=out_t, dist_m=out_d, state=out_state, duty_pct=out_duty,
                          condition=cond, seed=seed, decisions=commands)

@@ -153,9 +153,10 @@ def journal_read(path: str | Path) -> tuple[list[dict], bool]:
     """Read all records in write order.
 
     Returns (records, truncated). Blank lines are skipped, and a complete
-    line that does not parse raises MalformedRecord with its line number.
-    The text after the last newline is a record if it parses; otherwise it
-    is a write torn by a crash, and truncated is True unless it is empty.
+    line that does not parse to a JSON object raises MalformedRecord with its
+    line number. The text after the last newline is a record if it parses,
+    and raises unless an object; otherwise it is a write torn by a crash, and
+    truncated is True unless it is empty.
     """
     try:
         raw = Path(path).read_bytes()
@@ -167,14 +168,20 @@ def journal_read(path: str | Path) -> tuple[list[dict], bool]:
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            records.append(_record(i, json.loads(line)))
         except json.JSONDecodeError as exc:
             raise MalformedRecord(i, str(exc)) from exc
     try:
-        records.append(json.loads(tail))
+        records.append(_record(len(lines) + 1, json.loads(tail)))
     except json.JSONDecodeError:
         return records, bool(tail)
     return records, False
+
+
+def _record(line_no: int, value: object) -> dict:
+    if not isinstance(value, dict):
+        raise MalformedRecord(line_no, f"a record is a JSON object, got {type(value).__name__}")
+    return value
 
 
 def trace_filename(condition: str, seed: int) -> str:

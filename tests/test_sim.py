@@ -872,3 +872,41 @@ def test_actuation_reaction_bound(human, trajectory, zone, jet, perception, late
                     delays.append(nxt[0] - t_cross)
     assert len(delays) >= 60
     assert np.percentile(delays, 99) <= bound
+
+
+def response_window_ticks(latency, tick_ms):
+    """Ticks within which the loop answers a distance: a frame interval, two
+    detect times of mean + 6 sd (a frame can wait for one in progress), the
+    decision and the link, plus a tick each to capture and apply."""
+    window_ms = (latency.capture_ms + 2 * (latency.detect_ms_mean + 6 * latency.detect_ms_sd)
+                 + latency.decide_ms + latency.transmit_ms)
+    return math.ceil(window_ms / tick_ms) + 2
+
+
+# detect_ms_mean stays bounded here. A detector slower than the trial
+# (detect_ms_mean=1e308) never frees, so the loop answers no later frame and
+# the bound fails; that is open until a stale-frame rule (ROADMAP item 7).
+@settings(max_examples=25)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sim.CONDITIONS),
+       st.sampled_from([StageLatencyModel(), StageLatencyModel(detect_ms_sd=15.0),
+                        StageLatencyModel(detect_ms_mean=80.0),
+                        StageLatencyModel(detect_ms_mean=200.0),
+                        StageLatencyModel(transmit_ms=100.0),
+                        StageLatencyModel(actuator_rise_ms=1000.0)]),
+       st.sampled_from([3.3, 7.0, 10.0]), st.sampled_from([0.0, 10.0, 100.0]),
+       st.sampled_from([0.08, 0.3]))
+@example(1, "va", StageLatencyModel(), 10.0, 100.0, 0.3)
+@example(2, "v", StageLatencyModel(detect_ms_mean=80.0), 3.3, 0.0, 0.3)
+def test_the_loop_answers_a_distance_within_its_response_window(seed, cond, latency, tick_ms,
+                                                                 duty_pct, excursion_rate):
+    cfg = RunConfig(latency=latency, tick_ms=tick_ms, duty_pct=duty_pct, duration_s=60.0,
+                    human=sim.HumanModel(excursion_rate=excursion_rate))
+    trace = next(sim.run_trials(cfg, [cond], [seed]))[2]
+    w = response_window_ticks(latency, tick_ms)
+    # Row k holds the w ticks that end at tick k + w - 1.
+    last_w = np.lib.stride_tricks.sliding_window_view(trace.dist_m, w)
+    state = trace.state[w - 1:]
+    inside = (last_w <= cfg.safety.had).all(axis=1)
+    outside = (last_w > cfg.safety.had + cfg.safety.hysteresis).all(axis=1)
+    assert np.all(state[inside] != int(SafetyState.SAFE))
+    assert np.all(state[outside] == int(SafetyState.SAFE))

@@ -127,6 +127,20 @@ def test_journal_malformed_line_reports_position(tmp_path):
     assert exc_info.value.line_no == 2
 
 
+@pytest.mark.parametrize("text, line_no", [
+    ('1\n[2]\n"x"', 1),
+    ('{"i": 0}\n[2]\n"x"', 2),
+    ('{"i": 0}\n{"i": 1}\n"x"', 3),  # an unterminated tail
+    ('{"i": 0}\n\nnull\n', 3),
+])
+def test_journal_read_refuses_records_that_are_not_objects(tmp_path, text, line_no):
+    path = tmp_path / "j.jsonl"
+    path.write_text(text)
+    with pytest.raises(wire.MalformedRecord, match="JSON object") as exc_info:
+        wire.journal_read(path)
+    assert exc_info.value.line_no == line_no
+
+
 def test_journal_empty_file(tmp_path):
     path = tmp_path / "j.jsonl"
     path.write_text("")
