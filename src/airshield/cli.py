@@ -277,8 +277,9 @@ def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_posecheck(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require(args.poses >= 1, "--poses", ">= 1", args.poses)
     _require(args.seed >= 0, "--seed", ">= 0", args.seed)
-    _require(math.isfinite(args.noise_px) and args.noise_px >= 0.0, "--noise-px",
-             "finite and >= 0", args.noise_px)
+    # A normal draw stays below 13.8 sd, so a finite 16-fold keeps every corner finite.
+    _require(args.noise_px >= 0.0 and math.isfinite(16.0 * args.noise_px), "--noise-px",
+             ">= 0 and leave 16 * --noise-px finite", args.noise_px)
     rng = np.random.default_rng(args.seed)
     cam = geometry.CameraIntrinsics()
     marker = geometry.MarkerSpec(side_len=0.10)

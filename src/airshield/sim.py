@@ -19,11 +19,12 @@ step holds inputs or text for a whole trial, whatever a file holds.
 Within a block the loop does per tick only what changes every tick: it moves
 the hand and stores the distance. The block's excursion candidates, the
 ticks whose draw falls below the per-tick excursion chance, are found in one
-comparison before the loop, and the state and duty columns are filled at the
-block's end from the ticks where they change. Idle ticks, in the task loop
+comparison before the loop. The state and duty columns start at zero and a
+tick stores each only where it is nonzero. Idle ticks, in the task loop
 beyond the HAD with the state SAFE, the fan stopped and no command in flight,
-run a span at a time: the hand walks task moves laid out once per trial, the
-distances are taken in numpy, and each frame decides SAFE without ``step``.
+run a span at a time and store only their distances: the hand walks task
+moves laid out once per trial, the distances are taken in numpy, and each
+frame decides SAFE without ``step``.
 """
 
 from __future__ import annotations
@@ -375,14 +376,6 @@ def trial_ticks(duration_s: float, tick_ms: float, duty_pct: float,
     return int(round(ticks))
 
 
-def _fill_from_marks(out: np.ndarray, stop: int, marks: list[tuple[int, float]]) -> None:
-    """Fill ``out`` from the first mark's tick up to ``stop`` so each tick holds
-    the value of the last mark at or before it; of several marks on one tick,
-    the last one counts."""
-    ticks, values = zip(*marks)
-    out[ticks[0]:stop] = np.repeat(values, np.diff(ticks, append=stop))
-
-
 class _TaskLoop:
     """The hand's task loop, laid out once per trial for its idle spans. A task
     move starts exactly at the tray or the toolbox, as arrivals snap to their
@@ -503,8 +496,8 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
 
     out_t = np.empty(n, dtype=np.int64)
     out_d = np.empty(n)
-    out_state = np.empty(n, dtype=np.uint8)
-    out_duty = np.empty(n)
+    out_state = np.zeros(n, dtype=np.uint8)
+    out_duty = np.zeros(n)
 
     # Hand state; ``goal`` and the tick's ``step_len`` are set as the phase changes.
     tray = human.task_positions[0]
@@ -572,17 +565,13 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
         kicks = iter((np.flatnonzero(g_exc.random(stop - start) < excursion_p)
                       + start).tolist() + [inf])
         next_kick = next(kicks)
-        # (tick, value) marks of the state and duty columns: the values the
-        # block opens with, then each tick that may change one; the columns
-        # are filled from them at the block's end.
-        state_marks = [(start, live_state)]
-        duty_marks = [(start, duty)]
         ticks = zip(range(start, stop), *tcp.T.tolist())
         for i, tx, ty, tz in ticks:
             # --- idle span -----------------------------------------------
             # In the task loop with nothing in flight, the state SAFE and the fan
             # stopped, the ticks before the next excursion candidate where the
-            # hand stays beyond the HAD run as one span: each frame decides SAFE.
+            # hand stays beyond the HAD run as one span: each frame decides SAFE,
+            # and its ticks keep the zero state and duty the columns start with.
             if (phase <= 1 and due == inf and live_state == 0 and duty == 0.0
                     and idle_from <= i < next_kick):
                 lo = i - start
@@ -688,16 +677,13 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                 applied += 1
                 due = commands[applied][0] if applied < len(commands) else inf
                 duty_target = duty_on if actuate else 0.0
-                if state != live_state:
-                    live_state = state
-                    state_marks.append((i, state))
+                live_state = state
 
             # A settled duty is left as it is: the update would add 0.0 to it.
             if duty != duty_target:
                 duty += (duty_target - duty) * alpha
                 if abs(duty_target - duty) < _DUTY_SETTLE_PCT:
                     duty = duty_target
-                duty_marks.append((i, duty))
 
             # --- feedback channels ---------------------------------------
             if 2 <= phase <= 4:  # reaching, grabbing, or returning near the robot
@@ -714,9 +700,11 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                     air_at = inf
 
             out_d[i] = d
+            if live_state:
+                out_state[i] = live_state
+            if duty:
+                out_duty[i] = duty
 
-        _fill_from_marks(out_state, stop, state_marks)
-        _fill_from_marks(out_duty, stop, duty_marks)
         ticks = tick_s = tcp = None  # freed before the next block's inputs are made
 
     return DistanceTrace(t_ms=out_t, dist_m=out_d, state=out_state, duty_pct=out_duty,

@@ -418,7 +418,8 @@ def test_calibrate_unreadable_targets_file_exits_3(tmp_path, capsys):
     ("simulate", "--seed", "-1"), ("posecheck", "--seed", "-1"),
     ("calibrate", "--seed", "-2000"), ("calibrate", "--seed", "-1"),
     ("posecheck", "--noise-px", "inf"), ("posecheck", "--noise-px", "nan"),
-    ("posecheck", "--noise-px", "-1"), ("perceive", "--distance", "nan"),
+    ("posecheck", "--noise-px", "-1"), ("posecheck", "--noise-px", "1e308"),
+    ("perceive", "--distance", "nan"),
     ("perceive", "--distance", "inf"), ("perceive", "--seed", "-1", "--distance", "0.25"),
     ("perceive", "--samples", "1", "--distance", "0.25"),
 ])
