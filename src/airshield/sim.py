@@ -269,20 +269,38 @@ class DistanceTrace:
         t_ms, dist_m, state (its name), duty_pct, cond, seed, given as blocks
         of up to ``_BLOCK`` whole lines.
 
-        Built column by column from one row template; ``repr`` writes a finite
-        float exactly as ``json.dumps`` does. NaN and infinities are not JSON,
-        so a trace holding one raises ValueError here, before any block.
+        A block is one join of its columns' strings, interleaved with the
+        constant text between them: ``str`` of each t_ms, ``repr`` of each
+        dist_m, one constant per state value, and ``repr`` of each duty_pct
+        taken from a memo of the trace's distinct duties, keyed on their bits
+        so that -0.0 keeps its sign. ``repr`` writes a finite float exactly as
+        ``json.dumps`` does. NaN and infinities are not JSON, so a trace
+        holding one raises ValueError here, before any block.
         """
         if not (np.isfinite(self.dist_m).all() and np.isfinite(self.duty_pct).all()):
             raise ValueError("a trace file holds finite dist_m and duty_pct only")
         # '"cond":...,"seed":...}', the same on every row.
         tail = json.dumps({"cond": self.condition, "seed": self.seed},
                           separators=(",", ":"))[1:]
-        columns = (self.t_ms, self.dist_m, self.state, self.duty_pct)
-        return ("".join([
-            f'{{"t_ms":{t},"dist_m":{d!r},"state":"{_STATE_NAMES[s]}","duty_pct":{u!r},{tail}\n'
-            for t, d, s, u in zip(*(c[lo:lo + _BLOCK].tolist() for c in columns))])
-            for lo in range(0, len(self), _BLOCK))
+        between = f',{tail}\n{{"t_ms":'  # from one row's duty_pct to the next row's t_ms
+        states = {v: f',"state":"{name}","duty_pct":' for v, name in _STATE_NAMES.items()}
+        duty_bits = np.asarray(self.duty_pct, dtype=float).view(np.int64)
+        distinct = np.unique(duty_bits)
+        duties = dict(zip(distinct.tolist(), map(repr, distinct.view(float).tolist())))
+
+        def blocks() -> Iterator[str]:
+            for lo in range(0, len(self), _BLOCK):
+                hi = min(lo + _BLOCK, len(self))
+                parts = [between, None, ',"dist_m":', None, None, None] * (hi - lo)
+                parts[0] = '{"t_ms":'
+                parts[1::6] = map(str, self.t_ms[lo:hi].tolist())
+                parts[3::6] = map(repr, self.dist_m[lo:hi].tolist())
+                parts[4::6] = map(states.__getitem__, self.state[lo:hi].tolist())
+                parts[5::6] = map(duties.__getitem__, duty_bits[lo:hi].tolist())
+                parts.append(f",{tail}\n")
+                yield "".join(parts)
+
+        return blocks()
 
 
 # One trace line exactly as ``DistanceTrace.jsonl`` writes it, capturing the

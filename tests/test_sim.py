@@ -493,6 +493,21 @@ def test_jsonl_blocks_are_whole_lines_at_the_block_edge(extra):
     assert all(b.endswith("\n") for b in blocks)
 
 
+def test_jsonl_keeps_the_sign_of_a_zero_duty():
+    # 0.0 and -0.0 are equal as floats and as dict keys; each keeps its own
+    # text within one block and on both sides of a block edge.
+    n = sim._BLOCK + 4
+    duty = np.zeros(n)
+    duty[[1, 3, sim._BLOCK - 1, sim._BLOCK + 2]] = -0.0
+    duty[[5, sim._BLOCK + 1]] = 50.0
+    trace = make_trace(zip(range(n), [0.3] * n, [0] * n, duty.tolist()), "va", 2)
+    blocks = list(trace.jsonl())
+    assert len(blocks) == 2
+    assert "".join(blocks) == records_jsonl(trace)
+    assert [b.count('"duty_pct":-0.0,') for b in blocks] == [3, 1]
+    assert [b.count('"duty_pct":0.0,') for b in blocks] == [sim._BLOCK - 4, 2]
+
+
 @settings(max_examples=300)
 @given(traces(seeds=int64s), st.one_of(st.none(), st.integers(1, 64)))
 @example(make_trace(EDGE_ROWS, "va", -2**63), None)
