@@ -18,55 +18,55 @@ from airshield.config import RunConfig
 # The manifest's config_sha256 covers the --duration 30 of the run below; it
 # also pins each trace's sha256 and below-HAD mean, and the HAD of those means.
 TRACE_SHA256 = {
-    "manifest.json": "6f4816e2d9d41ff9b7190d647ab9b3b842d4e811402cf39276d8ff2a75abbe52",
-    "trial_v_11.jsonl": "2f3ac6a85de2413d2c7ebbfa5688a2bcac093f34c692629fc748dea38eb581b3",
-    "trial_v_12.jsonl": "24eb36c621517e4c8ff337e3e9c6623dfb0c5790c76ee2261e2f0bf710f74f6b",
-    "trial_v_13.jsonl": "53b92d033e6e2d49e409a5012a5b666c98afb258b64fc8a468885bad13bd0ddf",
-    "trial_va_11.jsonl": "fbd4ab15432243407cb5f96573b14c2ac8323273cac1def39f6513f2767167f0",
-    "trial_va_12.jsonl": "bff36422d2a734b929f49c0e91b10551fd4628f13fcefef90fd2ba52ad8b3c12",
-    "trial_va_13.jsonl": "ce2cc4338cd208386752d67be4b8a81e68757e84e665ea7b521076d6e56525e3",
+    "manifest.json": "ad28b9110d3b2cb382759a0c53a93388296614035ce5cbb549e691953e3edf68",
+    "trial_v_11.jsonl": "998816e838ddab643ab7ae4ec235f8263b75ee1330e327fcc158a75f62fd5152",
+    "trial_v_12.jsonl": "d92e23fc0958645ca1325debc9a6d441bfdcdb782914a795b8f9547c490c955f",
+    "trial_v_13.jsonl": "95bfebc86a37142f5dbdadcc4e226f8aa1fb66188182463c620dfb427e93a15e",
+    "trial_va_11.jsonl": "33fe9e9de8916ed6a7a7f80c1eb4c535ac75192ca373a01887cb2be8b9ab9c4a",
+    "trial_va_12.jsonl": "ecff1c8cf21a8e6f9a6d5146b05436a23a2b84f1c1b83fc844c466ad3e3a591c",
+    "trial_va_13.jsonl": "b60e235def52b8276206c52345c29885d6313412b4c56c4d38977c0e5d7dbda9",
 }
 # 100 s trials hold 10 000 ticks, so they cross the boundaries of the
 # blocks that run_trial simulates, the trace encoder writes and analyze
 # reads (sim._BLOCK ticks each).
 LONG_TRACE_SHA256 = {
-    "manifest.json": "7bd14fa121c4efdb0dc49ee9273add7d1016a8ec2f24cb4df920dab7ce433eb4",
-    "trial_v_5.jsonl": "b32f69f56804d3637724f292143766774e16b237c17f664b872e62ab4cb8da68",
-    "trial_va_5.jsonl": "8e7838091fb384b390d3d32d58a927c609709755de3fe2c013052188ddca503b",
+    "manifest.json": "cd0c81b4bbcb618f093ffb7aa8c6b3a761a8b6119fc912b45e13cdb4ec592414",
+    "trial_v_5.jsonl": "96e3478557f81bd72e096a2f4931558440d951bebbfeacda47a2038417b8c3ec",
+    "trial_va_5.jsonl": "375cd4c7216f8e39ebbad54dc51654d9f5bc2a333185e2f4d83e9d27eb9d6f5c",
 }
 # What the hand did and what the loop decided in the six trials above:
 # dist_m, state and the decision log, without the duty column, so a change
 # to the actuator model alone leaves them as they are.
 TRIAL_SHA256 = {
-    "v_11": "e03dc1621bb692550df493d11d5e0a03b2920b3868bd599d8fb59f0be5decd9b",
-    "v_12": "d694f2504dcd2241d5c5d151fa55f5a6eb159a20ce352561f5d03c9b4dda13be",
-    "v_13": "eb1052bcfc74d123f35cf1d84e0a394a6b7395551f86221fbca0ba031293cd05",
-    "va_11": "d08b29c40ef829f512ab8f7b8b44f24b9da0450a6eb5a1154a125155a2283b96",
-    "va_12": "b867f194c7e5e162ff6a2d786343d83e4df5f114d2ad4a672965e613e75f4572",
-    "va_13": "4824e1aa3ff4532ccc335f99493c4bc20e9ea3a10f23f327b8c2dc46022b72e5",
+    "v_11": "212a068b9afc003507650990b29f32dc99cddba1b92238c2ae13f7e90767c27a",
+    "v_12": "f43036a3d4c97579cd01f958e9698ffd28d0698b8a73e14a47faf6aa2bc368bd",
+    "v_13": "6e210de91ac0aa21b1094436f6b2108980e8ed6767a0f6bb2931295f62c59f37",
+    "va_11": "9264a3116f7bd60ecc69d0fcfc11b31750d27d6d2e18d88fa51a23ad628dd980",
+    "va_12": "33ef60d84428f4a3652d2359c11c94c21264e64d369b1751cc23130ebbba38f6",
+    "va_13": "fb027374b15d2022a3c588ea6f0de9faed2c354c336053468ce02cd64d0c654a",
 }
 # The report names the manifest hash of the traces it read
 # (traces_config_sha256) next to the hash of the analysing config.
-REPORT_SHA256 = "34750b4f9b6367892dd7442325be1a645b9e2124948440bb28e2d8ffe1746c04"
+REPORT_SHA256 = "e714caca9eef611397e988d81a0051822f0477af2b9155f0df2047da903cdc37"
 POSECHECK_STDOUT_SHA256 = "72132334104304acf8c647fe39d7c069f2befa144da99d4040a137c0de9b66e6"
 PERCEIVE_STDOUT_SHA256 = "dfe2ed8b16e872145d38db68966f07adb641406f7a867efce31916ecf9743462"
 # One evaluation at the default parameters already converges; the residuals
 # print at full precision, so this pins the trial loop and the perception
 # Monte Carlo together.
-CALIBRATE_STDOUT_SHA256 = "7c4bccda604eff99ff48748b16d7e3c949ef380ca4249bec5dfbb7514b2643c4"
+CALIBRATE_STDOUT_SHA256 = "5ba22da7fb1d9218b24ae775feaedce2acc293d5fe2f80f32fec4bf270b8b9bd"
 # The coordinate-descent search itself, through sim.calibrate: a fit that
-# converges after 32 evaluations, the same search cut at 14 by its budget,
+# converges after 34 evaluations, the same search cut at 14 by its budget,
 # and one that gives up after 49 of 400 evaluations when six passes bring
 # no improvement. Each digest covers the repr of (residuals, evaluations,
 # human, perception), or the failure message.
 NEAR_TARGETS = sim.CalibrationTargets(v_mean=0.33, va_mean=0.34, err_near=0.05,
                                       tol_mean=0.01)
-NEAR_SEARCH = dict(trials_per_eval=4, trial_duration_s=20, mc_samples=2000, seed=0)
+NEAR_SEARCH = dict(trials_per_eval=4, trial_duration_s=20, mc_samples=2000, seed=4)
 CALIBRATE_SEARCH_CASES = [
     (NEAR_TARGETS, 40, NEAR_SEARCH,
-     "9e634671a9f5c573e75ffe8cc9ca21424542f008bb3c7cc4e71dd6ff32869bb8"),
+     "c8bebf390496b8d662abfcc55d07f6cc4b5f4279437f33c6fd6376a2aba70946"),
     (NEAR_TARGETS, 14, NEAR_SEARCH,
-     "32ee0116927bfb1ad369dbd05091d6e0eb5a97a399f9278c80213e5ec8d8adc5"),
+     "f6e4b3b4fee58825957b32dd3d41c72d1e323516118276cd88fd827a38dfc8f5"),
     (sim.CalibrationTargets(tol_mean=0.0), 400,
      dict(trials_per_eval=2, trial_duration_s=10, mc_samples=500, seed=1),
      "d9df06b8e9691220744685e70f93cd3c0e3dadef2ce44557f2a87b3e73cb8196"),

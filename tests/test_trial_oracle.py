@@ -46,10 +46,10 @@ def reference_trial(cond, human, traj, zone, jet, perception, latency, duration_
 
     # Named random streams, drawn in full so both conditions consume
     # identical draws whichever channels fire; the per-tick and per-frame
-    # ones are drawn in blocks of ``_BLOCK`` as the loop below uses them.
+    # ones are drawn in blocks of ``_BLOCK`` as the loop below uses them, and
+    # ``g_event`` gives each excursion its three values as it starts.
     streams = np.random.SeedSequence(seed).spawn(4)
     g_exc, g_event, g_felt, g_lat = (np.random.default_rng(s) for s in streams)
-    item_u, notice_u, delay_u = g_event.random((3, int(duration_s) + 16)).tolist()
     detect_s = chain.from_iterable((draw_detect_ms(latency, g_lat, sim._BLOCK) / 1000.0).tolist()
                                    for _ in count())
 
@@ -65,8 +65,6 @@ def reference_trial(cond, human, traj, zone, jet, perception, latency, duration_
     phase = _TASK_DWELL
     task_target = toolbox
     phase_until = human.task_dwell_s
-    exc_count = 0
-    exc_max = len(item_u)
     crossed = False
     vis_at = math.inf
     air_at = math.inf
@@ -160,19 +158,18 @@ def reference_trial(cond, human, traj, zone, jet, perception, latency, duration_
             # Excursion kick-off from the task loop.
             if i == next_kick:
                 next_kick = next(kicks)
-                if phase <= 1 and exc_count < exc_max:
+                if phase <= 1:
                     ux, uy, uz = hx - tx, hy - ty, hz - tz
                     un = sqrt(ux * ux + uy * uy + uz * uz)
                     if un > 1e-9:  # degenerate hand-on-TCP geometry: no direction to reach
-                        e = exc_count
-                        exc_count += 1
+                        item, notice, delay = g_event.random(3).tolist()
                         d_item = (human.item_near_m
-                                  + (human.item_far_m - human.item_near_m) * item_u[e])
+                                  + (human.item_far_m - human.item_near_m) * item)
                         goal = (tx + ux / un * d_item, ty + uy / un * d_item,
                                 tz + uz / un * d_item)
                         step_len = reach_step
-                        notice_s = (delay_u[e] * human.notice_delay_max_s
-                                    if notice_u[e] < human.attention_p else inf)
+                        notice_s = (delay * human.notice_delay_max_s
+                                    if notice < human.attention_p else inf)
                         vis_at = inf
                         air_at = inf
                         crossed = False
