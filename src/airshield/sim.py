@@ -288,7 +288,9 @@ class DistanceTrace:
         between = f',{tail}\n{{"t_ms":'  # from one row's duty_pct to the next row's t_ms
         states = {v: f',"state":"{name}","duty_pct":' for v, name in _STATE_NAMES.items()}
         duty_bits = np.asarray(self.duty_pct, dtype=float).view(np.int64)
-        distinct = np.unique(duty_bits)
+        # Sorted rather than np.unique, whose first call imports numpy.ma (about 1 MB).
+        ordered = np.sort(duty_bits)
+        distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
         duties = dict(zip(distinct.tolist(), map(repr, distinct.view(float).tolist())))
 
         def blocks() -> Iterator[str]:
