@@ -90,6 +90,9 @@ def _require(ok: bool, flag: str, rule: str, value: object) -> None:
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require(args.trials >= 1, "--trials", ">= 1", args.trials)
     _require(args.seed >= 0, "--seed", ">= 0", args.seed)
+    # A trace line's seed has at most 19 digits, as ``sim.read_trace_dist`` reads it.
+    _require(args.seed + args.trials <= 10**19, "--seed",
+             f"at most {10**19 - args.trials} with --trials {args.trials}", args.seed)
     duration = args.duration if args.duration is not None else cfg.duration_s
     _require(math.isfinite(duration) and duration > 0.0, "--duration",
              "positive and finite", duration)

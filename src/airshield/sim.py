@@ -13,8 +13,8 @@ whichever channels fire, so trials are bit-reproducible from their seed and
 the two feedback conditions consume identical randomness: with the airflow
 channel disabled, V and VA traces at equal seeds are identical by
 construction. Per-tick and per-frame inputs are drawn, and traces encoded,
-in blocks of ``_BLOCK``, and read back in chunks of ``_READ_BYTES``, so no
-step holds inputs or text for a whole trial, whatever a file holds. Each
+in blocks of ``_BLOCK``, and read back a line at a time, so no step holds
+inputs or text for a whole trial, whatever a file holds. Each
 excursion draws its item distance, attention and glance delay as it starts,
 so the e-th excursion of either condition gets the same values, however many
 a trial starts.
@@ -236,9 +236,8 @@ _STATE_NAMES = {s.value: s.name for s in SafetyState}
 # Ticks of a trial that ``run_trial`` simulates, and ``DistanceTrace.jsonl``
 # encodes, as one piece.
 _BLOCK = 4096
-# Bytes that ``read_trace_dist`` asks its stream for at a time, and the
-# longest piece without a newline that it holds before it refuses the file.
-_READ_BYTES = 1 << 18
+# The most bytes ``read_trace_dist`` asks its stream for at a time: a piece
+# this long without a newline is refused.
 _MAX_LINE = 4096
 # Duty (%) within which the impeller settles exactly at its commanded duty:
 # 1/500 of the 0.5 % step an actuator frame carries, where the jet gives about
@@ -319,7 +318,7 @@ _TRACE_LINE = re.compile(
     rb'^\{"t_ms":' + _JSON_INT + rb',"dist_m":(' + _JSON_FLOAT + rb'),"state":"(?:'
     + "|".join(_STATE_NAMES.values()).encode() + rb')","duty_pct":' + _JSON_FLOAT
     + rb',"cond":"(?:' + "|".join(CONDITIONS).encode() + rb')","seed":' + _JSON_INT
-    + rb'\}\n', re.MULTILINE)
+    + rb'\}\n')
 
 
 def read_trace_dist(stream: BinaryIO) -> tuple[str | None, int | None, np.ndarray, bool]:
@@ -327,32 +326,28 @@ def read_trace_dist(stream: BinaryIO) -> tuple[str | None, int | None, np.ndarra
     reading as ``stream``: cond and seed of the first line (None without a
     whole line) and dist_m of every line, as the full JSON parser gives them.
 
+    The file is read a line at a time, at most ``_MAX_LINE`` bytes per read.
     Any whole line not in the exact shape ``jsonl()`` writes raises
     ValueError, as does a piece of ``_MAX_LINE`` bytes without a newline. A
     last piece without a newline is kept if it is a whole trace line and
-    otherwise dropped with truncated True: a write torn by a crash. The file
-    is read ``_READ_BYTES`` at a time and parsed up to the last whole line.
+    otherwise dropped with truncated True: a write torn by a crash.
     """
     dist = array("d")
-    head = rest = b""
-    while chunk := stream.read(_READ_BYTES):
-        data = rest + chunk
-        end = data.rfind(b"\n") + 1
-        found = _TRACE_LINE.findall(data, 0, end)
-        # A match is one whole line, so every line matched when the counts agree.
-        if len(found) != data.count(b"\n", 0, end):
-            bad = next(i for i, line in enumerate(data[:end].split(b"\n"))
-                       if not _TRACE_LINE.match(line + b"\n"))
-            raise ValueError(f"line {len(dist) + bad + 1} is not a trace line")
-        head = head or data[:data.find(b"\n") + 1]
-        dist.extend(map(float, found))
-        rest = data[end:]
-        if len(rest) >= _MAX_LINE:
-            raise ValueError(f"line {len(dist) + 1} is longer than {_MAX_LINE} bytes")
-    if last := _TRACE_LINE.match(rest + b"\n"):
-        dist.append(float(last[1]))
-    first = json.loads(head or rest) if dist else {}
-    return first.get("cond"), first.get("seed"), np.frombuffer(dist), bool(rest) and not last
+    head, torn = b"", False
+    while line := stream.readline(_MAX_LINE):
+        if not (found := _TRACE_LINE.match(line)):
+            if line.endswith(b"\n"):
+                raise ValueError(f"line {len(dist) + 1} is not a trace line")
+            if len(line) == _MAX_LINE:
+                raise ValueError(f"line {len(dist) + 1} is longer than {_MAX_LINE} bytes")
+            # The last piece: kept if it is a whole trace line.
+            if not (found := _TRACE_LINE.match(line + b"\n")):
+                torn = True
+                break
+        head = head or line
+        dist.append(float(found[1]))
+    first = json.loads(head) if head else {}
+    return first.get("cond"), first.get("seed"), np.frombuffer(dist), torn
 
 
 def below_had_mean(dist_m: np.ndarray | Sequence[float], had: float) -> float | None:
@@ -856,7 +851,7 @@ def calibrate(targets: CalibrationTargets, budget: int, cfg: RunConfig, *,
     budget runs out before all targets sit within their tolerances.
     """
     if budget < 1:
-        raise CalibrationFailed("evaluation budget is zero")
+        raise CalibrationFailed(f"evaluation budget must be at least 1, got {budget}")
 
     def models(params: dict[str, float]) -> tuple[HumanModel, PerceptionModel]:
         return (replace(cfg.human, attention_p=params["attention_p"],

@@ -204,6 +204,19 @@ def test_analyze_without_a_manifest_hash_reports_null(tmp_path, manifest):
     assert json.loads(report.read_text())["traces_config_sha256"] is None
 
 
+def test_analyze_reads_back_the_largest_seeds_simulate_writes(tmp_path):
+    # Trace lines hold seeds of at most 19 digits; simulate writes no larger one.
+    out = tmp_path / "runs"
+    assert run_cli("simulate", "--trials", "2", "--seed", 10**19 - 2, "--duration", "40",
+                   "--out", out) == 0
+    (out / "manifest.json").unlink()
+    report = tmp_path / "r.json"
+    assert run_cli("analyze", "--in", out, "--report", report) == 0
+    payload = json.loads(report.read_text())
+    assert payload["n_pairs"] == 2
+    assert all(w.startswith("shapiro") for w in payload["warnings"])  # none names a file
+
+
 def test_analyze_skips_unreadable_trace(tmp_path):
     out = tmp_path / "runs"
     assert run_cli(*FAST_SIM, "simulate", "--condition", "both", "--trials", "3",
@@ -380,6 +393,12 @@ def test_calibrate_zero_budget_exits_4(tmp_path, capsys):
     assert rc == 4
 
 
+def test_calibrate_negative_budget_names_it(capsys):
+    assert run_cli("calibrate", "--budget", "-3") == 4
+    assert capsys.readouterr().err == (
+        "calibration failed: evaluation budget must be at least 1, got -3\n")
+
+
 def test_calibrate_self_targets_succeeds(tmp_path):
     # target the known calibrated behavior; the first evaluation should pass
     targets = tmp_path / "targets.json"
@@ -415,7 +434,8 @@ def test_calibrate_unreadable_targets_file_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [
     ("simulate", "--duration", "nan"), ("simulate", "--duration", "inf"),
-    ("simulate", "--seed", "-1"), ("posecheck", "--seed", "-1"),
+    ("simulate", "--seed", "-1"), ("simulate", "--seed", str(10**19 - 1), "--trials", "2"),
+    ("posecheck", "--seed", "-1"),
     ("calibrate", "--seed", "-2000"), ("calibrate", "--seed", "-1"),
     ("posecheck", "--noise-px", "inf"), ("posecheck", "--noise-px", "nan"),
     ("posecheck", "--noise-px", "-1"), ("posecheck", "--noise-px", "1e308"),
@@ -427,7 +447,7 @@ def test_bad_numeric_flag_exits_2(tmp_path, capsys, args):
     extra = {"simulate": ("--trials", "1", "--out", tmp_path / "x"),
              "posecheck": ("--poses", "2"), "calibrate": ("--budget", "1"),
              "perceive": ()}[args[0]]
-    assert run_cli(*args, *extra) == 2
+    assert run_cli(args[0], *extra, *args[1:]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {args[1]} must be ")
     assert not (tmp_path / "x").exists()
 

@@ -54,7 +54,7 @@ def test_guard_sees_relative_and_absolute_private_imports():
 
 
 def test_guard_sees_private_attribute_reads_of_sibling_modules():
-    assert private_imports("from . import cli, sim\nsim._READ_BYTES") == ["sim._READ_BYTES"]
+    assert private_imports("from . import cli, sim\nsim._MAX_LINE") == ["sim._MAX_LINE"]
     assert private_imports("from airshield import wire as w\nw._x") == ["w._x"]
     assert private_imports("import airshield.sim\nairshield.sim._BLOCK") == [
         "airshield.sim._BLOCK"]
