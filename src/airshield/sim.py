@@ -28,6 +28,12 @@ beyond the HAD with the state SAFE, the fan stopped and no command in flight,
 run a span at a time and store only their distances: the hand walks task
 moves laid out once per trial, the distances are taken in numpy, and each
 frame decides SAFE without ``step``.
+
+Every trial of a run replays the same robot path, so trials of at most
+``_MEMO_BLOCKS`` blocks (a default 120 s trial) share it: the robot's inputs
+for each block, its tick times and TCP positions, are made once and kept, about
+2 MB, for the next trial with the same path, tick and length. A longer trial
+makes them a block at a time and keeps none of them.
 """
 
 from __future__ import annotations
@@ -248,6 +254,9 @@ _DUTY_SETTLE_PCT = 1e-3
 _MAX_TICKS = 1e7
 # Most ticks of a task move laid out for idle spans; a longer one runs tick by tick.
 _MOVE_TICKS = 4096
+# Most blocks of a trial whose robot inputs ``_robot_memo`` keeps: a default
+# 120 s trial at 10 ms, about 2 MB. A longer trial makes them a block at a time.
+_MEMO_BLOCKS = 3
 
 
 @dataclass
@@ -492,6 +501,34 @@ def _idle_frames(commands: list, times: list[float], dist: np.ndarray, lo: int, 
     return next_capture, None if held < 0 else float(dist[held - lo]), mailbox_t, detector_free
 
 
+def _robot_block(traj: RobotTrajectory, dt: float, start: int, stop: int) -> tuple:
+    """The robot inputs of ticks ``start``..``stop - 1``, ``dt`` s apart: their
+    times as a list, their ``t_ms``, the TCP positions and their x, y, z lists."""
+    times = np.arange(start, stop) * dt
+    tcp = trajectory_positions(traj, times)
+    return (times.tolist(), np.rint(times * 1000.0), tcp, *tcp.T.tolist())
+
+
+# The robot inputs of the last trial of at most ``_MEMO_BLOCKS`` blocks, by key.
+_robot_memo: dict[tuple, tuple] = {}
+
+
+def _robot_blocks(traj: RobotTrajectory, dt: float, n: int) -> tuple:
+    """Each block's robot inputs for a trial of ``n`` ticks, ``dt`` s apart, made
+    once for the trials that replay the same path. The key holds all that
+    ``trajectory_positions`` and the block layout read; the arrays are read-only."""
+    key = (traj._table.tobytes(), traj.cycle_period, traj.speed, traj.accel, dt, n, _BLOCK)
+    blocks = _robot_memo.get(key)
+    if blocks is None:
+        _robot_memo.clear()  # the old entry goes before the new one is made
+        blocks = tuple(_robot_block(traj, dt, lo, min(lo + _BLOCK, n))
+                       for lo in range(0, n, _BLOCK))
+        for _, t_ms, tcp, *_ in blocks:
+            t_ms.flags.writeable = tcp.flags.writeable = False
+        _robot_memo[key] = blocks
+    return blocks
+
+
 def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
               zone: SafetyZoneConfig, jet: JetModel, perception: PerceptionModel,
               latency: StageLatencyModel, duration_s: float, seed: int,
@@ -567,21 +604,23 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     task_loop = _TaskLoop(tray, toolbox, task_step, human.task_dwell_s)
     idle_from = 0  # the last walk saw the hand within the HAD up to this tick
 
+    # A short trial takes the robot's inputs from ``_robot_memo``, which the
+    # trials of a run share; a longer one makes them as it reaches each block.
+    shared = _robot_blocks(traj, dt, n) if n <= _MEMO_BLOCKS * _BLOCK else None
     for start in range(0, n, _BLOCK):
         # The per-tick inputs, one block at a time. Each generator is read in
         # sequence and the rest is elementwise, so the block size changes no draw.
         stop = min(start + _BLOCK, n)
-        times = np.arange(start, stop) * dt
-        tick_s = times.tolist()
-        tcp = trajectory_positions(traj, times)
-        out_t[start:stop] = np.rint(times * 1000.0)
+        tick_s, t_ms, tcp, xs, ys, zs = (shared[start // _BLOCK] if shared is not None
+                                         else _robot_block(traj, dt, start, stop))
+        out_t[start:stop] = t_ms
         felt_block = felt_multipliers(perception, g_felt.standard_normal(stop - start))
         # The ticks whose draw may start an excursion, then inf: the loop
         # tests the rest of an excursion's conditions on these ticks only.
         kicks = iter((np.flatnonzero(g_exc.random(stop - start) < excursion_p)
                       + start).tolist() + [inf])
         next_kick = next(kicks)
-        ticks = zip(range(start, stop), *tcp.T.tolist())
+        ticks = zip(range(start, stop), xs, ys, zs)
         for i, tx, ty, tz in ticks:
             # --- idle span -----------------------------------------------
             # In the task loop with nothing in flight, the state SAFE and the fan
@@ -720,7 +759,8 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
             if duty:
                 out_duty[i] = duty
 
-        ticks = tick_s = tcp = None  # freed before the next block's inputs are made
+        # A long trial frees a block's inputs before the next block's are made.
+        ticks = tick_s = t_ms = tcp = xs = ys = zs = None
 
     return DistanceTrace(t_ms=out_t, dist_m=out_d, state=out_state, duty_pct=out_duty,
                          condition=cond, seed=seed, decisions=commands)

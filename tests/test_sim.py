@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -392,6 +393,61 @@ def test_run_trials_yields_condition_major_direct_trials():
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def trial_bytes(trace):
+    return (trace.t_ms.tobytes(), trace.dist_m.tobytes(), trace.state.tobytes(),
+            trace.duty_pct.tobytes(), repr(trace.decisions))
+
+
+def test_trials_sharing_the_robot_memo_match_cold_trials():
+    # Trials of two paths interleave, at two ticks and at a length on each
+    # side of the memo's bound. Each short trial differs from the one before it
+    # in its path or its tick alone; the second seed of each case runs on the
+    # entry the first one made, or on none beyond the bound.
+    cfg = RunConfig()
+    # The same period as the default path, with 0.4 s of dwell moved from its
+    # first waypoint to its third.
+    dwell = sim.RobotTrajectory(waypoints=tuple(
+        (p, d + shift) for (p, d), shift in zip(cfg.trajectory.waypoints, (-0.4, 0.0, 0.4, 0.0))))
+    assert dwell.cycle_period == cfg.trajectory.cycle_period
+    cases = [(traj, tick, ticks * tick / 1000.0)
+             for traj, tick in ((cfg.trajectory, 10.0), (dwell, 10.0), (dwell, 3.3),
+                                (cfg.trajectory, 3.3))
+             for ticks in (6000, 12500)]
+    assert [sim.trial_ticks(d, tick, 100.0, 33.3) for _, tick, d in cases] == [6000, 12500] * 4
+    assert 6000 <= sim._MEMO_BLOCKS * sim._BLOCK < 12500
+
+    def trial(traj, tick, duration, seed):
+        return sim.run_trial("va", cfg.human, traj, cfg.safety, cfg.jet, cfg.perception,
+                             cfg.latency, duration, seed, tick)
+
+    wants = {}
+    for k, case in enumerate(cases):
+        for seed in (5, 6):
+            sim._robot_memo.clear()
+            wants[k, seed] = trial_bytes(trial(*case, seed))
+    for k, case in enumerate(cases):
+        for seed in (5, 6):
+            got = trial(*case, seed)
+            assert trial_bytes(got) == wants[k, seed], (k, seed)
+            assert got.t_ms.flags.writeable
+        (blocks,) = sim._robot_memo.values()
+        for _, t_ms, tcp, *_ in blocks:
+            assert not t_ms.flags.writeable and not tcp.flags.writeable
+
+
+def test_a_trajectory_built_from_lists_runs_on_the_memo(human, trajectory, zone, jet,
+                                                        perception, latency):
+    listed = sim.RobotTrajectory(waypoints=[[list(p), d] for p, d in trajectory.waypoints])
+    sim._robot_memo.clear()
+    want = trial_bytes(run("va", 3, human, trajectory, zone, jet, perception, latency, 5.0))
+    sim._robot_memo.clear()
+    assert trial_bytes(run("va", 3, human, listed, zone, jet, perception, latency, 5.0)) == want
+    with mock.patch.object(sim, "trajectory_positions") as positions:
+        again = run("va", 3, human, listed, zone, jet, perception, latency, 5.0)
+    assert positions.call_count == 0
+    assert trial_bytes(again) == want
+
+
 def records(trace):
     """JSON-ready rows of a trace in trace-file field order, one per tick:
     the rows ``jsonl()`` encodes."""
@@ -715,6 +771,25 @@ def test_trial_memory_beyond_its_result_does_not_grow_with_trial_length():
     # by about 1.6 MB over these 450 s.
     short, long = trial_peak_over_result(150.0), trial_peak_over_result(600.0)
     assert long - short <= 0.5e6, f"grew from {short / 1e6:.2f} to {long / 1e6:.2f} MB"
+
+
+def test_a_trial_leaves_at_most_its_robot_memo_behind():
+    # A 120 s trial keeps its robot inputs for the next trial of the run; a
+    # 600 s trial is beyond the memo's bound and keeps nothing. The collection
+    # empties the interpreter's free lists, which hold the freed decision tuples.
+    sim._robot_memo.clear()
+    tracemalloc.start()
+    try:
+        left = []
+        for duration_s in (120.0, 600.0):
+            trace = next(sim.run_trials(RunConfig(duration_s=duration_s), ["va"], [1]))[2]
+            del trace
+            gc.collect()
+            left.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert left[0] <= 3e6, f"a 120 s trial left {left[0] / 1e6:.2f} MB"
+    assert left[1] - left[0] <= 0.05e6, f"a 600 s trial added {(left[1] - left[0]) / 1e6:.2f} MB"
 
 
 # --- analysis --------------------------------------------------------------
