@@ -23,11 +23,14 @@ Within a block the loop does per tick only what changes every tick: it moves
 the hand and stores the distance. The block's excursion candidates, the
 ticks whose draw falls below the per-tick excursion chance, are found in one
 comparison before the loop. The state and duty columns start at zero and a
-tick stores each only where it is nonzero. Idle ticks, in the task loop
-beyond the HAD with the state SAFE, the fan stopped and no command in flight,
-run a span at a time and store only their distances: the hand walks task
-moves laid out once per trial, the distances are taken in numpy, and each
-frame decides SAFE without ``step``.
+tick stores each only where it is nonzero. Every straight move of the hand
+follows one closed-form law, ``_move``: k ticks in, it is k steps along the
+segment from its start, and on its arrival tick at its goal itself. Idle
+ticks, in any phase, beyond the HAD with the state SAFE, the fan stopped, no
+command in flight and no retreat pending, run a span at a time and store
+only their distances: ``_walk`` lays the hand's path out on that law in
+numpy, the distances are taken in numpy, and each frame decides SAFE without
+``step``.
 
 Every trial of a run replays the same robot path, so trials of at most
 ``_MEMO_BLOCKS`` blocks (a default 120 s trial) share it: the robot's inputs
@@ -252,8 +255,6 @@ _DUTY_SETTLE_PCT = 1e-3
 # Most ticks one trial may hold: about 28 h at the default 10 ms tick, and
 # 250 MB of trace columns.
 _MAX_TICKS = 1e7
-# Most ticks of a task move laid out for idle spans; a longer one runs tick by tick.
-_MOVE_TICKS = 4096
 # Most blocks of a trial whose robot inputs ``_robot_memo`` keeps: a default
 # 120 s trial at 10 ms, about 2 MB. A longer trial makes them a block at a time.
 _MEMO_BLOCKS = 3
@@ -403,71 +404,80 @@ def trial_ticks(duration_s: float, tick_ms: float, duty_pct: float,
     return int(round(ticks))
 
 
-class _TaskLoop:
-    """The hand's task loop, laid out once per trial for its idle spans. A task
-    move starts exactly at the tray or the toolbox, as arrivals snap to their
-    goal, so ``points`` (and ``xyz``) hold both moves by the loop's recurrence:
-    the start, a step per tick and the goal itself on arrival. Indexed by
-    ``target is toolbox``: a move's first row (where the dwell before it is
-    spent), its last row (the arrival; -1 for one longer than ``_MOVE_TICKS``
-    ticks, not laid out) and the row of each point it holds while moving."""
+def _move(start: Vec3, goal: Vec3, step_len: float) -> tuple:
+    """A straight move of the hand from ``start`` to ``goal``, ``step_len`` a
+    tick: (sx, sy, sz, mx, my, mz, step_len, length, arrival tick, goal), with
+    m = goal - start. k ticks into it, before its arrival tick, the hand is at
+    start + m * (k * step_len / length); on the arrival tick,
+    max(1, ceil(length / step_len)), it is at ``goal`` itself. A move of length
+    0 arrives on its first tick; one whose ratio is not finite, a zero step
+    over a nonzero length included, arrives at inf, never."""
+    (sx, sy, sz), (gx, gy, gz) = start, goal
+    mx, my, mz = gx - sx, gy - sy, gz - sz
+    length = math.sqrt(mx * mx + my * my + mz * mz)
+    ratio = length / step_len if step_len > 0.0 else 0.0 if length == 0.0 else math.inf
+    arrive = max(1, math.ceil(ratio)) if ratio < math.inf else math.inf
+    return sx, sy, sz, mx, my, mz, step_len, length, arrive, goal
 
-    def __init__(self, tray: Vec3, toolbox: Vec3, step_len: float, dwell_s: float) -> None:
-        self.tray, self.toolbox, self.dwell_s = tray, toolbox, dwell_s
-        self.points, self.first, self.last, self.row = [], [], [], []
-        for start, goal in ((toolbox, tray), (tray, toolbox)):
-            (hx, hy, hz), (gx, gy, gz) = start, goal
-            path = [tuple(start)]
-            while len(path) <= _MOVE_TICKS:
-                mx, my, mz = gx - hx, gy - hy, gz - hz
-                dist_goal = math.sqrt(mx * mx + my * my + mz * mz)
-                if dist_goal <= step_len:
-                    break
-                f = step_len / dist_goal
-                hx += mx * f
-                hy += my * f
-                hz += mz * f
-                path.append((hx, hy, hz))
-            arrived = len(path) <= _MOVE_TICKS
-            first = len(self.points)
-            self.first.append(first)
-            self.last.append(first + len(path) if arrived else -1)
-            self.row.append({p: first + k for k, p in enumerate(path)} if arrived else {})
-            self.points += path + [goal] if arrived else [start]
-        self.xyz = np.array(self.points, dtype=float)
 
-    def walk(self, phase: int, target: Vec3, until: float, hand: Vec3,
-             times: list[float], lo: int, hi: int) -> tuple[np.ndarray, list]:
-        """The hand's rows of ``points`` on ticks ``lo``.. of a block with tick
-        times ``times``, from its ``phase``, ``target``, dwell end ``until`` and
-        ``hand`` after tick ``lo - 1``; and its (tick, phase, target, until)
-        after that tick and after each tick where the phase changes. The walk
-        stops at ``hi``, before a move not laid out, or at once when the hand
-        is moving off its laid-out move."""
-        marks, pieces, r = [(lo - 1, phase, target, until)], [np.arange(0)], lo
-        if phase == _TASK_MOVE:  # on from the row after the hand's, if it has one
-            k = self.row[target is self.toolbox].get(hand, -2) + 1
-            r = lo if k > 0 else hi
-        while r < hi:
-            box = target is self.toolbox
-            if phase == _TASK_DWELL:  # ends on the first tick at or after ``until``
-                end = bisect_left(times, until, r, hi)
-                pieces.append(np.full(end - r, self.first[box]))
-                r = end
-                if r == hi or self.last[box] < 0:
-                    break
-                phase, k = _TASK_MOVE, self.first[box]
-                marks.append((r, phase, target, until))
-            else:
-                n = min(self.last[box] + 1 - k, hi - r)
-                pieces.append(np.arange(k, k + n))
+def _leave(phase: int, hand: Vec3, target: Vec3, human: HumanModel, dt: float) -> tuple:
+    """(phase, move) as a task dwell or a grab ends with the hand at ``hand``: a
+    task move toward ``target``, or the return to the tray."""
+    if phase == _TASK_DWELL:
+        return _TASK_MOVE, _move(hand, target, human.task_speed * dt)
+    return _RETURN, _move(hand, human.task_positions[0], human.reach_speed * dt)
+
+
+def _arrive(phase: int, target: Vec3, t: float, human: HumanModel) -> tuple:
+    """(phase, task target, until) as a move of ``phase`` arrives at time ``t``:
+    a reach grabs; a task move, a return or a retreat ends in a task dwell."""
+    tray, toolbox = human.task_positions
+    if phase == _REACH:
+        return _GRAB, target, t + human.grab_dwell_s
+    return (_TASK_DWELL, tray if phase == _TASK_MOVE and target is toolbox else toolbox,
+            t + human.task_dwell_s)
+
+
+def _walk(human: HumanModel, dt: float, times: list[float], lo: int, hi: int, hand: Vec3,
+          phase: int, target: Vec3, until: float, move: tuple, k: int) -> tuple:
+    """The hand's x, y and z rows on ticks ``lo``..``hi - 1`` of a block with
+    tick times ``times``, by the trial loop's transitions, from its point
+    ``hand``, ``phase``, task ``target``, dwell or grab end ``until`` and
+    ``move``, ``k`` ticks in, after tick ``lo - 1``; and its (tick, phase,
+    target, until, move, k) after that tick and after each tick where the
+    phase changes."""
+    marks = [(lo - 1, phase, target, until, move, k)]
+    # (first tick, start, m, step, length, k less the tick): the pieces of the
+    # walk. A still piece adds -0.0 to its point, which leaves every float as it is.
+    still = (-0.0, -0.0, -0.0, 0.0, 1.0, 0.0)
+    pieces = [(lo, *hand, *still)] if phase in (_TASK_DWELL, _GRAB) else []
+    r = lo
+    while r < hi:
+        if phase in (_TASK_DWELL, _GRAB):  # ends on the first tick at or after ``until``
+            r = bisect_left(times, until, r, hi) + 1
+            if r > hi:
+                break
+            phase, move = _leave(phase, hand, target, human, dt)
+            k = 0
+            marks.append((r - 1, phase, target, until, move, k))
+        else:
+            n = min(move[8] - 1 - k, hi - r)  # the move's ticks before its arrival
+            if n:
+                pieces.append((r, *move[:8], k + 1 - r))
                 r += n
-                if k + n <= self.last[box]:
-                    break
-                phase, target = _TASK_DWELL, self.tray if box else self.toolbox
-                until = times[r - 1] + self.dwell_s
-                marks.append((r - 1, phase, target, until))
-        return np.concatenate(pieces), marks
+                k += n
+            if r == hi:
+                break
+            hand, k = move[9], k + 1
+            phase, target, until = _arrive(phase, target, times[r], human)
+            marks.append((r, phase, target, until, move, k))
+            pieces.append((r, *hand, *still))
+            r += 1
+    ticks = [b[0] - a[0] for a, b in zip(pieces, pieces[1:] + [(hi,)])]
+    rows = np.array([p[1:] for p in pieces], dtype=float).T.repeat(ticks, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = (np.arange(lo, hi) + rows[8]) * rows[6] / rows[7]
+        return rows[:3] + rows[3:6] * f, marks
 
 
 def _idle_frames(commands: list, times: list[float], dist: np.ndarray, lo: int, hi: int,
@@ -475,9 +485,10 @@ def _idle_frames(commands: list, times: list[float], dist: np.ndarray, lo: int, 
                  detect_s: Iterator[float], decide_s: float, transmit_s: float) -> tuple:
     """Run the frames of an idle span, block ticks ``lo``..``hi - 1`` with tick
     times ``times`` and distances ``dist[r - lo]``, as the trial loop does,
-    appending their decisions to ``commands``. The span opens with the mailbox
-    empty, and from SAFE a finite distance beyond the HAD decides SAFE, so no
-    frame calls ``step``. Returns (next_capture, mailbox_d, mailbox_t,
+    appending their decisions to ``commands``. The span, in any phase of the
+    hand, opens with no command in flight, so with the mailbox empty and the
+    detector free, and from SAFE a finite distance beyond the HAD decides
+    SAFE, so no frame calls ``step``. Returns (next_capture, mailbox_d, mailbox_t,
     detector_free); a frame not yet processed stays in the mailbox."""
     held, r = -1, lo  # held: the tick of the frame in the mailbox, -1 while it is empty
     while True:
@@ -554,22 +565,20 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     out_state = np.zeros(n, dtype=np.uint8)
     out_duty = np.zeros(n)
 
-    # Hand state; ``goal`` and the tick's ``step_len`` are set as the phase changes.
+    # Hand state: in a move phase the hand is ``k`` ticks into ``move``.
     tray = human.task_positions[0]
     toolbox = human.task_positions[1]
     hx, hy, hz = tray
     phase = _TASK_DWELL
     task_target = toolbox
     phase_until = human.task_dwell_s
+    move, k = None, 0
     crossed = False
     vis_at = math.inf
     air_at = math.inf
     reaction_s = human.reaction_latency_ms / 1000.0
     inf = math.inf
     sqrt = math.sqrt
-    task_step = human.task_speed * dt
-    reach_step = human.reach_speed * dt
-    retreat_step = human.retreat_speed * dt
 
     # Pipeline state.
     capture_s = latency.capture_ms / 1000.0
@@ -601,7 +610,6 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
 
     excursion_p = human.excursion_rate * dt
 
-    task_loop = _TaskLoop(tray, toolbox, task_step, human.task_dwell_s)
     idle_from = 0  # the last walk saw the hand within the HAD up to this tick
 
     # A short trial takes the robot's inputs from ``_robot_memo``, which the
@@ -623,17 +631,18 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
         ticks = zip(range(start, stop), xs, ys, zs)
         for i, tx, ty, tz in ticks:
             # --- idle span -----------------------------------------------
-            # In the task loop with nothing in flight, the state SAFE and the fan
-            # stopped, the ticks before the next excursion candidate where the
-            # hand stays beyond the HAD run as one span: each frame decides SAFE,
-            # and its ticks keep the zero state and duty the columns start with.
-            if (phase <= 1 and due == inf and live_state == 0 and duty == 0.0
-                    and idle_from <= i < next_kick):
+            # With nothing in flight, the state SAFE, the fan stopped and no
+            # retreat pending, the ticks before the next excursion candidate
+            # where the hand stays beyond the HAD run as one span, in any phase:
+            # each frame decides SAFE, and its ticks keep the zero state and
+            # duty the columns start with.
+            if (due == inf and live_state == 0 and duty == 0.0 and vis_at == inf
+                    and air_at == inf and idle_from <= i < next_kick):
                 lo = i - start
-                rows, marks = task_loop.walk(phase, task_target, phase_until, (hx, hy, hz),
-                                             tick_s, lo, min(stop, next_kick) - start)
+                xyz, marks = _walk(human, dt, tick_s, lo, min(stop, next_kick) - start,
+                                   (hx, hy, hz), phase, task_target, phase_until, move, k)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    dx, dy, dz = (task_loop.xyz[rows] - tcp[lo:lo + len(rows)]).T
+                    dx, dy, dz = xyz - tcp[lo:lo + xyz.shape[1]].T
                     dist = np.sqrt(dx * dx + dy * dy + dz * dz)
                 far = (dist > had) & (dist < inf)
                 span = int(np.argmin(np.append(far, False)))
@@ -641,11 +650,10 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                 if span:
                     last = lo + span - 1
                     out_d[i:i + span] = dist[:span]
-                    _, phase, task_target, phase_until = next(
+                    mark, phase, task_target, phase_until, move, k = next(
                         m for m in reversed(marks) if m[0] <= last)
-                    hx, hy, hz = task_loop.points[rows[span - 1]]
-                    if phase == _TASK_MOVE:
-                        goal, step_len = task_target, task_step
+                    k += last - mark
+                    hx, hy, hz = xyz[:, span - 1].tolist()
                     next_capture, mailbox_d, mailbox_t, detector_free = _idle_frames(
                         commands, tick_s, dist, lo, last + 1, next_capture, mailbox_t,
                         detector_free, capture_s, detect_s, decide_s, transmit_s)
@@ -657,33 +665,21 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
             t = i * dt
 
             # --- hand update ---------------------------------------------
-            if phase == _TASK_DWELL:
+            if phase == _TASK_DWELL or phase == _GRAB:
                 if t >= phase_until:
-                    phase = _TASK_MOVE
-                    goal, step_len = task_target, task_step
-            elif phase == _GRAB:
-                if t >= phase_until:
-                    phase = _RETURN
-                    goal, step_len = tray, reach_step
+                    phase, move = _leave(phase, (hx, hy, hz), task_target, human, dt)
+                    k = 0
             else:
-                gx, gy, gz = goal
-                mx, my, mz = gx - hx, gy - hy, gz - hz
-                dist_goal = sqrt(mx * mx + my * my + mz * mz)
-                if dist_goal <= step_len:
-                    hx, hy, hz = gx, gy, gz
-                    if phase == _REACH:
-                        phase = _GRAB
-                        phase_until = t + human.grab_dwell_s
-                    else:  # a task move, a return or a retreat ends in a task dwell
-                        task_target = (tray if phase == _TASK_MOVE and task_target is toolbox
-                                       else toolbox)
-                        phase = _TASK_DWELL
-                        phase_until = t + human.task_dwell_s
+                k += 1
+                sx, sy, sz, mx, my, mz, step_len, length, arrive, goal = move
+                if k >= arrive:
+                    hx, hy, hz = goal
+                    phase, task_target, phase_until = _arrive(phase, task_target, t, human)
                 else:
-                    f = step_len / dist_goal
-                    hx += mx * f
-                    hy += my * f
-                    hz += mz * f
+                    f = k * step_len / length
+                    hx = sx + mx * f
+                    hy = sy + my * f
+                    hz = sz + mz * f
 
             # Excursion kick-off from the task loop.
             if i == next_kick:
@@ -695,9 +691,9 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                         item, notice, delay = g_event.random(3).tolist()
                         d_item = (human.item_near_m
                                   + (human.item_far_m - human.item_near_m) * item)
-                        goal = (tx + ux / un * d_item, ty + uy / un * d_item,
-                                tz + uz / un * d_item)
-                        step_len = reach_step
+                        item_at = (tx + ux / un * d_item, ty + uy / un * d_item,
+                                   tz + uz / un * d_item)
+                        move, k = _move((hx, hy, hz), item_at, human.reach_speed * dt), 0
                         notice_s = (delay * human.notice_delay_max_s
                                     if notice < human.attention_p else inf)
                         vis_at = inf
@@ -749,7 +745,7 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                     air_at = t + reaction_s
                 if t >= vis_at or t >= air_at:
                     phase = _RETREAT
-                    goal, step_len = tray, retreat_step
+                    move, k = _move((hx, hy, hz), tray, human.retreat_speed * dt), 0
                     vis_at = inf
                     air_at = inf
 

@@ -81,6 +81,11 @@ def test_perception_deterministic_per_seed(jet, perception):
     assert not np.array_equal(a, c)
 
 
+def test_perception_errors_need_a_sample(jet, perception):
+    with pytest.raises(ValueError, match=r"^need at least one sample, got 0$"):
+        airflow.perception_errors(perception, jet, 100.0, 0.3, 0, 1)
+
+
 def test_inside_core_rejected(jet, perception):
     with pytest.raises(InsidePotentialCore):
         airflow.perception_errors(perception, jet, 100.0, 0.1, 1, 1)

@@ -360,6 +360,19 @@ def test_analyze_parses_a_file_whose_manifest_entry_it_cannot_use(
     assert names == parsed
 
 
+def test_analyze_parses_a_file_whose_manifest_entry_is_not_an_object(tmp_path, monkeypatch):
+    out = tmp_path / "runs"
+    assert run_cli("simulate", "--trials", 3, "--seed", 11, "--duration", 30,
+                   "--out", out) == 0
+    expected = json.loads(analyze_report(out, tmp_path / "stored.json"))
+    edit_manifest(out, lambda m: m["trials"].__setitem__(0, [m["trials"][0]["file"]]))
+    names = parsed_files(monkeypatch)
+    report = json.loads(analyze_report(out, tmp_path / "r.json"))
+    assert names == SEED_11_FILES[:1]
+    assert report.pop("warnings") == ["1 trace file(s) not listed in manifest.json"]
+    assert report == {k: v for k, v in expected.items() if k != "warnings"}
+
+
 def test_analyze_warns_about_a_trace_that_does_not_match_the_manifest(tmp_path):
     out = tmp_path / "runs"
     assert run_cli("simulate", "--trials", 3, "--duration", 60, "--out", out) == 0

@@ -117,6 +117,13 @@ def test_missing_file_is_config_error(tmp_path):
         load_config(tmp_path / "absent.json")
 
 
+def test_config_file_holding_an_array_is_config_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('[{"sim": {"duration_s": 30}}]')
+    with pytest.raises(ConfigError, match=r"^config file must hold a JSON object$"):
+        load_config(path)
+
+
 def test_flatten_covers_every_key():
     cfg = load_config()
     flat = flatten(cfg)

@@ -18,42 +18,42 @@ from airshield.config import RunConfig
 # The manifest's config_sha256 covers the --duration 30 of the run below; it
 # also pins each trace's sha256 and below-HAD mean, and the HAD of those means.
 TRACE_SHA256 = {
-    "manifest.json": "ad28b9110d3b2cb382759a0c53a93388296614035ce5cbb549e691953e3edf68",
-    "trial_v_11.jsonl": "998816e838ddab643ab7ae4ec235f8263b75ee1330e327fcc158a75f62fd5152",
-    "trial_v_12.jsonl": "d92e23fc0958645ca1325debc9a6d441bfdcdb782914a795b8f9547c490c955f",
-    "trial_v_13.jsonl": "95bfebc86a37142f5dbdadcc4e226f8aa1fb66188182463c620dfb427e93a15e",
-    "trial_va_11.jsonl": "33fe9e9de8916ed6a7a7f80c1eb4c535ac75192ca373a01887cb2be8b9ab9c4a",
-    "trial_va_12.jsonl": "ecff1c8cf21a8e6f9a6d5146b05436a23a2b84f1c1b83fc844c466ad3e3a591c",
-    "trial_va_13.jsonl": "b60e235def52b8276206c52345c29885d6313412b4c56c4d38977c0e5d7dbda9",
+    "manifest.json": "0ea703d276f5aa34d02612152cc28fec230e7de8cd3146d0b6eed56258d757a1",
+    "trial_v_11.jsonl": "6d04e6fb03ff3b0bc0211009331e8be0d47feae63635dbeb9fc57b82ca6f4acf",
+    "trial_v_12.jsonl": "33f7f810785e649069bd4ceef5891747be42a6a93e2810ec24214ea412164002",
+    "trial_v_13.jsonl": "747fe53f8b6e5f3d8cad6aac33b43449ba6344c86bbeee577622427dba5e5f5b",
+    "trial_va_11.jsonl": "95df276d52cb260e78154d69fdc571f31262a5f451b42b8bd5f48ea34ee815b2",
+    "trial_va_12.jsonl": "26052d1953fe69bd37402c6d284ec82e3a10a0c3e8dafeac1169c80e8d864933",
+    "trial_va_13.jsonl": "dfee806941d295514567a7aba64c86e9d778fc0e28443fd2cab86e280ea8a460",
 }
 # 100 s trials hold 10 000 ticks, so they cross the boundaries of the
 # blocks that run_trial simulates, the trace encoder writes and analyze
 # reads (sim._BLOCK ticks each).
 LONG_TRACE_SHA256 = {
-    "manifest.json": "cd0c81b4bbcb618f093ffb7aa8c6b3a761a8b6119fc912b45e13cdb4ec592414",
-    "trial_v_5.jsonl": "96e3478557f81bd72e096a2f4931558440d951bebbfeacda47a2038417b8c3ec",
-    "trial_va_5.jsonl": "375cd4c7216f8e39ebbad54dc51654d9f5bc2a333185e2f4d83e9d27eb9d6f5c",
+    "manifest.json": "3dec56c199e04c4ea77fe30eff5cf09d7642aac45759837d4fbdd6ead3bb51ec",
+    "trial_v_5.jsonl": "dd24bd998ded4dfd99204f916066aebc8e2c235c23a2d010025c37dbe0e3e4c4",
+    "trial_va_5.jsonl": "6f2d3f2559c5db9a698746a3da6dd851e20c0782ee0fe8dc7ff7eeb475e1243d",
 }
 # What the hand did and what the loop decided in the six trials above:
 # dist_m, state and the decision log, without the duty column, so a change
 # to the actuator model alone leaves them as they are.
 TRIAL_SHA256 = {
-    "v_11": "212a068b9afc003507650990b29f32dc99cddba1b92238c2ae13f7e90767c27a",
-    "v_12": "f43036a3d4c97579cd01f958e9698ffd28d0698b8a73e14a47faf6aa2bc368bd",
-    "v_13": "6e210de91ac0aa21b1094436f6b2108980e8ed6767a0f6bb2931295f62c59f37",
-    "va_11": "9264a3116f7bd60ecc69d0fcfc11b31750d27d6d2e18d88fa51a23ad628dd980",
-    "va_12": "33ef60d84428f4a3652d2359c11c94c21264e64d369b1751cc23130ebbba38f6",
-    "va_13": "fb027374b15d2022a3c588ea6f0de9faed2c354c336053468ce02cd64d0c654a",
+    "v_11": "46807bbb1565e03a61528b8c370de4eba9ae375b43111712a6a216ab0e1e5143",
+    "v_12": "e0505253c8453ec6953b046d6feb9f46b989d1793d333716ef97ba373e929093",
+    "v_13": "531853a0bc6eca22cf9fdd663f3b262bb612c0f7e91add0a44be814168400a96",
+    "va_11": "0f118a8a54d2b9c5936a3986e0131d79993d3ab66852908c0517b48d7b234fea",
+    "va_12": "63cb62d6300a5c54b4fde47fe2e8a8c60630f85b83816e0f90f6e250f3b3bdcd",
+    "va_13": "dd645a2502d69c31d364dadbe6bf8a3d7f3fecdb759d5a772897954620c3f641",
 }
 # The report names the manifest hash of the traces it read
 # (traces_config_sha256) next to the hash of the analysing config.
-REPORT_SHA256 = "e714caca9eef611397e988d81a0051822f0477af2b9155f0df2047da903cdc37"
+REPORT_SHA256 = "6355283f6290fa2b2897096c8bbced673dc7020dd99c3db497434f08bda4c88c"
 POSECHECK_STDOUT_SHA256 = "72132334104304acf8c647fe39d7c069f2befa144da99d4040a137c0de9b66e6"
 PERCEIVE_STDOUT_SHA256 = "dfe2ed8b16e872145d38db68966f07adb641406f7a867efce31916ecf9743462"
 # One evaluation at the default parameters already converges; the residuals
 # print at full precision, so this pins the trial loop and the perception
 # Monte Carlo together.
-CALIBRATE_STDOUT_SHA256 = "5ba22da7fb1d9218b24ae775feaedce2acc293d5fe2f80f32fec4bf270b8b9bd"
+CALIBRATE_STDOUT_SHA256 = "d01e8595a87fb2380d8e2db8f6673607c14c71807cc494724ee6020a7d833213"
 # The coordinate-descent search itself, through sim.calibrate: a fit that
 # converges after 34 evaluations, the same search cut at 14 by its budget,
 # and one that gives up after 49 of 400 evaluations when six passes bring
@@ -64,9 +64,9 @@ NEAR_TARGETS = sim.CalibrationTargets(v_mean=0.33, va_mean=0.34, err_near=0.05,
 NEAR_SEARCH = dict(trials_per_eval=4, trial_duration_s=20, mc_samples=2000, seed=4)
 CALIBRATE_SEARCH_CASES = [
     (NEAR_TARGETS, 40, NEAR_SEARCH,
-     "c8bebf390496b8d662abfcc55d07f6cc4b5f4279437f33c6fd6376a2aba70946"),
+     "fb04044b35df58925e51d98654bc54d89b37f273f486d021e93a4e5232abdb26"),
     (NEAR_TARGETS, 14, NEAR_SEARCH,
-     "f6e4b3b4fee58825957b32dd3d41c72d1e323516118276cd88fd827a38dfc8f5"),
+     "c51ad8fac75be4533a86bb3c8e963f6f0d83c40ab69e4fc5db68413ae59809a0"),
     (sim.CalibrationTargets(tol_mean=0.0), 400,
      dict(trials_per_eval=2, trial_duration_s=10, mc_samples=500, seed=1),
      "d9df06b8e9691220744685e70f93cd3c0e3dadef2ce44557f2a87b3e73cb8196"),

@@ -22,6 +22,11 @@ def test_end_to_end_latency_degenerate_models():
     assert s.p50_ms == s.p95_ms == s.max_ms == pytest.approx(32.5)
 
 
+def test_end_to_end_latency_needs_a_sample(latency):
+    with pytest.raises(ValueError, match=r"^need at least one sample, got 0$"):
+        pl.end_to_end_latency(latency, 0, seed=1)
+
+
 def test_end_to_end_latency_deterministic(latency):
     a = pl.end_to_end_latency(latency, 5000, seed=9)
     b = pl.end_to_end_latency(latency, 5000, seed=9)

@@ -233,6 +233,43 @@ def test_hand_speed_bounded_and_distance_continuous(human, trajectory, zone, jet
     assert d_rate.max() <= human.retreat_speed + trajectory.speed + 1e-9
 
 
+_POINTS = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+
+
+@settings(max_examples=300)
+@given(start=_POINTS, goal=_POINTS, step_len=st.floats(1e-3, 0.5) | st.just(0.0))
+@example(start=(0.0, 0.0, 0.0), goal=(0.3, 0.4, 0.0), step_len=0.1)  # arrives on a whole step
+@example(start=(0.5, -0.0, 0.5), goal=(0.5, -0.0, 0.5), step_len=0.0)  # nowhere to go, no step
+def test_a_straight_move_follows_its_closed_form_law(start, goal, step_len):
+    # k ticks into a move of length L, the hand is at
+    # start + (goal - start) * (k * step_len / L), k * step_len from its start on
+    # the segment, up to tick max(1, ceil(L / step_len)), where it is at goal
+    # itself. With a zero step a move of length 0 arrives on its first tick
+    # and any other never arrives.
+    mx, my, mz = m = np.subtract(goal, start).tolist()
+    length = math.sqrt(mx * mx + my * my + mz * mz)
+    if step_len > 0.0:
+        arrive = max(1, math.ceil(length / step_len))
+    else:
+        arrive = 1 if length == 0.0 else math.inf
+    n = min(arrive + 3, 50)
+    human = sim.HumanModel(grab_dwell_s=1e6)  # a reach grabs for longer than the walk
+    with np.errstate(divide="raise"):  # a zero step divides nothing
+        move = sim._move(start, goal, step_len)
+        xyz, marks = sim._walk(human, 0.01, [0.01 * k for k in range(1, n + 1)], 0, n, start,
+                               sim._REACH, human.task_positions[1], math.inf, move, 0)
+    assert move[8] == arrive
+    for k, p in enumerate(xyz.T.tolist(), start=1):
+        if k < arrive:
+            assert p == [s + c * (k * step_len / length) for s, c in zip(start, m)]
+            assert math.isclose(math.dist(start, p), k * step_len, rel_tol=1e-12)
+            assert math.dist(start, p) <= length  # no overshoot
+            assert np.linalg.norm(np.cross(np.subtract(p, start), m)) <= 1e-12 * length
+        else:  # on the arrival tick and through the grab after it, signed zeros too
+            assert repr(p) == repr(list(goal))
+    assert [mark[:2] for mark in marks[1:]] == ([(arrive - 1, sim._GRAB)] if arrive <= n else [])
+
+
 def test_duty_rises_only_when_active(human, trajectory, zone, jet, perception, latency):
     t = run("va", 1, human, trajectory, zone, jet, perception, latency)
     assert t.duty_pct.max() > 50.0  # impeller actually engaged at some point

@@ -2,9 +2,11 @@
 
 ``reference_trial`` runs every tick through the per-tick body and fills the
 state and duty columns from (tick, value) marks at each block's end;
-``run_trial`` runs its idle spans (task-loop ticks beyond the HAD with the fan
-stopped and nothing in flight) a span at a time and stores nonzero states and
-duties where it makes them. The two must agree bit for bit.
+``run_trial`` runs its idle spans (ticks in any phase beyond the HAD with the
+fan stopped, nothing in flight and no retreat pending) a span at a time, its
+hand laid out in numpy, and stores nonzero states and duties where it makes
+them. Both move the hand on ``sim._move``'s closed-form law, so they must
+agree bit for bit.
 """
 
 import math
@@ -58,13 +60,14 @@ def reference_trial(cond, human, traj, zone, jet, perception, latency, duration_
     out_state = np.empty(n, dtype=np.uint8)
     out_duty = np.empty(n)
 
-    # Hand state; ``goal`` and the tick's ``step_len`` are set as the phase changes.
+    # Hand state: in a move phase the hand is ``k`` ticks into ``move``.
     tray = human.task_positions[0]
     toolbox = human.task_positions[1]
     hx, hy, hz = tray
     phase = _TASK_DWELL
     task_target = toolbox
     phase_until = human.task_dwell_s
+    move, k = None, 0
     crossed = False
     vis_at = math.inf
     air_at = math.inf
@@ -129,18 +132,15 @@ def reference_trial(cond, human, traj, zone, jet, perception, latency, duration_
             # --- hand update ---------------------------------------------
             if phase == _TASK_DWELL:
                 if t >= phase_until:
-                    phase = _TASK_MOVE
-                    goal, step_len = task_target, task_step
+                    phase, move, k = _TASK_MOVE, sim._move((hx, hy, hz), task_target, task_step), 0
             elif phase == _GRAB:
                 if t >= phase_until:
-                    phase = _RETURN
-                    goal, step_len = tray, reach_step
+                    phase, move, k = _RETURN, sim._move((hx, hy, hz), tray, reach_step), 0
             else:
-                gx, gy, gz = goal
-                mx, my, mz = gx - hx, gy - hy, gz - hz
-                dist_goal = sqrt(mx * mx + my * my + mz * mz)
-                if dist_goal <= step_len:
-                    hx, hy, hz = gx, gy, gz
+                k += 1
+                sx, sy, sz, mx, my, mz, step_len, length, arrive, goal = move
+                if k >= arrive:
+                    hx, hy, hz = goal
                     if phase == _REACH:
                         phase = _GRAB
                         phase_until = t + human.grab_dwell_s
@@ -150,10 +150,10 @@ def reference_trial(cond, human, traj, zone, jet, perception, latency, duration_
                         phase = _TASK_DWELL
                         phase_until = t + human.task_dwell_s
                 else:
-                    f = step_len / dist_goal
-                    hx += mx * f
-                    hy += my * f
-                    hz += mz * f
+                    f = k * step_len / length
+                    hx = sx + mx * f
+                    hy = sy + my * f
+                    hz = sz + mz * f
 
             # Excursion kick-off from the task loop.
             if i == next_kick:
@@ -165,9 +165,9 @@ def reference_trial(cond, human, traj, zone, jet, perception, latency, duration_
                         item, notice, delay = g_event.random(3).tolist()
                         d_item = (human.item_near_m
                                   + (human.item_far_m - human.item_near_m) * item)
-                        goal = (tx + ux / un * d_item, ty + uy / un * d_item,
-                                tz + uz / un * d_item)
-                        step_len = reach_step
+                        item_at = (tx + ux / un * d_item, ty + uy / un * d_item,
+                                   tz + uz / un * d_item)
+                        move, k = sim._move((hx, hy, hz), item_at, reach_step), 0
                         notice_s = (delay * human.notice_delay_max_s
                                     if notice < human.attention_p else inf)
                         vis_at = inf
@@ -222,7 +222,7 @@ def reference_trial(cond, human, traj, zone, jet, perception, latency, duration_
                     air_at = t + reaction_s
                 if t >= vis_at or t >= air_at:
                     phase = _RETREAT
-                    goal, step_len = tray, retreat_step
+                    move, k = sim._move((hx, hy, hz), tray, retreat_step), 0
                     vis_at = inf
                     air_at = inf
 
@@ -251,7 +251,8 @@ HUMANS = [
     {"task_positions": ((0.60, 0.45, 0.60), (0.60, 0.45, 0.60))},  # equal task points
     # one task point within the HAD of the robot's loop, so spans end on near ticks
     {"task_positions": ((0.30, 0.20, 0.50), (0.80, 0.25, 0.60))},
-    {"task_speed": 1e-4},  # a move longer than sim._MOVE_TICKS ticks
+    {"task_speed": 1e-4},  # a task move of 280 000 ticks, longer than any trial here
+    {"task_speed": 1e-322},  # a step that underflows to 0: a task move never arrives
     {"task_positions": ([0.60, 0.45, 0.60], [0.80, 0.25, 0.60])},  # lists, not tuples
 ]
 
@@ -280,6 +281,14 @@ def assert_same_trial(got, want):
 @example(seed=1, cond="v", latency=StageLatencyModel(), tick_ms=10.0, duty_pct=0.0,
          excursion_rate=0.08, attention_p=0.9, human=HUMANS[3], duration_s=20.0,
          block=sim._BLOCK)
+# With no lag, the fan stops while a retreat, set off by the airflow or by
+# seeing the robot, is still pending, so no span may open before it starts.
+@example(seed=1, cond="va", latency=LATENCIES[5], tick_ms=3.3, duty_pct=10.0,
+         excursion_rate=2.0, attention_p=0.0, human=HUMANS[4], duration_s=20.0,
+         block=sim._BLOCK)
+@example(seed=1, cond="v", latency=LATENCIES[5], tick_ms=3.3, duty_pct=10.0,
+         excursion_rate=2.0, attention_p=0.9, human=HUMANS[2], duration_s=20.0,
+         block=sim._BLOCK)
 # Distances that overflow to inf, which ``step`` answers with DANGER.
 @example(seed=2, cond="v", latency=StageLatencyModel(), tick_ms=10.0, duty_pct=100.0,
          excursion_rate=0.08, attention_p=0.9,
@@ -299,26 +308,14 @@ def test_run_trial_equals_the_per_tick_loop(seed, cond, latency, tick_ms, duty_p
 
 
 def test_idle_frames_do_not_call_step():
-    # Most frames of a default trial fall in idle spans, whose decisions are
-    # SAFE without a call.
+    # Most frames of a default trial, reaches and returns beyond the HAD among
+    # them, fall in idle spans, whose decisions are SAFE without a call.
     cfg = RunConfig(duration_s=120.0)
     with mock.patch.object(sim, "step", wraps=sim.step) as spy:
         trace = next(sim.run_trials(cfg, ["va"], [1]))[2]
-    assert 0 < spy.call_count < len(trace.decisions) / 2
+    assert 0 < spy.call_count < len(trace.decisions) / 5
     assert_same_trial(trace, reference_trial("va", cfg.human, cfg.trajectory, cfg.safety,
                                              cfg.jet, cfg.perception, cfg.latency, 120.0, 1))
-
-
-def test_a_task_move_is_laid_out_from_its_start_to_its_goal_itself():
-    tray, toolbox = sim.HumanModel().task_positions
-    loop = sim._TaskLoop(tray, toolbox, 0.003, 0.5)
-    for box, start, goal in ((False, toolbox, tray), (True, tray, toolbox)):
-        first, last = loop.first[box], loop.last[box]
-        assert loop.points[first] == start and loop.points[last] is goal
-        assert sorted(loop.row[box].values()) == list(range(first, last))
-    # A move longer than the cap keeps its start only.
-    slow = sim._TaskLoop(tray, toolbox, 1e-6, 0.5)
-    assert slow.last == [-1, -1] and slow.row == [{}, {}] and slow.points == [toolbox, tray]
 
 
 def test_a_span_that_ends_near_the_robot_is_not_tried_again_at_once():
@@ -329,8 +326,7 @@ def test_a_span_that_ends_near_the_robot_is_not_tried_again_at_once():
     human = replace(cfg.human, **HUMANS[3])
     for seed in (1, 2, 3):
         for cond in sim.CONDITIONS:
-            with mock.patch.object(sim._TaskLoop, "walk", autospec=True,
-                                   side_effect=sim._TaskLoop.walk) as walk:
+            with mock.patch.object(sim, "_walk", side_effect=sim._walk) as walk:
                 sim.run_trial(cond, human, cfg.trajectory, cfg.safety, cfg.jet,
                               cfg.perception, cfg.latency, 120.0, seed)
             assert walk.call_count < 100, (seed, cond, walk.call_count)

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -23,6 +24,16 @@ def test_encode_ping():
 def test_payload_out_of_range():
     with pytest.raises(wire.PayloadOutOfRange):
         CommandFrame(seq=0, opcode=Opcode.SET_DUTY, payload=201)
+
+
+def test_sequence_number_beyond_8_bits_rejected():
+    with pytest.raises(ValueError, match=r"^seq must be an 8-bit counter value, got 256$"):
+        CommandFrame(seq=256, opcode=Opcode.PING)
+
+
+def test_undefined_opcode_rejected():
+    with pytest.raises(wire.UnknownOpcode, match=r"^opcode 127 is not defined$"):
+        CommandFrame(seq=0, opcode=0x7F)
 
 
 def test_decode_inverse_of_encode():
@@ -150,6 +161,14 @@ def test_journal_empty_file(tmp_path):
 def test_journal_missing_file_is_io_failure(tmp_path):
     with pytest.raises(wire.IoFailure):
         wire.journal_read(tmp_path / "nope.jsonl")
+
+
+def test_journal_append_to_an_unwritable_path_is_io_failure(tmp_path):
+    # The path's parent is a file, so the journal cannot be opened.
+    (tmp_path / "plain").write_text("")
+    path = tmp_path / "plain" / "journal.jsonl"
+    with pytest.raises(wire.IoFailure, match=f"^cannot append to journal {re.escape(str(path))}: "):
+        wire.journal_append(path, [{"t_ms": 0}])
 
 
 json_values = (st.none() | st.booleans() | st.integers()
