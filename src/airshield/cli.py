@@ -208,10 +208,17 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
         unlisted = sum(path.name not in names for path in files)
         if unlisted:
             warnings.append(f"{unlisted} trace file(s) not listed in manifest.json")
+    traces_had = manifest.get("had_m")  # the means are taken below this run's HAD all the same
+    had_note = (f"manifest.json: traces simulated at had_m {traces_had}, "
+                f"analyzed at had_m {cfg.safety.had}"
+                if isinstance(traces_had, float) and traces_had != cfg.safety.had else None)
+    if had_note:
+        warnings.append(had_note)
     v_means, va_means, pair_warnings = sim.matched_means(per_seed)
     warnings.extend(pair_warnings)
     if len(v_means) < 2:
-        raise ConfigError("need at least 2 matched-seed trial pairs to analyze")
+        raise ConfigError("need at least 2 matched-seed trial pairs to analyze"
+                          + (f" ({had_note})" if had_note else ""))
     report = sim.analyze_pairs(v_means, va_means)
     report["warnings"].extend(warnings)
     report["config_sha256"] = config_hash(cfg)

@@ -19,18 +19,21 @@ excursion draws its item distance, attention and glance delay as it starts,
 so the e-th excursion of either condition gets the same values, however many
 a trial starts.
 
-Within a block the loop does per tick only what changes every tick: it moves
-the hand and stores the distance. The block's excursion candidates, the
-ticks whose draw falls below the per-tick excursion chance, are found in one
-comparison before the loop. The state and duty columns start at zero and a
-tick stores each only where it is nonzero. Every straight move of the hand
-follows one closed-form law, ``_move``: k ticks in, it is k steps along the
-segment from its start, and on its arrival tick at its goal itself. Idle
-ticks, in any phase, beyond the HAD with the state SAFE, the fan stopped, no
-command in flight and no retreat pending, run a span at a time and store
-only their distances: ``_walk`` lays the hand's path out on that law in
-numpy, the distances are taken in numpy, and each frame decides SAFE without
-``step``.
+Which frames the detector takes, and when their commands land, never depend
+on the hand: ``_schedule`` lays them out before the loop. ``step`` reads
+only a frame's distance and the decision before it, so the loop decides a
+frame on the tick it lands, before its command can be due. Within a block
+the loop does per tick only what changes every tick: it moves the hand and
+stores the distance. The block's excursion candidates, the ticks whose draw
+falls below the per-tick excursion chance, are found in one comparison
+before the loop. The state and duty columns start at zero and a tick stores
+each only where it is nonzero. Every straight move of the hand follows one
+closed-form law, ``_move``: k ticks in, it is k steps along the segment from
+its start, and on its arrival tick at its goal itself. Idle ticks, in any
+phase, beyond the HAD with the state SAFE, the fan stopped, no command in
+flight and no retreat pending, run a span at a time and store only their
+distances: ``_walk`` lays the hand's path out on that law in numpy, and the
+distances are taken in numpy.
 
 Every trial of a run replays the same robot path, so trials of at most
 ``_MEMO_BLOCKS`` blocks (a default 120 s trial) share it: the robot's inputs
@@ -480,36 +483,50 @@ def _walk(human: HumanModel, dt: float, times: list[float], lo: int, hi: int, ha
         return rows[:3] + rows[3:6] * f, marks
 
 
-def _idle_frames(commands: list, times: list[float], dist: np.ndarray, lo: int, hi: int,
-                 next_capture: float, mailbox_t: float, detector_free: float, capture_s: float,
-                 detect_s: Iterator[float], decide_s: float, transmit_s: float) -> tuple:
-    """Run the frames of an idle span, block ticks ``lo``..``hi - 1`` with tick
-    times ``times`` and distances ``dist[r - lo]``, as the trial loop does,
-    appending their decisions to ``commands``. The span, in any phase of the
-    hand, opens with no command in flight, so with the mailbox empty and the
-    detector free, and from SAFE a finite distance beyond the HAD decides
-    SAFE, so no frame calls ``step``. Returns (next_capture, mailbox_d, mailbox_t,
-    detector_free); a frame not yet processed stays in the mailbox."""
-    held, r = -1, lo  # held: the tick of the frame in the mailbox, -1 while it is empty
-    while True:
-        at = bisect_left(times, next_capture, r, hi)
-        # A held frame waits while the detector is busy, up to the next capture.
-        if held < 0 or times[at - 1] < detector_free:
-            if at == hi:
-                break
-            t = times[at]
-            while next_capture <= t:
-                mailbox_t = next_capture
-                next_capture += capture_s
-            held, r = at, at + 1
-            if t < detector_free:
-                continue
-        # max(mailbox_t, detector_free), without the call
-        done = (detector_free if detector_free > mailbox_t else mailbox_t) + next(detect_s)
-        commands.append((done + decide_s + transmit_s, 0, False))
-        detector_free = done
-        held = -1
-    return next_capture, None if held < 0 else float(dist[held - lo]), mailbox_t, detector_free
+def _schedule(latency: StageLatencyModel, g_lat: np.random.Generator, n: int,
+              dt: float) -> tuple[array, list[tuple[float, int, bool]]]:
+    """The frame schedule of a trial of ``n`` ticks ``dt`` s apart, per
+    processed frame in order: the tick its capture lands on, then ``n``; and
+    its decision log entry if it decides SAFE, (command time s, 0, False).
+
+    A frame is captured every ``capture_ms`` from 0, one addition after
+    another, as ``np.add.accumulate`` adds, and lands on the first tick at or
+    after its capture. The detector takes the freshest frame landed on the
+    first tick it is free, so a frame not taken when the next one lands is
+    dropped. It starts at the later of the capture and its last finish, and
+    takes a detect time drawn from ``g_lat`` in blocks of ``_BLOCK``; the
+    command time adds the decide and then the transmit time to its finish.
+    """
+    decide_s = latency.decide_ms / 1000.0
+    transmit_s = latency.transmit_ms / 1000.0
+    detect_s = chain.from_iterable((draw_detect_ms(latency, g_lat, _BLOCK) / 1000.0).tolist()
+                                   for _ in count()).__next__
+    landed, log = array("q"), []
+    end = (n - 1) * dt  # the last tick's time
+    first = free = 0.0  # the block's first capture; the detector's last finish
+    while first <= end:  # a block of captures, and the next one's for its landing tick
+        steps = np.full(_BLOCK + 1, latency.capture_ms / 1000.0)
+        steps[0] = first
+        # The quotient is within a tick of the landing tick, so one step each
+        # way fixes it. A capture time that overflows is inf, past the trial.
+        with np.errstate(over="ignore"):
+            times = np.add.accumulate(steps)
+            ticks = np.ceil(times / dt)
+        ticks += ticks * dt < times
+        ticks -= (ticks - 1) * dt >= times
+        # The time of the last tick before the next capture lands; -inf if on the same tick.
+        nxt = np.minimum(ticks[1:], n)
+        until = np.where(nxt > ticks[:-1], (nxt - 1) * dt, -np.inf)
+        k = int(np.searchsorted(times[:_BLOCK], end, side="right"))
+        for cap, tick, last in zip(times[:k].tolist(), ticks[:k].astype(np.int64).tolist(),
+                                   until[:k].tolist()):
+            if free <= last:
+                free = (free if free > cap else cap) + detect_s()
+                landed.append(tick)
+                log.append((free + decide_s + transmit_s, 0, False))
+        first = float(times[_BLOCK])
+    landed.append(n)
+    return landed, log
 
 
 def _robot_block(traj: RobotTrajectory, dt: float, start: int, stop: int) -> tuple:
@@ -552,13 +569,11 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     va = cond == "va"
 
     # Named random streams, drawn in full so both conditions consume
-    # identical draws whichever channels fire; the per-tick and per-frame
-    # ones are drawn in blocks of ``_BLOCK`` as the loop below uses them, and
-    # ``g_event`` gives each excursion its three values as it starts.
+    # identical draws whichever channels fire; the per-tick ones are drawn in
+    # blocks of ``_BLOCK`` as the loop below uses them, ``g_lat``'s by
+    # ``_schedule``, and ``g_event`` gives each excursion its three values as it starts.
     streams = np.random.SeedSequence(seed).spawn(4)
     g_exc, g_event, g_felt, g_lat = (np.random.default_rng(s) for s in streams)
-    detect_s = chain.from_iterable((draw_detect_ms(latency, g_lat, _BLOCK) / 1000.0).tolist()
-                                   for _ in count())
 
     out_t = np.empty(n, dtype=np.int64)
     out_d = np.empty(n)
@@ -566,50 +581,38 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     out_duty = np.zeros(n)
 
     # Hand state: in a move phase the hand is ``k`` ticks into ``move``.
-    tray = human.task_positions[0]
-    toolbox = human.task_positions[1]
+    tray, toolbox = human.task_positions
     hx, hy, hz = tray
     phase = _TASK_DWELL
     task_target = toolbox
     phase_until = human.task_dwell_s
     move, k = None, 0
     crossed = False
-    vis_at = math.inf
-    air_at = math.inf
+    vis_at = air_at = math.inf
     reaction_s = human.reaction_latency_ms / 1000.0
     inf = math.inf
     sqrt = math.sqrt
 
-    # Pipeline state.
-    capture_s = latency.capture_ms / 1000.0
-    decide_s = latency.decide_ms / 1000.0
-    transmit_s = latency.transmit_ms / 1000.0
-    next_capture = 0.0
-    mailbox_d: Optional[float] = None
-    mailbox_t = 0.0
-    detector_free = 0.0
+    # Pipeline state. ``commands`` is the trace's decision log, one entry per
+    # frame of the schedule; the loop decides ``frame`` on the tick it lands,
+    # ``next_frame``. The first ``applied`` entries have reached the actuator,
+    # and ``due`` is the command time of ``commands[applied]``, inf past the
+    # last, so a tick tests the queue in one compare.
+    landed, commands = _schedule(latency, g_lat, n, dt)  # the frame at 0 s is always taken
+    frame = applied = 0
+    next_frame, due = landed[0], commands[0][0]
     dec_state = SafetyState.SAFE
     live_state = 0
-    # (command time s, state, actuate) per processed frame, the trace's
-    # decision log; the first ``applied`` entries have reached the actuator.
-    # ``due`` is the command time of ``commands[applied]``, inf while every
-    # command has been applied, so an idle tick tests the queue in one compare.
-    commands: list[tuple[float, int, bool]] = []
-    applied = 0
-    due = inf
 
     # Actuator first-order response; rise time is to 90% of target. The decay
     # alone never reaches its target, so within ``_DUTY_SETTLE_PCT`` of it the
     # duty settles there exactly and a stopped fan reads 0.0.
     tau = latency.actuator_rise_ms / 1000.0 / math.log(10.0)
     alpha = 1.0 - math.exp(-dt / tau) if tau > 0.0 else 1.0
-    duty = 0.0
-    duty_target = 0.0
+    duty = duty_target = 0.0
 
     had = zone.had
-
     excursion_p = human.excursion_rate * dt
-
     idle_from = 0  # the last walk saw the hand within the HAD up to this tick
 
     # A short trial takes the robot's inputs from ``_robot_memo``, which the
@@ -631,12 +634,13 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
         ticks = zip(range(start, stop), xs, ys, zs)
         for i, tx, ty, tz in ticks:
             # --- idle span -----------------------------------------------
-            # With nothing in flight, the state SAFE, the fan stopped and no
-            # retreat pending, the ticks before the next excursion candidate
-            # where the hand stays beyond the HAD run as one span, in any phase:
-            # each frame decides SAFE, and its ticks keep the zero state and
-            # duty the columns start with.
-            if (due == inf and live_state == 0 and duty == 0.0 and vis_at == inf
+            # With every command of the frames landed so far applied, the
+            # state SAFE, the fan stopped and no retreat pending, the ticks
+            # before the next excursion candidate where the hand stays beyond
+            # the HAD run as one span, in any phase: each frame landing in it
+            # decides SAFE, as its log entry stands, and its ticks keep the
+            # zero state and duty the columns start with.
+            if (applied == frame and live_state == 0 and duty == 0.0 and vis_at == inf
                     and air_at == inf and idle_from <= i < next_kick):
                 lo = i - start
                 xyz, marks = _walk(human, dt, tick_s, lo, min(stop, next_kick) - start,
@@ -654,9 +658,8 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                         m for m in reversed(marks) if m[0] <= last)
                     k += last - mark
                     hx, hy, hz = xyz[:, span - 1].tolist()
-                    next_capture, mailbox_d, mailbox_t, detector_free = _idle_frames(
-                        commands, tick_s, dist, lo, last + 1, next_capture, mailbox_t,
-                        detector_free, capture_s, detect_s, decide_s, transmit_s)
+                    frame = bisect_right(landed, start + last, frame)
+                    next_frame = landed[frame]
                     applied = bisect_right(commands, tick_s[last], applied, key=itemgetter(0))
                     due = commands[applied][0] if applied < len(commands) else inf
                     next(islice(ticks, span - 1, span - 1), None)
@@ -704,24 +707,13 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
             dx, dy, dz = hx - tx, hy - ty, hz - tz
             d = sqrt(dx * dx + dy * dy + dz * dz)
 
-            # --- tracking and decision pipeline --------------------------
-            while next_capture <= t:
-                # Freshest frame wins; older unprocessed frames are dropped. The
-                # frame keeps its nominal capture time so the decision chain runs
-                # in continuous time, one tick-grid snapshot of the distance.
-                mailbox_d = d
-                mailbox_t = next_capture
-                next_capture += capture_s
-            if mailbox_d is not None and t >= detector_free:
-                done = max(mailbox_t, detector_free) + next(detect_s)
-                decision = step(dec_state, mailbox_d, zone)
+            # --- decision and actuation ----------------------------------
+            if i == next_frame:
+                decision = step(dec_state, d, zone)
                 dec_state = decision.state
-                command_t = done + decide_s + transmit_s
-                commands.append((command_t, int(decision.state), decision.actuate))
-                if due == inf:
-                    due = command_t
-                detector_free = done
-                mailbox_d = None
+                commands[frame] = (commands[frame][0], int(dec_state), decision.actuate)
+                frame += 1
+                next_frame = landed[frame]
             while due <= t:
                 _, state, actuate = commands[applied]
                 applied += 1

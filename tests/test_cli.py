@@ -355,9 +355,35 @@ def test_analyze_parses_a_file_whose_manifest_entry_it_cannot_use(
     expected = analyze_report(out, tmp_path / "parsed.json")
     edit_manifest(out, _set_had(0.35))
     edit_manifest(out, edit)
+    had_m = json.loads((out / "manifest.json").read_text())["had_m"]
+    if isinstance(had_m, float) and had_m != 0.35:  # one more warning names both HADs
+        report = json.loads(expected)
+        report["warnings"].append(f"manifest.json: traces simulated at had_m {had_m}, "
+                                  "analyzed at had_m 0.35")
+        expected = (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
     names = parsed_files(monkeypatch)
     assert analyze_report(out, tmp_path / "r.json") == expected
     assert names == parsed
+
+
+def test_analyze_names_the_traces_had_when_it_averages_below_another(tmp_path, capsys):
+    out, report = tmp_path / "runs", tmp_path / "r.json"
+    assert run_cli("--set", "safety.had_m=0.45", "simulate", "--trials", 4, "--seed", 3,
+                   "--duration", 60, "--out", out) == 0
+    capsys.readouterr()
+    # Below the default 0.35 m too few pairs enter the zone.
+    assert run_cli("analyze", "--in", out, "--report", report) == 2
+    assert capsys.readouterr().err == (
+        "config error: need at least 2 matched-seed trial pairs to analyze (manifest.json: "
+        "traces simulated at had_m 0.45, analyzed at had_m 0.35)\n")
+    # A smaller difference leaves enough pairs, and the report says so.
+    assert run_cli("--set", "safety.had_m=0.4", "analyze", "--in", out, "--report", report) == 0
+    assert json.loads(report.read_text())["warnings"] == [
+        "manifest.json: traces simulated at had_m 0.45, analyzed at had_m 0.4",
+        "seed 6: no samples below HAD, pair dropped"]
+    assert run_cli("--set", "safety.had_m=0.45", "analyze", "--in", out, "--report", report) == 0
+    assert json.loads(report.read_text())["n_pairs"] == 4
+    assert json.loads(report.read_text())["warnings"] == []
 
 
 def test_analyze_parses_a_file_whose_manifest_entry_is_not_an_object(tmp_path, monkeypatch):

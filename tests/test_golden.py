@@ -128,7 +128,8 @@ def test_calibrate_stdout_follows_the_configured_loop(capsys, override):
     assert sha256(capsys.readouterr().out.encode()) != CALIBRATE_STDOUT_SHA256
 
 
-@pytest.mark.parametrize("targets, budget, search, digest", CALIBRATE_SEARCH_CASES)
+@pytest.mark.parametrize("targets, budget, search, digest", CALIBRATE_SEARCH_CASES,
+                         ids=["converges", "cut-by-budget", "gives-up"])
 def test_calibrate_search_is_byte_identical(targets, budget, search, digest):
     try:
         r = sim.calibrate(targets, budget, RunConfig(), **search)

@@ -289,6 +289,11 @@ def assert_same_trial(got, want):
 @example(seed=1, cond="v", latency=LATENCIES[5], tick_ms=3.3, duty_pct=10.0,
          excursion_rate=2.0, attention_p=0.9, human=HUMANS[2], duration_s=20.0,
          block=sim._BLOCK)
+# A frame interval of one tick: the capture clock drifts against the tick
+# grid, so now and then two captures land on one tick, and the older is dropped.
+@example(seed=1, cond="va", latency=StageLatencyModel(capture_ms=33.3), tick_ms=33.3,
+         duty_pct=100.0, excursion_rate=2.0, attention_p=0.9, human={}, duration_s=40.0,
+         block=sim._BLOCK)
 # Distances that overflow to inf, which ``step`` answers with DANGER.
 @example(seed=2, cond="v", latency=StageLatencyModel(), tick_ms=10.0, duty_pct=100.0,
          excursion_rate=0.08, attention_p=0.9,
@@ -305,6 +310,24 @@ def test_run_trial_equals_the_per_tick_loop(seed, cond, latency, tick_ms, duty_p
     with mock.patch.object(sim, "_BLOCK", block):
         got = sim.run_trial(*args)
     assert_same_trial(got, want)
+
+
+@pytest.mark.parametrize("latency", LATENCIES[:3], ids=["default", "detect-sd-15", "detect-80"])
+def test_the_frame_schedule_does_not_depend_on_the_hand(latency):
+    # Which frames are processed, and when their commands land, follows from
+    # the capture clock, the detect draws and the tick grid alone: it is the
+    # same in both conditions and for every hand, while the states differ.
+    cfg = RunConfig(latency=latency)
+    times, logs = set(), set()
+    for human in HUMANS:
+        hm = replace(cfg.human, excursion_rate=2.0, **human)
+        for cond in sim.CONDITIONS:
+            trace = sim.run_trial(cond, hm, cfg.trajectory, cfg.safety, cfg.jet,
+                                  cfg.perception, latency, 30.0, 7)
+            times.add(repr([command_t for command_t, _, _ in trace.decisions]))
+            logs.add(repr(trace.decisions))
+    assert len(times) == 1
+    assert len(logs) > 1
 
 
 def test_idle_frames_do_not_call_step():
