@@ -20,9 +20,15 @@ so the e-th excursion of either condition gets the same values, however many
 a trial starts.
 
 Which frames the detector takes, and when their commands land, never depend
-on the hand: ``_schedule`` lays them out before the loop. ``step`` reads
-only a frame's distance and the decision before it, so the loop decides a
-frame on the tick it lands, before its command can be due. Within a block
+on the hand: ``_schedule`` lays them out before the loop, the finishes of
+frames that find the detector idle in one numpy add. ``step`` reads only a
+frame's distance and the decision before it, so the loop decides a frame on
+the tick it lands, before its command can be due. A trial's decision log is two
+columns, one entry per processed frame: the command times, ``command_s``,
+which the schedule makes, and the states decided, ``command_state``, all SAFE
+until the loop writes the byte of a frame it decides otherwise.
+``DistanceTrace.decisions`` lists them as (time, state, actuate) entries on
+demand: a command actuates exactly when its state is not SAFE. Within a block
 the loop does per tick only what changes every tick: it moves the hand and
 stores the distance. The block's excursion candidates, the ticks whose draw
 falls below the per-tick excursion chance, are found in one comparison
@@ -30,10 +36,10 @@ before the loop. The state and duty columns start at zero and a tick stores
 each only where it is nonzero. Every straight move of the hand follows one
 closed-form law, ``_move``: k ticks in, it is k steps along the segment from
 its start, and on its arrival tick at its goal itself. Idle ticks, in any
-phase, beyond the HAD with the state SAFE, the fan stopped, no command in
-flight and no retreat pending, run a span at a time and store only their
+phase, beyond the HAD with the state SAFE, the fan stopped, every command in
+flight SAFE and no retreat pending, run a span at a time and store only their
 distances: ``_walk`` lays the hand's path out on that law in numpy, and the
-distances are taken in numpy.
+distances are taken in numpy. A span skips its ticks by index.
 
 Every trial of a run replays the same robot path, so trials of at most
 ``_MEMO_BLOCKS`` blocks (a default 120 s trial) share it: the robot's inputs
@@ -50,8 +56,6 @@ import re
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import chain, count, islice
-from operator import itemgetter
 from typing import TYPE_CHECKING, BinaryIO, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -265,8 +269,11 @@ _MEMO_BLOCKS = 3
 
 @dataclass
 class DistanceTrace:
-    """Fixed-tick samples of one trial plus its decision log: one (command
-    time s, SafetyState value, actuate) entry per processed frame."""
+    """Fixed-tick samples of one trial plus its decision log, one entry per
+    processed frame in two columns: the command time in s, ``command_s``, and
+    the SafetyState value decided, ``command_state``. ``decisions`` lists the
+    log as (command time s, SafetyState value, actuate) entries; a command
+    actuates exactly when its state is not SAFE."""
 
     t_ms: np.ndarray
     dist_m: np.ndarray
@@ -274,10 +281,15 @@ class DistanceTrace:
     duty_pct: np.ndarray
     condition: str
     seed: int
-    decisions: list[tuple[float, int, bool]] = field(default_factory=list)
+    command_s: array = field(default_factory=lambda: array("d"))
+    command_state: bytearray = field(default_factory=bytearray)
 
     def __len__(self) -> int:
         return len(self.t_ms)
+
+    @property
+    def decisions(self) -> list[tuple[float, int, bool]]:
+        return [(t, s, s != 0) for t, s in zip(self.command_s, self.command_state)]
 
     def jsonl(self) -> Iterator[str]:
         """The trace file: one compact JSON line per tick, fields in the order
@@ -484,10 +496,10 @@ def _walk(human: HumanModel, dt: float, times: list[float], lo: int, hi: int, ha
 
 
 def _schedule(latency: StageLatencyModel, g_lat: np.random.Generator, n: int,
-              dt: float) -> tuple[array, list[tuple[float, int, bool]]]:
+              dt: float) -> tuple[array, array]:
     """The frame schedule of a trial of ``n`` ticks ``dt`` s apart, per
     processed frame in order: the tick its capture lands on, then ``n``; and
-    its decision log entry if it decides SAFE, (command time s, 0, False).
+    its command time in s.
 
     A frame is captured every ``capture_ms`` from 0, one addition after
     another, as ``np.add.accumulate`` adds, and lands on the first tick at or
@@ -496,12 +508,18 @@ def _schedule(latency: StageLatencyModel, g_lat: np.random.Generator, n: int,
     dropped. It starts at the later of the capture and its last finish, and
     takes a detect time drawn from ``g_lat`` in blocks of ``_BLOCK``; the
     command time adds the decide and then the transmit time to its finish.
+
+    Until a block's first drop, its j-th frame takes the j-th detect time
+    from the block's start, so each frame that finds the detector idle
+    finishes at its capture plus that time: one numpy add lays these
+    finishes out for the block. A run of frames that find the detector idle
+    is passed over in one step; a frame that finds it busy or is dropped,
+    and every frame after the block's first drop, is stepped alone.
     """
     decide_s = latency.decide_ms / 1000.0
     transmit_s = latency.transmit_ms / 1000.0
-    detect_s = chain.from_iterable((draw_detect_ms(latency, g_lat, _BLOCK) / 1000.0).tolist()
-                                   for _ in count()).__next__
-    landed, log = array("q"), []
+    landed, command_s = array("q"), array("d")
+    det, used = np.empty(0), 0  # detect times drawn, and how many of them are taken
     end = (n - 1) * dt  # the last tick's time
     first = free = 0.0  # the block's first capture; the detector's last finish
     while first <= end:  # a block of captures, and the next one's for its landing tick
@@ -518,15 +536,43 @@ def _schedule(latency: StageLatencyModel, g_lat: np.random.Generator, n: int,
         nxt = np.minimum(ticks[1:], n)
         until = np.where(nxt > ticks[:-1], (nxt - 1) * dt, -np.inf)
         k = int(np.searchsorted(times[:_BLOCK], end, side="right"))
-        for cap, tick, last in zip(times[:k].tolist(), ticks[:k].astype(np.int64).tolist(),
-                                   until[:k].tolist()):
-            if free <= last:
-                free = (free if free > cap else cap) + detect_s()
-                landed.append(tick)
-                log.append((free + decide_s + transmit_s, 0, False))
+        if len(det) - used < k:
+            det, used = np.concatenate((det[used:], draw_detect_ms(latency, g_lat, _BLOCK)
+                                        / 1000.0)), 0
+            dets = det.tolist()
+        caps, lasts = times[:k].tolist(), until[:k].tolist()
+        # Frame c takes detect time d; until the block's first drop, d - c is
+        # ``used``. So ``finish`` starts as each frame's finish had it found
+        # the detector idle, and a frame stepped alone sets its own through a
+        # memoryview, where an item set costs a fraction of numpy's. A run
+        # ends at a frame in ``breaks``: one that finds the detector busy or
+        # is dropped.
+        finish = times[:k] + det[used:used + k]
+        idle = (finish[:-1] <= times[1:k]) & (times[1:k] <= until[1:k])
+        breaks = (np.flatnonzero(~idle) + 1).tolist() + [k]
+        taken = np.ones(k, dtype=bool)
+        finish_at, taken_at = finish.data, taken.data
+        c, d = 0, used
+        while c < k:
+            cap = caps[c]
+            if free <= cap <= lasts[c] and d - c == used:  # idle, and taken: a run starts
+                e = breaks[bisect_right(breaks, c)]
+                free = finish_at[e - 1]
+                d += e - c
+                c = e
+                continue
+            if free <= lasts[c]:
+                free = finish_at[c] = (free if free > cap else cap) + dets[d]
+                d += 1
+            else:
+                taken_at[c] = False
+            c += 1
+        landed.frombytes(ticks[:k][taken].astype(np.int64).tobytes())
+        command_s.frombytes((finish[taken] + decide_s + transmit_s).tobytes())
+        used = d
         first = float(times[_BLOCK])
     landed.append(n)
-    return landed, log
+    return landed, command_s
 
 
 def _robot_block(traj: RobotTrajectory, dt: float, start: int, stop: int) -> tuple:
@@ -593,14 +639,17 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     inf = math.inf
     sqrt = math.sqrt
 
-    # Pipeline state. ``commands`` is the trace's decision log, one entry per
-    # frame of the schedule; the loop decides ``frame`` on the tick it lands,
-    # ``next_frame``. The first ``applied`` entries have reached the actuator,
-    # and ``due`` is the command time of ``commands[applied]``, inf past the
-    # last, so a tick tests the queue in one compare.
-    landed, commands = _schedule(latency, g_lat, n, dt)  # the frame at 0 s is always taken
-    frame = applied = 0
-    next_frame, due = landed[0], commands[0][0]
+    # Pipeline state: the trace's decision log, one command time and one state
+    # per frame of the schedule, every state SAFE until the loop decides
+    # otherwise. The loop decides ``frame`` on the tick it lands,
+    # ``next_frame``; frames before ``hot`` include every one decided other
+    # than SAFE. The first ``applied`` commands have reached the actuator, and
+    # ``due`` is the time of the next one, inf past the last, so a tick tests
+    # the queue in one compare.
+    landed, command_s = _schedule(latency, g_lat, n, dt)  # the frame at 0 s is always taken
+    command_state = bytearray(len(command_s))
+    frame = applied = hot = 0
+    next_frame, due = landed[0], command_s[0]
     dec_state = SafetyState.SAFE
     live_state = 0
 
@@ -631,16 +680,17 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
         kicks = iter((np.flatnonzero(g_exc.random(stop - start) < excursion_p)
                       + start).tolist() + [inf])
         next_kick = next(kicks)
-        ticks = zip(range(start, stop), xs, ys, zs)
-        for i, tx, ty, tz in ticks:
+        i = start
+        while i < stop:
             # --- idle span -----------------------------------------------
-            # With every command of the frames landed so far applied, the
-            # state SAFE, the fan stopped and no retreat pending, the ticks
-            # before the next excursion candidate where the hand stays beyond
-            # the HAD run as one span, in any phase: each frame landing in it
-            # decides SAFE, as its log entry stands, and its ticks keep the
-            # zero state and duty the columns start with.
-            if (applied == frame and live_state == 0 and duty == 0.0 and vis_at == inf
+            # With every command decided other than SAFE applied, the state
+            # SAFE, the fan stopped and no retreat pending, the ticks before
+            # the next excursion candidate where the hand stays beyond the
+            # HAD run as one span, in any phase: each frame landing in it
+            # decides SAFE, as its log entry stands, each command applied in
+            # it is SAFE and changes nothing, and its ticks keep the zero
+            # state and duty the columns start with.
+            if (hot <= applied and live_state == 0 and duty == 0.0 and vis_at == inf
                     and air_at == inf and idle_from <= i < next_kick):
                 lo = i - start
                 xyz, marks = _walk(human, dt, tick_s, lo, min(stop, next_kick) - start,
@@ -660,11 +710,12 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                     hx, hy, hz = xyz[:, span - 1].tolist()
                     frame = bisect_right(landed, start + last, frame)
                     next_frame = landed[frame]
-                    applied = bisect_right(commands, tick_s[last], applied, key=itemgetter(0))
-                    due = commands[applied][0] if applied < len(commands) else inf
-                    next(islice(ticks, span - 1, span - 1), None)
+                    applied = bisect_right(command_s, tick_s[last], applied)
+                    due = command_s[applied] if applied < len(command_s) else inf
+                    i += span
                     continue
 
+            tx, ty, tz = xs[i - start], ys[i - start], zs[i - start]
             t = i * dt
 
             # --- hand update ---------------------------------------------
@@ -709,17 +760,17 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
 
             # --- decision and actuation ----------------------------------
             if i == next_frame:
-                decision = step(dec_state, d, zone)
-                dec_state = decision.state
-                commands[frame] = (commands[frame][0], int(dec_state), decision.actuate)
+                dec_state = step(dec_state, d, zone).state
+                if dec_state:
+                    command_state[frame] = dec_state
+                    hot = frame + 1
                 frame += 1
                 next_frame = landed[frame]
-            while due <= t:
-                _, state, actuate = commands[applied]
-                applied += 1
-                due = commands[applied][0] if applied < len(commands) else inf
-                duty_target = duty_on if actuate else 0.0
-                live_state = state
+            if due <= t:  # the last command due sets the state and the fan's target
+                applied = bisect_right(command_s, t, applied)
+                due = command_s[applied] if applied < len(command_s) else inf
+                live_state = command_state[applied - 1]
+                duty_target = duty_on if live_state else 0.0
 
             # A settled duty is left as it is: the update would add 0.0 to it.
             if duty != duty_target:
@@ -746,12 +797,14 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                 out_state[i] = live_state
             if duty:
                 out_duty[i] = duty
+            i += 1
 
         # A long trial frees a block's inputs before the next block's are made.
-        ticks = tick_s = t_ms = tcp = xs = ys = zs = None
+        tick_s = t_ms = tcp = xs = ys = zs = None
 
     return DistanceTrace(t_ms=out_t, dist_m=out_d, state=out_state, duty_pct=out_duty,
-                         condition=cond, seed=seed, decisions=commands)
+                         condition=cond, seed=seed, command_s=command_s,
+                         command_state=command_state)
 
 
 def run_trials(cfg: RunConfig, conditions: Sequence[str], seeds: Sequence[int]

@@ -3,13 +3,14 @@
 ``reference_trial`` runs every tick through the per-tick body and fills the
 state and duty columns from (tick, value) marks at each block's end;
 ``run_trial`` runs its idle spans (ticks in any phase beyond the HAD with the
-fan stopped, nothing in flight and no retreat pending) a span at a time, its
-hand laid out in numpy, and stores nonzero states and duties where it makes
-them. Both move the hand on ``sim._move``'s closed-form law, so they must
+fan stopped, every command in flight SAFE and no retreat pending) a span at
+a time, its hand laid out in numpy, and stores nonzero states and duties
+where it makes them. Both move the hand on ``sim._move``'s closed-form law, so they must
 agree bit for bit.
 """
 
 import math
+from array import array
 from dataclasses import replace
 from itertools import chain, count
 from typing import Optional
@@ -232,7 +233,9 @@ def reference_trial(cond, human, traj, zone, jet, perception, latency, duration_
         fill_from_marks(out_duty, stop, duty_marks)
 
     return sim.DistanceTrace(t_ms=out_t, dist_m=out_d, state=out_state, duty_pct=out_duty,
-                             condition=cond, seed=seed, decisions=commands)
+                             condition=cond, seed=seed,
+                             command_s=array("d", [command_t for command_t, _, _ in commands]),
+                             command_state=bytearray(state for _, state, _ in commands))
 
 
 LATENCIES = [
@@ -244,6 +247,9 @@ LATENCIES = [
     StageLatencyModel(detect_ms_mean=0.0, detect_ms_sd=0.0, decide_ms=0.0, transmit_ms=0.0,
                       actuator_rise_ms=0.0),
     StageLatencyModel(capture_ms=10.0),
+    # the detector busy at most captures, so the schedule switches between a
+    # run of idle frames and a frame stepped alone on nearly every frame
+    StageLatencyModel(detect_ms_mean=33.0),
 ]
 HUMANS = [
     {},
@@ -330,10 +336,13 @@ def test_the_frame_schedule_does_not_depend_on_the_hand(latency):
     assert len(logs) > 1
 
 
-def test_idle_frames_do_not_call_step():
-    # Most frames of a default trial, reaches and returns beyond the HAD among
-    # them, fall in idle spans, whose decisions are SAFE without a call.
-    cfg = RunConfig(duration_s=120.0)
+@pytest.mark.parametrize("latency", [LATENCIES[0], LATENCIES[2]], ids=["default", "detect-80"])
+def test_idle_frames_do_not_call_step(latency):
+    # Most frames of a trial, reaches and returns beyond the HAD among them,
+    # fall in idle spans, whose decisions are SAFE without a call. With an
+    # 80 ms detect time a command is nearly always in flight, so there this
+    # holds only because a span opens while every command in flight is SAFE.
+    cfg = RunConfig(duration_s=120.0, latency=latency)
     with mock.patch.object(sim, "step", wraps=sim.step) as spy:
         trace = next(sim.run_trials(cfg, ["va"], [1]))[2]
     assert 0 < spy.call_count < len(trace.decisions) / 5
