@@ -36,16 +36,22 @@ before the loop. The state and duty columns start at zero and a tick stores
 each only where it is nonzero. Every straight move of the hand follows one
 closed-form law, ``_move``: k ticks in, it is k steps along the segment from
 its start, and on its arrival tick at its goal itself. Idle ticks, in any
-phase, beyond the HAD with the state SAFE, the fan stopped, every command in
-flight SAFE and no retreat pending, run a span at a time and store only their
-distances: ``_walk`` lays the hand's path out on that law in numpy, and the
-distances are taken in numpy. A span skips its ticks by index.
+phase, beyond the HAD with the state SAFE, every command in flight SAFE, no
+retreat pending, and the fan stopped or the hand out of the reach, grab and
+return phases, where the air channel reads the duty, run a span at a time:
+``_walk`` lays the hand's path out on that law in numpy, and the distances are
+taken in numpy. A span skips its ticks by index and stores only their
+distances, and the duty of a fan still winding down, tick by tick. A retreat
+moves the hand off the path that the last walk laid out, so as it starts, the
+loop drops that walk's horizon, the tick up to which the hand stayed within
+the HAD.
 
-Every trial of a run replays the same robot path, so trials of at most
-``_MEMO_BLOCKS`` blocks (a default 120 s trial) share it: the robot's inputs
-for each block, its tick times and TCP positions, are made once and kept, about
-2 MB, for the next trial with the same path, tick and length. A longer trial
-makes them a block at a time and keeps none of them.
+Every trial of a run replays the same robot path and the same capture clock,
+so trials of at most ``_MEMO_BLOCKS`` blocks (a default 120 s trial) share
+them: the robot's inputs for each block, its tick times and TCP positions,
+about 2 MB, and each block's capture times and landing ticks, are made once
+and kept for the next trial with the same path, tick, frame interval and
+length. A longer trial makes them a block at a time and keeps none of them.
 """
 
 from __future__ import annotations
@@ -262,8 +268,9 @@ _DUTY_SETTLE_PCT = 1e-3
 # Most ticks one trial may hold: about 28 h at the default 10 ms tick, and
 # 250 MB of trace columns.
 _MAX_TICKS = 1e7
-# Most blocks of a trial whose robot inputs ``_robot_memo`` keeps: a default
-# 120 s trial at 10 ms, about 2 MB. A longer trial makes them a block at a time.
+# Most blocks of a trial whose robot inputs ``_robot_memo`` and capture clock
+# ``_capture_memo`` keep: a default 120 s trial at 10 ms, about 2 MB. A longer
+# trial makes them a block at a time.
 _MEMO_BLOCKS = 3
 
 
@@ -495,19 +502,50 @@ def _walk(human: HumanModel, dt: float, times: list[float], lo: int, hi: int, ha
         return rows[:3] + rows[3:6] * f, marks
 
 
+def _capture_blocks(capture_ms: float, n: int, dt: float) -> Iterator[tuple]:
+    """The capture clock of a trial of ``n`` ticks ``dt`` s apart, a block of
+    ``_BLOCK`` captures at a time, for ``_schedule``. Per block, of its captures
+    up to the last tick's time: their times, whether each after the first lands
+    on a tick before the next capture lands, the tick each lands on, and, as
+    lists, their times and the time of the last tick before the next capture
+    lands (-inf if that is the same tick).
+
+    A frame is captured every ``capture_ms`` from 0, one addition after
+    another, as ``np.add.accumulate`` adds, and lands on the first tick at or
+    after its capture."""
+    end = (n - 1) * dt  # the last tick's time
+    first = 0.0  # the block's first capture
+    while first <= end:  # a block of captures, and the next one's for its landing tick
+        steps = np.full(_BLOCK + 1, capture_ms / 1000.0)
+        steps[0] = first
+        # The quotient is within a tick of the landing tick, so one step each
+        # way fixes it. A capture time that overflows is inf, past the trial.
+        with np.errstate(over="ignore"):
+            times = np.add.accumulate(steps)
+            ticks = np.ceil(times / dt)
+        ticks += ticks * dt < times
+        ticks -= (ticks - 1) * dt >= times
+        nxt = np.minimum(ticks[1:], n)
+        until = np.where(nxt > ticks[:-1], (nxt - 1) * dt, -np.inf)
+        k = int(np.searchsorted(times[:_BLOCK], end, side="right"))
+        yield (times[:k], times[1:k] <= until[1:k], ticks[:k].astype(np.int64),
+               times[:k].tolist(), until[:k].tolist())
+        first = float(times[_BLOCK])
+
+
 def _schedule(latency: StageLatencyModel, g_lat: np.random.Generator, n: int,
               dt: float) -> tuple[array, array]:
     """The frame schedule of a trial of ``n`` ticks ``dt`` s apart, per
     processed frame in order: the tick its capture lands on, then ``n``; and
     its command time in s.
 
-    A frame is captured every ``capture_ms`` from 0, one addition after
-    another, as ``np.add.accumulate`` adds, and lands on the first tick at or
-    after its capture. The detector takes the freshest frame landed on the
-    first tick it is free, so a frame not taken when the next one lands is
-    dropped. It starts at the later of the capture and its last finish, and
-    takes a detect time drawn from ``g_lat`` in blocks of ``_BLOCK``; the
-    command time adds the decide and then the transmit time to its finish.
+    Frames are captured and land as ``_capture_blocks`` lays them out, which a
+    short trial takes from ``_capture_memo``. The detector takes the freshest
+    frame landed on the first tick it is free, so a frame not taken when the
+    next one lands is dropped. It starts at the later of the capture and its
+    last finish, and takes a detect time drawn from ``g_lat`` in blocks of
+    ``_BLOCK``; the command time adds the decide and then the transmit time to
+    its finish.
 
     Until a block's first drop, its j-th frame takes the j-th detect time
     from the block's start, so each frame that finds the detector idle
@@ -520,35 +558,24 @@ def _schedule(latency: StageLatencyModel, g_lat: np.random.Generator, n: int,
     transmit_s = latency.transmit_ms / 1000.0
     landed, command_s = array("q"), array("d")
     det, used = np.empty(0), 0  # detect times drawn, and how many of them are taken
-    end = (n - 1) * dt  # the last tick's time
-    first = free = 0.0  # the block's first capture; the detector's last finish
-    while first <= end:  # a block of captures, and the next one's for its landing tick
-        steps = np.full(_BLOCK + 1, latency.capture_ms / 1000.0)
-        steps[0] = first
-        # The quotient is within a tick of the landing tick, so one step each
-        # way fixes it. A capture time that overflows is inf, past the trial.
-        with np.errstate(over="ignore"):
-            times = np.add.accumulate(steps)
-            ticks = np.ceil(times / dt)
-        ticks += ticks * dt < times
-        ticks -= (ticks - 1) * dt >= times
-        # The time of the last tick before the next capture lands; -inf if on the same tick.
-        nxt = np.minimum(ticks[1:], n)
-        until = np.where(nxt > ticks[:-1], (nxt - 1) * dt, -np.inf)
-        k = int(np.searchsorted(times[:_BLOCK], end, side="right"))
+    free = 0.0  # the detector's last finish
+    blocks = _capture_blocks(latency.capture_ms, n, dt)
+    if n <= _MEMO_BLOCKS * _BLOCK:
+        blocks = _memoized(_capture_memo, (latency.capture_ms, n, dt, _BLOCK), blocks)
+    for times, fits, ticks, caps, lasts in blocks:
+        k = len(caps)
         if len(det) - used < k:
             det, used = np.concatenate((det[used:], draw_detect_ms(latency, g_lat, _BLOCK)
                                         / 1000.0)), 0
             dets = det.tolist()
-        caps, lasts = times[:k].tolist(), until[:k].tolist()
         # Frame c takes detect time d; until the block's first drop, d - c is
         # ``used``. So ``finish`` starts as each frame's finish had it found
         # the detector idle, and a frame stepped alone sets its own through a
         # memoryview, where an item set costs a fraction of numpy's. A run
         # ends at a frame in ``breaks``: one that finds the detector busy or
         # is dropped.
-        finish = times[:k] + det[used:used + k]
-        idle = (finish[:-1] <= times[1:k]) & (times[1:k] <= until[1:k])
+        finish = times + det[used:used + k]
+        idle = (finish[:-1] <= times[1:]) & fits
         breaks = (np.flatnonzero(~idle) + 1).tolist() + [k]
         taken = np.ones(k, dtype=bool)
         finish_at, taken_at = finish.data, taken.data
@@ -567,10 +594,9 @@ def _schedule(latency: StageLatencyModel, g_lat: np.random.Generator, n: int,
             else:
                 taken_at[c] = False
             c += 1
-        landed.frombytes(ticks[:k][taken].astype(np.int64).tobytes())
+        landed.frombytes(ticks[taken].tobytes())
         command_s.frombytes((finish[taken] + decide_s + transmit_s).tobytes())
         used = d
-        first = float(times[_BLOCK])
     landed.append(n)
     return landed, command_s
 
@@ -583,24 +609,35 @@ def _robot_block(traj: RobotTrajectory, dt: float, start: int, stop: int) -> tup
     return (times.tolist(), np.rint(times * 1000.0), tcp, *tcp.T.tolist())
 
 
-# The robot inputs of the last trial of at most ``_MEMO_BLOCKS`` blocks, by key.
+# What the trials of a run share, each kept for the last trial of at most
+# ``_MEMO_BLOCKS`` blocks, by key: the robot's inputs and the capture clock.
 _robot_memo: dict[tuple, tuple] = {}
+_capture_memo: dict[tuple, tuple] = {}
+
+
+def _memoized(memo: dict, key: tuple, blocks: Iterator[tuple]) -> tuple:
+    """The blocks that ``memo`` keeps under ``key``. Without an entry there,
+    ``blocks`` are made and kept in place of the old entry, their arrays
+    read-only; the generator is left unstarted otherwise."""
+    kept = memo.get(key)
+    if kept is None:
+        memo.clear()  # the old entry goes before the new one is made
+        kept = tuple(blocks)
+        for block in kept:
+            for item in block:
+                if isinstance(item, np.ndarray):
+                    item.flags.writeable = False
+        memo[key] = kept
+    return kept
 
 
 def _robot_blocks(traj: RobotTrajectory, dt: float, n: int) -> tuple:
     """Each block's robot inputs for a trial of ``n`` ticks, ``dt`` s apart, made
     once for the trials that replay the same path. The key holds all that
-    ``trajectory_positions`` and the block layout read; the arrays are read-only."""
+    ``trajectory_positions`` and the block layout read."""
     key = (traj._table.tobytes(), traj.cycle_period, traj.speed, traj.accel, dt, n, _BLOCK)
-    blocks = _robot_memo.get(key)
-    if blocks is None:
-        _robot_memo.clear()  # the old entry goes before the new one is made
-        blocks = tuple(_robot_block(traj, dt, lo, min(lo + _BLOCK, n))
-                       for lo in range(0, n, _BLOCK))
-        for _, t_ms, tcp, *_ in blocks:
-            t_ms.flags.writeable = tcp.flags.writeable = False
-        _robot_memo[key] = blocks
-    return blocks
+    return _memoized(_robot_memo, key, (_robot_block(traj, dt, lo, min(lo + _BLOCK, n))
+                                        for lo in range(0, n, _BLOCK)))
 
 
 def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
@@ -684,14 +721,17 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
         while i < stop:
             # --- idle span -----------------------------------------------
             # With every command decided other than SAFE applied, the state
-            # SAFE, the fan stopped and no retreat pending, the ticks before
-            # the next excursion candidate where the hand stays beyond the
-            # HAD run as one span, in any phase: each frame landing in it
-            # decides SAFE, as its log entry stands, each command applied in
-            # it is SAFE and changes nothing, and its ticks keep the zero
-            # state and duty the columns start with.
-            if (hot <= applied and live_state == 0 and duty == 0.0 and vis_at == inf
-                    and air_at == inf and idle_from <= i < next_kick):
+            # SAFE, no retreat pending, and the fan stopped or the hand
+            # outside phases 2-4, where the air channel reads the duty, the
+            # ticks before the next excursion candidate where the hand stays
+            # beyond the HAD run as one span, in any phase: each frame
+            # landing in it decides SAFE, as its log entry stands, each
+            # command applied in it is SAFE and changes nothing, and its ticks
+            # keep the zero state the column starts with. A span never enters
+            # phases 2-4, since only a candidate starts a reach; the fan winds
+            # down in it tick by tick, as below.
+            if (hot <= applied and live_state == 0 and vis_at == inf and air_at == inf
+                    and (duty == 0.0 or not 2 <= phase <= 4) and idle_from <= i < next_kick):
                 lo = i - start
                 xyz, marks = _walk(human, dt, tick_s, lo, min(stop, next_kick) - start,
                                    (hx, hy, hz), phase, task_target, phase_until, move, k)
@@ -708,6 +748,14 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                         m for m in reversed(marks) if m[0] <= last)
                     k += last - mark
                     hx, hy, hz = xyz[:, span - 1].tolist()
+                    if duty:  # the fan winds down by the per-tick update below
+                        for j in range(i, i + span):
+                            duty += (duty_target - duty) * alpha
+                            if abs(duty_target - duty) < _DUTY_SETTLE_PCT:
+                                duty = duty_target
+                            if not duty:
+                                break
+                            out_duty[j] = duty
                     frame = bisect_right(landed, start + last, frame)
                     next_frame = landed[frame]
                     applied = bisect_right(command_s, tick_s[last], applied)
@@ -791,6 +839,7 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                     move, k = _move((hx, hy, hz), tray, human.retreat_speed * dt), 0
                     vis_at = inf
                     air_at = inf
+                    idle_from = i  # the walk that set it never modelled the retreat
 
             out_d[i] = d
             if live_state:

@@ -472,6 +472,49 @@ def test_trials_sharing_the_robot_memo_match_cold_trials():
             assert not t_ms.flags.writeable and not tcp.flags.writeable
 
 
+def test_trials_sharing_the_capture_memo_match_cold_trials():
+    # Trials at two frame intervals and two ticks interleave, at a length on
+    # each side of the memo's bound. Each short trial differs from the one
+    # before it in its frame interval or its tick alone; the second seed of
+    # each case runs on the entry the first one made, and a long trial keeps
+    # the entry as it was.
+    cfg = RunConfig()
+    cases = [(capture, tick, ticks * tick / 1000.0)
+             for capture, tick in ((33.3, 10.0), (10.0, 10.0), (33.3, 10.0), (33.3, 3.3))
+             for ticks in (6000, 12500)]
+    assert [sim.trial_ticks(d, tick, 100.0, capture)
+            for capture, tick, d in cases] == [6000, 12500] * 4
+
+    def trial(capture, tick, duration, seed):
+        return sim.run_trial("va", cfg.human, cfg.trajectory, cfg.safety, cfg.jet,
+                             cfg.perception, replace(cfg.latency, capture_ms=capture),
+                             duration, seed, tick)
+
+    wants = {}
+    for k, case in enumerate(cases):
+        for seed in (5, 6):
+            sim._capture_memo.clear()
+            wants[k, seed] = trial_bytes(trial(*case, seed))
+    for k, (capture, tick, duration) in enumerate(cases):
+        before = dict(sim._capture_memo)
+        for seed in (5, 6):
+            assert trial_bytes(trial(capture, tick, duration, seed)) == wants[k, seed], (k, seed)
+        (key, blocks), = sim._capture_memo.items()
+        if k % 2:
+            assert before.get(key) is blocks
+        else:
+            assert key == (capture, 6000, tick / 1000.0, sim._BLOCK)
+        for block in blocks:
+            arrays = [item for item in block if isinstance(item, np.ndarray)]
+            assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+def test_a_trial_beyond_the_memo_bound_adds_no_capture_memo_entry():
+    sim._capture_memo.clear()
+    next(sim.run_trials(RunConfig(duration_s=600.0), ["va"], [1]))
+    assert not sim._capture_memo
+
+
 def test_a_trajectory_built_from_lists_runs_on_the_memo(human, trajectory, zone, jet,
                                                         perception, latency):
     listed = sim.RobotTrajectory(waypoints=[[list(p), d] for p, d in trajectory.waypoints])

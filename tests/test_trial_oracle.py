@@ -2,11 +2,12 @@
 
 ``reference_trial`` runs every tick through the per-tick body and fills the
 state and duty columns from (tick, value) marks at each block's end;
-``run_trial`` runs its idle spans (ticks in any phase beyond the HAD with the
-fan stopped, every command in flight SAFE and no retreat pending) a span at
-a time, its hand laid out in numpy, and stores nonzero states and duties
-where it makes them. Both move the hand on ``sim._move``'s closed-form law, so they must
-agree bit for bit.
+``run_trial`` runs its idle spans (ticks in any phase beyond the HAD with
+every command in flight SAFE, no retreat pending, and the fan stopped or
+winding down outside the reach, grab and return phases) a span at a time,
+its hand laid out in numpy, and stores nonzero states and duties where it
+makes them, a winding-down duty tick by tick. Both move the hand on
+``sim._move``'s closed-form law, so they must agree bit for bit.
 """
 
 import math
@@ -295,6 +296,10 @@ def assert_same_trial(got, want):
 @example(seed=1, cond="v", latency=LATENCIES[5], tick_ms=3.3, duty_pct=10.0,
          excursion_rate=2.0, attention_p=0.9, human=HUMANS[2], duration_s=20.0,
          block=sim._BLOCK)
+# With a slow actuator the fan still winds down as the next reach starts, and
+# the air channel feels it beyond the HAD, so no span may open in a reach then.
+@example(seed=3, cond="va", latency=LATENCIES[4], tick_ms=10.0, duty_pct=100.0,
+         excursion_rate=2.0, attention_p=0.0, human={}, duration_s=20.0, block=sim._BLOCK)
 # A frame interval of one tick: the capture clock drifts against the tick
 # grid, so now and then two captures land on one tick, and the older is dropped.
 @example(seed=1, cond="va", latency=StageLatencyModel(capture_ms=33.3), tick_ms=33.3,
@@ -346,6 +351,20 @@ def test_idle_frames_do_not_call_step(latency):
     with mock.patch.object(sim, "step", wraps=sim.step) as spy:
         trace = next(sim.run_trials(cfg, ["va"], [1]))[2]
     assert 0 < spy.call_count < len(trace.decisions) / 5
+    assert_same_trial(trace, reference_trial("va", cfg.human, cfg.trajectory, cfg.safety,
+                                             cfg.jet, cfg.perception, cfg.latency, 120.0, 1))
+
+
+@pytest.mark.parametrize("latency", [LATENCIES[0], LATENCIES[2]], ids=["default", "detect-80"])
+def test_retreat_and_wind_down_frames_do_not_call_step(latency):
+    # Once a retreat has taken the hand beyond the HAD, its frames fall in
+    # idle spans, while the fan still winds down after the state went back to
+    # SAFE too. Without them, 432 of 3604 frames call ``step`` here at the
+    # default latency and 183 of 1492 with an 80 ms detect time.
+    cfg = RunConfig(duration_s=120.0, latency=latency)
+    with mock.patch.object(sim, "step", wraps=sim.step) as spy:
+        trace = next(sim.run_trials(cfg, ["va"], [1]))[2]
+    assert 0 < spy.call_count < len(trace.command_s) / 20
     assert_same_trial(trace, reference_trial("va", cfg.human, cfg.trajectory, cfg.safety,
                                              cfg.jet, cfg.perception, cfg.latency, 120.0, 1))
 
