@@ -12,12 +12,13 @@ Every random draw comes from named per-trial streams, drawn in full
 whichever channels fire, so trials are bit-reproducible from their seed and
 the two feedback conditions consume identical randomness: with the airflow
 channel disabled, V and VA traces at equal seeds are identical by
-construction. Per-tick and per-frame inputs are drawn, and traces encoded,
-in blocks of ``_BLOCK``, and read back a line at a time, so no step holds
-inputs or text for a whole trial, whatever a file holds. Each
-excursion draws its item distance, attention and glance delay as it starts,
-so the e-th excursion of either condition gets the same values, however many
-a trial starts.
+construction. Only the felt-pressure stream, which the VA air channel alone
+reads, is left undrawn in V; it is a stream of its own, so no other moves.
+Per-tick and per-frame inputs are drawn, and traces encoded, in blocks of
+``_BLOCK``, and read back a line at a time, so no step holds inputs or text
+for a whole trial, whatever a file holds. Each excursion draws its item
+distance, attention and glance delay as it starts, so the e-th excursion of
+either condition gets the same values, however many a trial starts.
 
 Which frames the detector takes, and when their commands land, never depend
 on the hand: ``_schedule`` lays them out before the loop, the finishes of
@@ -49,9 +50,13 @@ the HAD.
 Every trial of a run replays the same robot path and the same capture clock,
 so trials of at most ``_MEMO_BLOCKS`` blocks (a default 120 s trial) share
 them: the robot's inputs for each block, its tick times and TCP positions,
-about 2 MB, and each block's capture times and landing ticks, are made once
+about 0.8 MB, and each block's capture times and landing ticks, are made once
 and kept for the next trial with the same path, tick, frame interval and
-length. A longer trial makes them a block at a time and keeps none of them.
+length. Their trace files share text as well, which the run's first trace
+encoded makes: each tick's ``{"t_ms":T,"dist_m":`` prefix, and the distance
+from each task position to the TCP at each tick, where a resting hand sits,
+with its ``repr`` once a trace has held it. A longer trial makes its inputs
+a block at a time and keeps none of them, and its trace makes its own text.
 """
 
 from __future__ import annotations
@@ -62,7 +67,8 @@ import re
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, BinaryIO, Iterator, Mapping, Optional, Sequence
+from typing import (TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping, Optional,
+                    Sequence)
 
 import numpy as np
 
@@ -268,9 +274,9 @@ _DUTY_SETTLE_PCT = 1e-3
 # Most ticks one trial may hold: about 28 h at the default 10 ms tick, and
 # 250 MB of trace columns.
 _MAX_TICKS = 1e7
-# Most blocks of a trial whose robot inputs ``_robot_memo`` and capture clock
-# ``_capture_memo`` keep: a default 120 s trial at 10 ms, about 2 MB. A longer
-# trial makes them a block at a time.
+# Most blocks of a trial whose robot inputs ``_robot_memo``, capture clock
+# ``_capture_memo`` and trace text ``_text_memo`` keep: a default 120 s trial at
+# 10 ms. A longer trial makes them a block at a time.
 _MEMO_BLOCKS = 3
 
 
@@ -280,7 +286,10 @@ class DistanceTrace:
     processed frame in two columns: the command time in s, ``command_s``, and
     the SafetyState value decided, ``command_state``. ``decisions`` lists the
     log as (command time s, SafetyState value, actuate) entries; a command
-    actuates exactly when its state is not SAFE."""
+    actuates exactly when its state is not SAFE. ``shared`` names what the
+    trials of its run share, for ``jsonl``: ``run_trial`` sets it to the key
+    and blocks of the robot-input memo entry the trial ran on, and the task
+    positions, or leaves it None for a trial beyond the memo's bound."""
 
     t_ms: np.ndarray
     dist_m: np.ndarray
@@ -290,6 +299,7 @@ class DistanceTrace:
     seed: int
     command_s: array = field(default_factory=lambda: array("d"))
     command_state: bytearray = field(default_factory=bytearray)
+    shared: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.t_ms)
@@ -303,37 +313,52 @@ class DistanceTrace:
         t_ms, dist_m, state (its name), duty_pct, cond, seed, given as blocks
         of up to ``_BLOCK`` whole lines.
 
-        A block is one join of its columns' strings, interleaved with the
-        constant text between them: ``str`` of each t_ms, ``repr`` of each
-        dist_m, one constant per state value, and ``repr`` of each duty_pct
-        taken from a memo of the trace's distinct duties, keyed on their bits
-        so that -0.0 keeps its sign. ``repr`` writes a finite float exactly as
-        ``json.dumps`` does. NaN and infinities are not JSON, so a trace
-        holding one raises ValueError here, before any block.
+        A block is one join of three strings a row: the row's
+        ``{"t_ms":T,"dist_m":`` prefix, ``repr`` of its dist_m, and the rest of
+        the row, taken from one table of the trace's (duty, state) pairs by a
+        code, the duty's index among the trace's distinct duty bits times the
+        number of states plus the state, so that a -0.0 duty keeps its sign;
+        the table gains a pair's text as a block first holds it.
+        A trace run on the robot-input memo takes its prefixes, and the
+        ``repr`` of each dist_m whose bits equal the distance from a task
+        position to the TCP at its tick, from ``_text_memo``, which its run's
+        first encoded trace fills; any other block makes its prefixes itself.
+        ``repr`` writes a finite float exactly as ``json.dumps`` does. NaN and
+        infinities are not JSON, so a trace holding one raises ValueError
+        here, before any block, as does a state that is no SafetyState value.
         """
         if not (np.isfinite(self.dist_m).all() and np.isfinite(self.duty_pct).all()):
             raise ValueError("a trace file holds finite dist_m and duty_pct only")
+        state = np.asarray(self.state)
+        if ((state < 0) | (state >= len(_STATE_NAMES))).any():
+            raise ValueError("a trace's state holds SafetyState values only")
         # '"cond":...,"seed":...}', the same on every row.
         tail = json.dumps({"cond": self.condition, "seed": self.seed},
                           separators=(",", ":"))[1:]
-        between = f',{tail}\n{{"t_ms":'  # from one row's duty_pct to the next row's t_ms
-        states = {v: f',"state":"{name}","duty_pct":' for v, name in _STATE_NAMES.items()}
         duty_bits = np.asarray(self.duty_pct, dtype=float).view(np.int64)
         # Sorted rather than np.unique, whose first call imports numpy.ma (about 1 MB).
         ordered = np.sort(duty_bits)
         distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
-        duties = dict(zip(distinct.tolist(), map(repr, distinct.view(float).tolist())))
+        duties = distinct.view(float).tolist()
+        rows: dict[int, str] = {}  # the rest of a row, from its "state" on, by its code
+        text = _run_text(*self.shared) if self.shared is not None else None
 
         def blocks() -> Iterator[str]:
             for lo in range(0, len(self), _BLOCK):
                 hi = min(lo + _BLOCK, len(self))
-                parts = [between, None, ',"dist_m":', None, None, None] * (hi - lo)
-                parts[0] = '{"t_ms":'
-                parts[1::6] = map(str, self.t_ms[lo:hi].tolist())
-                parts[3::6] = map(repr, self.dist_m[lo:hi].tolist())
-                parts[4::6] = map(states.__getitem__, self.state[lo:hi].tolist())
-                parts[5::6] = map(duties.__getitem__, duty_bits[lo:hi].tolist())
-                parts.append(f",{tail}\n")
+                codes = np.searchsorted(distinct, duty_bits[lo:hi]) * len(_STATE_NAMES)
+                codes += state[lo:hi]
+                codes = codes.tolist()
+                for code in set(codes).difference(rows):
+                    duty, value = divmod(code, len(_STATE_NAMES))
+                    rows[code] = (f',"state":"{_STATE_NAMES[value]}",'
+                                  f'"duty_pct":{duties[duty]!r},{tail}\n')
+                t_ms = self.t_ms[lo:hi]
+                prefixes, columns = text.block(lo, t_ms) if text is not None else (None, ())
+                parts = [None] * (3 * (hi - lo))
+                parts[0::3] = prefixes if prefixes is not None else _prefixes(t_ms)
+                parts[1::3] = _dist_text(self.dist_m[lo:hi], columns)
+                parts[2::3] = map(rows.__getitem__, codes)
                 yield "".join(parts)
 
         return blocks()
@@ -603,16 +628,20 @@ def _schedule(latency: StageLatencyModel, g_lat: np.random.Generator, n: int,
 
 def _robot_block(traj: RobotTrajectory, dt: float, start: int, stop: int) -> tuple:
     """The robot inputs of ticks ``start``..``stop - 1``, ``dt`` s apart: their
-    times as a list, their ``t_ms``, the TCP positions and their x, y, z lists."""
+    times, their ``t_ms``, the TCP positions and their x, y and z, the times and
+    coordinates as ``array('d')`` columns."""
     times = np.arange(start, stop) * dt
     tcp = trajectory_positions(traj, times)
-    return (times.tolist(), np.rint(times * 1000.0), tcp, *tcp.T.tolist())
+    return (array("d", times.tobytes()), np.rint(times * 1000.0), tcp,
+            *(array("d", column.tobytes()) for column in tcp.T))
 
 
 # What the trials of a run share, each kept for the last trial of at most
-# ``_MEMO_BLOCKS`` blocks, by key: the robot's inputs and the capture clock.
+# ``_MEMO_BLOCKS`` blocks, by key: the robot's inputs, the capture clock, and
+# the text of their trace files, which the first trace encoded makes.
 _robot_memo: dict[tuple, tuple] = {}
 _capture_memo: dict[tuple, tuple] = {}
+_text_memo: dict[tuple, _RunText] = {}
 
 
 def _memoized(memo: dict, key: tuple, blocks: Iterator[tuple]) -> tuple:
@@ -631,13 +660,85 @@ def _memoized(memo: dict, key: tuple, blocks: Iterator[tuple]) -> tuple:
     return kept
 
 
-def _robot_blocks(traj: RobotTrajectory, dt: float, n: int) -> tuple:
-    """Each block's robot inputs for a trial of ``n`` ticks, ``dt`` s apart, made
-    once for the trials that replay the same path. The key holds all that
-    ``trajectory_positions`` and the block layout read."""
+def _robot_blocks(traj: RobotTrajectory, dt: float, n: int) -> tuple[tuple, tuple]:
+    """(key, blocks): each block's robot inputs for a trial of ``n`` ticks,
+    ``dt`` s apart, made once for the trials that replay the same path, and the
+    key they are kept under, which holds all that ``trajectory_positions`` and
+    the block layout read."""
     key = (traj._table.tobytes(), traj.cycle_period, traj.speed, traj.accel, dt, n, _BLOCK)
-    return _memoized(_robot_memo, key, (_robot_block(traj, dt, lo, min(lo + _BLOCK, n))
-                                        for lo in range(0, n, _BLOCK)))
+    return key, _memoized(_robot_memo, key, (_robot_block(traj, dt, lo, min(lo + _BLOCK, n))
+                                             for lo in range(0, n, _BLOCK)))
+
+
+class _RunText:
+    """The trace-file text that the trials of one run share, made a block at
+    a time as their traces are encoded: per block of the run's robot inputs
+    ``blocks``, each tick's ``_prefixes`` and, for each task position in
+    ``places``, the distance from it to the TCP at each tick, as the trial
+    loop takes it, with the ``repr`` of each one that a trace has held so far.
+    """
+
+    def __init__(self, blocks: tuple, places: np.ndarray) -> None:
+        self.blocks, self.places = blocks, places
+        self.made: dict[int, tuple] = {}
+
+    def block(self, lo: int, t_ms: np.ndarray) -> tuple:
+        """(prefixes, columns) of the run's block from tick ``lo``, for
+        ``_dist_text``, if it holds the ticks ``t_ms``; (None, ()) otherwise."""
+        b, off = divmod(lo, len(self.blocks[0][1]))
+        if off or b >= len(self.blocks):
+            return None, ()
+        if b not in self.made:
+            _, run_t, tcp, *_ = self.blocks[b]
+            run_t = run_t.astype(np.int64)
+            columns = []
+            for dx, dy, dz in self.places[:, :, None] - tcp.T:
+                dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+                columns.append((dist, np.zeros(len(dist), dtype=bool),
+                                np.empty(len(dist), dtype=object)))
+            self.made[b] = run_t, _prefixes(run_t), columns
+        run_t, prefixes, columns = self.made[b]
+        return (prefixes, columns) if np.array_equal(run_t, t_ms) else (None, ())
+
+
+def _prefixes(t_ms: np.ndarray) -> list[str]:
+    """Each trace row's text up to its dist_m, ``{"t_ms":T,"dist_m":``, for ``t_ms``."""
+    return [f'{{"t_ms":{t},"dist_m":' for t in t_ms.tolist()]
+
+
+def _run_text(key: tuple, blocks: tuple, places: Sequence[Vec3]) -> _RunText:
+    """The ``_RunText`` of the run whose robot-input memo entry is ``key``,
+    ``blocks``, with task positions ``places``, from ``_text_memo``: made, in
+    place of the old entry, if it holds none."""
+    places = np.asarray(places, dtype=float)
+    key = (*key, places.tobytes())
+    text = _text_memo.get(key)
+    if text is None:
+        _text_memo.clear()
+        text = _text_memo[key] = _RunText(blocks, places)
+    return text
+
+
+def _dist_text(dist: np.ndarray, columns: Sequence[tuple]) -> Iterable[str]:
+    """``repr`` of each of ``dist``. Each of ``columns`` holds a run's
+    distances at the same ticks, whether each one's text is made yet, and
+    that text: a distance with the same bits as a column's at its tick takes
+    the first such column's text, which is made there if it is not yet."""
+    if not columns:
+        return map(repr, dist.tolist())
+    bits = dist.view(np.int64)
+    text = np.empty(len(dist), dtype=object)
+    rest = np.ones(len(dist), dtype=bool)
+    for column, kept, strings in columns:
+        hit = np.flatnonzero(rest & (bits == column.view(np.int64)))
+        new = hit[~kept[hit]]
+        strings[new] = list(map(repr, column[new].tolist()))
+        kept[new] = True
+        text[hit] = strings[hit]
+        rest[hit] = False
+    rest = np.flatnonzero(rest)
+    text[rest] = list(map(repr, dist[rest].tolist()))
+    return text.tolist()
 
 
 def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
@@ -652,9 +753,10 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     va = cond == "va"
 
     # Named random streams, drawn in full so both conditions consume
-    # identical draws whichever channels fire; the per-tick ones are drawn in
-    # blocks of ``_BLOCK`` as the loop below uses them, ``g_lat``'s by
-    # ``_schedule``, and ``g_event`` gives each excursion its three values as it starts.
+    # identical draws whichever channels fire, but for ``g_felt``, which V
+    # leaves undrawn; the per-tick ones are drawn in blocks of ``_BLOCK`` as
+    # the loop below uses them, ``g_lat``'s by ``_schedule``, and ``g_event``
+    # gives each excursion its three values as it starts.
     streams = np.random.SeedSequence(seed).spawn(4)
     g_exc, g_event, g_felt, g_lat = (np.random.default_rng(s) for s in streams)
 
@@ -703,7 +805,7 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
 
     # A short trial takes the robot's inputs from ``_robot_memo``, which the
     # trials of a run share; a longer one makes them as it reaches each block.
-    shared = _robot_blocks(traj, dt, n) if n <= _MEMO_BLOCKS * _BLOCK else None
+    key, shared = _robot_blocks(traj, dt, n) if n <= _MEMO_BLOCKS * _BLOCK else (None, None)
     for start in range(0, n, _BLOCK):
         # The per-tick inputs, one block at a time. Each generator is read in
         # sequence and the rest is elementwise, so the block size changes no draw.
@@ -711,7 +813,8 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
         tick_s, t_ms, tcp, xs, ys, zs = (shared[start // _BLOCK] if shared is not None
                                          else _robot_block(traj, dt, start, stop))
         out_t[start:stop] = t_ms
-        felt_block = felt_multipliers(perception, g_felt.standard_normal(stop - start))
+        if va:  # only the VA air channel reads the felt stream
+            felt_block = felt_multipliers(perception, g_felt.standard_normal(stop - start))
         # The ticks whose draw may start an excursion, then inf: the loop
         # tests the rest of an excursion's conditions on these ticks only.
         kicks = iter((np.flatnonzero(g_exc.random(stop - start) < excursion_p)
@@ -853,7 +956,8 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
 
     return DistanceTrace(t_ms=out_t, dist_m=out_d, state=out_state, duty_pct=out_duty,
                          condition=cond, seed=seed, command_s=command_s,
-                         command_state=command_state)
+                         command_state=command_state,
+                         shared=(key, shared, human.task_positions) if shared else None)
 
 
 def run_trials(cfg: RunConfig, conditions: Sequence[str], seeds: Sequence[int]

@@ -34,6 +34,14 @@ LONG_TRACE_SHA256 = {
     "trial_v_5.jsonl": "dd24bd998ded4dfd99204f916066aebc8e2c235c23a2d010025c37dbe0e3e4c4",
     "trial_va_5.jsonl": "6f2d3f2559c5db9a698746a3da6dd851e20c0782ee0fe8dc7ff7eeb475e1243d",
 }
+# 130 s trials hold 13 000 ticks, four blocks: more than sim._MEMO_BLOCKS, so
+# run_trial and the trace encoder make each block's inputs and text alone,
+# keeping none of them for the next trial of the run.
+UNSHARED_TRACE_SHA256 = {
+    "manifest.json": "96808d4a93029b6fcbd3f263be19bf0bf5045df282f9138eaf2e37b376897d91",
+    "trial_v_5.jsonl": "5ca7041838df225e48c5e8e6b5e84d53a244500b65bfcaba652e9c6c4baf978a",
+    "trial_va_5.jsonl": "26406a18b6413cfcdb2518562ab88971aee1e6917c5b19a27a4c2d16e2662099",
+}
 # What the hand did and what the loop decided in the six trials above:
 # dist_m, state and the decision log, without the duty column, so a change
 # to the actuator model alone leaves them as they are.
@@ -93,6 +101,16 @@ def test_trials_longer_than_one_block_are_byte_identical(tmp_path, capsys):
                  "--out", str(traces)]) == 0
     capsys.readouterr()
     assert {p.name: sha256(p.read_bytes()) for p in sorted(traces.iterdir())} == LONG_TRACE_SHA256
+
+
+def test_trials_beyond_the_memo_bound_are_byte_identical(tmp_path, capsys):
+    traces = tmp_path / "traces"
+    assert sim.trial_ticks(130.0, 10.0, 100.0, 33.3) > sim._MEMO_BLOCKS * sim._BLOCK
+    assert main(["simulate", "--trials", "1", "--seed", "5", "--duration", "130",
+                 "--out", str(traces)]) == 0
+    capsys.readouterr()
+    assert ({p.name: sha256(p.read_bytes()) for p in sorted(traces.iterdir())}
+            == UNSHARED_TRACE_SHA256)
 
 
 def test_distance_state_and_decisions_are_bit_identical():

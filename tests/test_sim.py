@@ -213,6 +213,18 @@ def test_channel_isolation_with_airflow_disabled(human, trajectory, zone, jet, l
     assert np.array_equal(v.duty_pct, va.duty_pct)
 
 
+def test_a_v_trial_reads_no_perception_model(human, trajectory, zone, jet, latency):
+    # Only the VA air channel reads the felt stream and the perception model,
+    # which changes VA trials at this seed.
+    models = [PerceptionModel(), PerceptionModel(weber=0.0), PerceptionModel(weber=0.8),
+              PerceptionModel(detect_q=1e-3), PerceptionModel(detect_q=math.inf)]
+    v = [run("v", 5, human, trajectory, zone, jet, pm, latency) for pm in models]
+    assert all(trial_bytes(t) + (encoded(t),) == trial_bytes(v[0]) + (encoded(v[0]),)
+               for t in v[1:])
+    va = {trial_bytes(run("va", 5, human, trajectory, zone, jet, pm, latency)) for pm in models}
+    assert len(va) > 1
+
+
 def test_airflow_feedback_changes_behavior(human, trajectory, zone, jet, perception, latency):
     v = run("v", 5, human, trajectory, zone, jet, perception, latency)
     va = run("va", 5, human, trajectory, zone, jet, perception, latency)
@@ -659,6 +671,112 @@ def test_jsonl_keeps_the_sign_of_a_zero_duty():
     assert "".join(blocks) == records_jsonl(trace)
     assert [b.count('"duty_pct":-0.0,') for b in blocks] == [3, 1]
     assert [b.count('"duty_pct":0.0,') for b in blocks] == [sim._BLOCK - 4, 2]
+
+
+# --- trace text a run shares ----------------------------------------------
+
+SHARED_CFG = RunConfig(duration_s=20.0)
+
+
+@pytest.fixture(scope="module")
+def run_traces():
+    """The traces of a run of 20 s trials on the robot-input memo, seeds 1-3
+    in both conditions, and each one's trace file as ``json.dumps`` writes it."""
+    got = [trace for _, _, trace in sim.run_trials(SHARED_CFG, sim.CONDITIONS, [1, 2, 3])]
+    assert all(trace.shared is not None for trace in got)
+    return [(trace, records_jsonl(trace)) for trace in got]
+
+
+def assert_encodes_as_records(trace, want=None):
+    # Compared as lists of lines: pytest's diff of two long strings takes minutes.
+    want = records_jsonl(trace) if want is None else want
+    assert "".join(trace.jsonl()).split("\n") == want.split("\n")
+
+
+def task_distances(cfg):
+    """Per task position, the distance from it to the TCP at each tick of a
+    trial ``cfg`` configures, as the trial loop takes a distance."""
+    n = sim.trial_ticks(cfg.duration_s, cfg.tick_ms, cfg.duty_pct, cfg.latency.capture_ms)
+    tcp = sim.trajectory_positions(cfg.trajectory, np.arange(n) * (cfg.tick_ms / 1000.0))
+    dist = []
+    for place in cfg.human.task_positions:
+        dx, dy, dz = (np.array(place)[:, None] - tcp.T)
+        dist.append(np.sqrt(dx * dx + dy * dy + dz * dz))
+    return dist
+
+
+def test_a_run_rests_at_its_task_positions_on_many_ticks(run_traces):
+    columns = task_distances(SHARED_CFG)
+    for trace, _ in run_traces:
+        rest = np.zeros(len(trace), dtype=bool)
+        for column in columns:
+            rest |= trace.dist_m.view(np.int64) == column.view(np.int64)
+        assert rest.mean() > 0.1, (trace.condition, trace.seed)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_jsonl_of_a_run_trace_equals_json_dumps_whatever_its_distances(run_traces, data):
+    # Distances equal to a task position's at their own tick, at another
+    # tick, or one ulp off either, and the trace's own: each row encodes as
+    # json.dumps writes it, whichever text the run has kept so far.
+    columns = task_distances(SHARED_CFG)
+    trace, _ = data.draw(st.sampled_from(run_traces))
+    n = len(trace)
+    dist = trace.dist_m.copy()
+    for i, kind, place, j in data.draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.sampled_from(["own", "other", "up", "down"]),
+            st.integers(0, 1), st.integers(0, n - 1)), max_size=40)):
+        value = columns[place][j if kind == "other" else i]
+        dist[i] = {"up": np.nextafter(value, np.inf), "down": np.nextafter(value, -np.inf)}.get(
+            kind, value)
+    edited = replace(trace, dist_m=dist)
+    assert edited.shared is trace.shared
+    assert_encodes_as_records(edited)
+
+
+def test_a_trace_off_its_runs_ticks_makes_its_own_prefixes(run_traces):
+    trace, _ = run_traces[0]
+    for t_ms in (trace.t_ms + 1, trace.t_ms[::-1].copy()):
+        assert_encodes_as_records(replace(trace, t_ms=t_ms))
+
+
+@settings(max_examples=10)
+@given(st.permutations(range(6)))
+def test_a_runs_traces_encode_alike_in_any_order(run_traces, order):
+    sim._text_memo.clear()
+    for k in order:
+        assert_encodes_as_records(*run_traces[k])
+
+
+def test_the_text_memo_keeps_one_entry_per_run_and_none_beyond_its_bound(run_traces):
+    sim._text_memo.clear()
+    # Trials that are not encoded, as calibrate runs them, keep no text.
+    for _ in sim.run_trials(SHARED_CFG, sim.CONDITIONS, [4, 5]):
+        pass
+    assert not sim._text_memo
+    for trace, _ in run_traces:
+        encoded(trace)
+    (key, text), = sim._text_memo.items()
+    assert any(kept.any() for _, _, columns in text.made.values() for _, kept, _ in columns)
+    # A run of another tick takes the entry's place.
+    (_, _, coarse), = sim.run_trials(replace(SHARED_CFG, tick_ms=20.0), ["va"], [1])
+    assert_encodes_as_records(coarse)
+    (other,) = sim._text_memo
+    assert other != key
+    sim._text_memo.clear()
+    (_, _, long), = sim.run_trials(RunConfig(duration_s=600.0), ["va"], [1])
+    assert long.shared is None
+    assert_encodes_as_records(long)
+    assert not sim._text_memo
+
+
+@pytest.mark.parametrize("state", [3, 255])
+def test_jsonl_refuses_a_state_that_is_no_safety_state(state):
+    # Such a state would take another duty's row text, so the call raises.
+    trace = make_trace([(0, 0.3, 0, 0.0), (10, 0.3, state, 50.0), (20, 0.3, 1, 100.0)])
+    with pytest.raises(ValueError, match="SafetyState"):
+        trace.jsonl()
 
 
 @settings(max_examples=300)
