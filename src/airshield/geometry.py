@@ -9,10 +9,11 @@ Coordinate conventions:
 
 Pose recovery maps the unit square onto the four normalized corners with
 the closed-form square-to-quad homography, decomposes that plane homography
-into a rotation and translation, projects the rotation onto SO(3), and
-polishes the result with Gauss-Newton steps on the pixel reprojection
-error. The polish stops on a relative test: once a step lowers the squared
-error by no more than 1e-13 of that error. A rise does not stop it.
+into a rotation and translation, and projects the rotation onto SO(3), the
+only such projection. Gauss-Newton steps on the pixel reprojection error
+polish the result on plain floats, one Gram product and one 6x6 solve each.
+The polish stops on a relative test: once a step lowers the squared error
+by no more than 1e-13 of that error. A rise does not stop it.
 """
 
 from __future__ import annotations
@@ -204,15 +205,9 @@ def _square_to_quad(quad: list[tuple[float, float]]) -> np.ndarray:
                      [g, h, 1.0]])
 
 
-def _nearest_rotation(m: np.ndarray) -> np.ndarray:
-    u, _, vt = np.linalg.svd(m)
-    r = u @ vt
-    return u @ (vt * [[1.0], [1.0], [-1.0]]) if np.linalg.det(r) < 0.0 else r
-
-
-def _pose_from_homography(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation and translation from a homography taking the marker plane to
-    normalized image coordinates."""
+def _pose_from_homography(m: np.ndarray) -> tuple[list[list[float]], list[float]]:
+    """Rotation rows and translation from a homography taking the marker
+    plane to normalized image coordinates."""
     if m[2, 2] < 0.0:  # fix the projective sign so the marker sits in front
         m = -m
     (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = m.tolist()
@@ -221,66 +216,69 @@ def _pose_from_homography(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DegenerateObservation("homography decomposition collapsed")
     lam = math.sqrt(n1 * n2)
     (x1, y1, z1), (x2, y2, z2) = (a1 / lam, b1 / lam, c1 / lam), (a2 / lam, b2 / lam, c2 / lam)
-    r = _nearest_rotation(np.array([[x1, x2, y1 * z2 - z1 * y2],
-                                    [y1, y2, z1 * x2 - x1 * z2],
-                                    [z1, z2, x1 * y2 - y1 * x2]]))
-    return r, np.array([a3 / lam, b3 / lam, c3 / lam])
+    # the nearest rotation to [r1 r2 r1 x r2], the weakest axis flipped if need be
+    u, _, vt = np.linalg.svd(np.array([[x1, x2, y1 * z2 - z1 * y2],
+                                       [y1, y2, z1 * x2 - x1 * z2],
+                                       [z1, z2, x1 * y2 - y1 * x2]]))
+    if np.linalg.det(u @ vt) < 0.0:
+        vt[2] = -vt[2]
+    return (u @ vt).tolist(), [a3 / lam, b3 / lam, c3 / lam]
 
 
-# -[a]x as a linear map of a: (a @ _NEG_SKEW).reshape(3, 3) == -[a]x
-_NEG_SKEW = np.array([[0, 0, 0, 0, 0, 1, 0, -1, 0],
-                      [0, 0, -1, 0, 0, 0, 1, 0, 0],
-                      [0, 1, 0, -1, 0, 0, 0, 0, 0]], dtype=float)
+def _refine_pose(r: list[list[float]], t: list[float], corners: list[tuple[float, ...]],
+                 k: CameraIntrinsics) -> tuple[list[list[float]], list[float]]:
+    """Gauss-Newton on reprojection error over (rotation rows, translation),
+    on plain floats; each corner is (x, y, u - cx, v - cy).
 
-
-def _refine_pose(r: np.ndarray, t: np.ndarray, obj_xy: np.ndarray,
-                 uv: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Newton on reprojection error over (rotation, translation).
-
-    The rotation takes a left-multiplicative so(3) step. The loop stops once
-    the squared error falls by no more than 1e-13 of itself; a rise does
-    not stop it, because a later step may still lead downhill. It also stops
-    at an error below 1e-20 px^2, where an exact observation leaves only
-    rounding noise that no step can reduce. It takes at most 25 steps.
+    A step builds the eight rows of [J | r] in one pass over the corners.
+    One Gram product gives JᵀJ, Jᵀr and the squared error, one 6x6 solve the
+    step. The rotation takes a left-multiplicative so(3) step by an exact
+    Rodrigues rotation, so it stays orthonormal to rounding. The loop stops
+    once the squared error falls by no more than 1e-13 of itself; a rise
+    does not stop it, because a later step may still lead downhill. It also
+    stops at an error below 1e-20 px^2, where an exact observation leaves
+    only rounding noise that no step can reduce. It takes at most 25 steps.
     """
-    f = np.array([k.fx, k.fy])
-    target = uv - (k.cx, k.cy)
+    fx, fy = k.fx, k.fy
     ridge = 1e-12 * np.eye(6)
     prev_cost = math.inf
     for _ in range(25):
-        rp = obj_xy @ r[:, :2].T  # R p for the planar corners, (4, 3)
-        cam = rp + t
-        z = cam[:, 2:]
-        if z.min() <= 0.0:
-            break
-        fz = f / z  # d(u)/d(x), d(v)/d(y), (4, 2)
-        pix = fz * cam[:, :2]
-        resid = (pix - target).ravel()  # u0, v0, u1, v1, ...
-        cost = resid @ resid
+        (r00, r01, _), (r10, r11, _), (r20, r21, _) = r
+        tx, ty, tz = t
+        rows = []
+        for px, py, du, dv in corners:
+            ax, ay, az = r00 * px + r01 * py, r10 * px + r11 * py, r20 * px + r21 * py  # R p
+            z = az + tz
+            if z <= 0.0:
+                return r, t
+            fu, fv = fx / z, fy / z
+            pu, pv = fu * (ax + tx), fv * (ay + ty)
+            gu, gv = -pu / z, -pv / z
+            # [a x g, g, residual], g = d(pixel)/d(camera point) = (fu, 0, gu), (0, fv, gv)
+            rows.append((ay * gu, az * fu - ax * gu, -ay * fu, fu, 0.0, gu, pu - du))
+            rows.append((ay * gv - az * fv, -ax * gv, ax * fv, 0.0, fv, gv, pv - dv))
+        j = np.array(rows)
+        gram = j.T @ j
+        cost = gram[6, 6]
         if cost <= 1e-20 or 0.0 <= prev_cost - cost <= 1e-13 * cost:
             break
         prev_cost = cost
-        dpix = np.zeros((4, 2, 3))  # d(pixel)/d(camera point)
-        dpix[:, 0, 0], dpix[:, 1, 1] = fz[:, 0], fz[:, 1]
-        dpix[:, :, 2] = -pix / z
-        # d(camera point)/d(omega) = -[R p]x, d(camera point)/d(t) = I
-        dcam_dw = (rp @ _NEG_SKEW).reshape(4, 3, 3)
-        jac = np.concatenate([dpix @ dcam_dw, dpix], axis=2).reshape(8, 6)
         try:
-            delta = np.linalg.solve(jac.T @ jac + ridge, -(jac.T @ resid))
+            delta = np.linalg.solve(gram[:6, :6] + ridge, -gram[:6, 6])
         except np.linalg.LinAlgError:
             break
-        wx, wy, wz = delta[:3].tolist()
+        wx, wy, wz, dx, dy, dz = delta.tolist()
         theta = math.sqrt(wx * wx + wy * wy + wz * wz)
         # Rodrigues: exp([w]x) = I + a [w]x + b [w]x^2, [w]x^2 = w w^T - theta^2 I
         a = math.sin(theta) / theta if theta else 1.0
         b = 0.5 * (math.sin(0.5 * theta) / (0.5 * theta)) ** 2 if theta else 0.5
         c = 1.0 - b * theta * theta
-        r = np.array([[c + b * wx * wx, b * wx * wy - a * wz, b * wx * wz + a * wy],
-                      [b * wx * wy + a * wz, c + b * wy * wy, b * wy * wz - a * wx],
-                      [b * wx * wz - a * wy, b * wy * wz + a * wx, c + b * wz * wz]]) @ r
-        t = t + delta[3:]
-    return _nearest_rotation(r), t
+        step = ((c + b * wx * wx, b * wx * wy - a * wz, b * wx * wz + a * wy),
+                (b * wx * wy + a * wz, c + b * wy * wy, b * wy * wz - a * wx),
+                (b * wx * wz - a * wy, b * wy * wz + a * wx, c + b * wz * wz))
+        r = [[s0 * c0 + s1 * c1 + s2 * c2 for c0, c1, c2 in zip(*r)] for s0, s1, s2 in step]
+        t = [tx + dx, ty + dy, tz + dz]
+    return r, t
 
 
 def estimate_pose(obs: TagObservation, spec: MarkerSpec, k: CameraIntrinsics) -> MarkerPose:
@@ -291,17 +289,18 @@ def estimate_pose(obs: TagObservation, spec: MarkerSpec, k: CameraIntrinsics) ->
     found puts any tag corner at or behind the camera plane.
     """
     _check_convex(obs.corners)
-    normalized = [((u - k.cx) / k.fx, (v - k.cy) / k.fy) for u, v in obs.corners.tolist()]
+    corners = [(px, py, u - k.cx, v - k.cy)
+               for (px, py, _), (u, v) in zip(marker_corners(spec).tolist(), obs.corners.tolist())]
+    normalized = [(du / k.fx, dv / k.fy) for _, _, du, dv in corners]
     s = spec.side_len
     # marker plane (x, y) -> unit square (x/s + 1/2, 1/2 - y/s) -> normalized image
     m = _square_to_quad(normalized) @ np.array([[1.0 / s, 0.0, 0.5],
                                                 [0.0, -1.0 / s, 0.5],
                                                 [0.0, 0.0, 1.0]])
-    obj_xy = marker_corners(spec)[:, :2]
-    r, t = _refine_pose(*_pose_from_homography(m), obj_xy, obs.corners, k)
+    r, t = _refine_pose(*_pose_from_homography(m), corners, k)
     # The tag centre is the corners' mean, so a start with t_z <= 0 also
     # ends here: refinement stops at once on a corner with z <= 0.
-    if (obj_xy @ r[2, :2]).min() + t[2] <= 0.0:
+    if min(r[2][0] * px + r[2][1] * py for px, py, _, _ in corners) + t[2] <= 0.0:
         raise DegenerateObservation("estimated pose places the marker behind the camera")
     return MarkerPose(rotation=r, translation=t)
 

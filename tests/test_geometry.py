@@ -82,6 +82,19 @@ def test_estimated_rotation_is_orthonormal(cam, marker):
         assert est.translation[2] > 0
 
 
+@pytest.mark.parametrize("noise_px", [0.5, 2.0])
+def test_polished_rotation_is_orthonormal_to_rounding(cam, marker, noise_px):
+    # The polish never projects onto SO(3): only its exact Rodrigues steps
+    # keep the rotation orthonormal. Seed 0's pose 35 (counting from 0) at 0.5 px
+    # is one that runs to the 25-step cap.
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        p = g.random_facing_pose(rng)
+        r = g.estimate_pose(g.observe(p, marker, cam, noise_px, rng), marker, cam).rotation
+        assert np.linalg.norm(r.T @ r - np.eye(3)) <= 1e-12
+        assert abs(np.linalg.det(r) - 1.0) <= 1e-12
+
+
 def test_collinear_corners_degenerate(cam, marker):
     obs = g.TagObservation(corners=np.array([(100, 100), (150, 150), (200, 200), (250, 250)],
                                             dtype=float))
@@ -144,6 +157,11 @@ def reprojection(pose, spec, k, uv):
 @given(corner_sets())
 # A Gauss-Newton step takes this start from t_z = 8.95 m to t_z = -0.26 m.
 @example(np.array([[0.0, 0.0], [0.0, 1.0], [0.015625, 1.0], [30.0, 0.0]]))
+# A sliver whose smallest turn is 1.03 times the collinearity tolerance: an
+# edge-on tag, found after 7 steps.
+@example(np.array([[0.0, 240.0], [640.0, 240.0], [480.0, 240.00000033], [160.0, 240.00000033]]))
+# A quad 2e4 px wide: a tag 3 mm from the lens, polished for all 25 steps.
+@example(np.array([[-1e4, 1e4], [1e4, 1e4], [1e4, -1e4], [-1e4, -9999.0]]))
 def test_any_finite_corners_give_a_pose_or_degenerate(corners):
     obs, marker = g.TagObservation(corners=corners), g.MarkerSpec(side_len=0.10)
     with warnings.catch_warnings():
@@ -169,7 +187,8 @@ def test_noise_free_round_trip_is_exact(seed):
 @given(seeds, st.sampled_from([0.5, 2.0]))
 def test_estimate_is_a_stationary_point_of_the_reprojection_error(seed, noise_px):
     # Most estimates sit near 1e-13. A few poses converge slowly and stop at
-    # the 25-step cap, up to 1.8e-3 in 26 000 draws; the bound leaves room.
+    # the 25-step cap: up to 7.5e-4 over seeds 0-12 999 at both noise levels,
+    # and 1.8e-3 at seed 0's pose 35 at 0.5 px. The bound leaves room.
     cam, marker = g.CameraIntrinsics(), g.MarkerSpec(side_len=0.10)
     rng = np.random.default_rng(seed)
     obs = g.observe(g.random_facing_pose(rng), marker, cam, noise_px=noise_px, rng=rng)

@@ -426,7 +426,9 @@ def test_block_size_changes_no_trial_output(monkeypatch, block):
             a, b = getattr(got, column), getattr(want, column)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (cond, column)
         assert got.decisions == want.decisions
-        assert "".join(got.jsonl()) == "".join(want.jsonl())
+        # Lists of lines: a failure reports the differing lines, not a diff of whole files.
+        assert ("".join(got.jsonl()).splitlines(keepends=True)
+                == "".join(want.jsonl()).splitlines(keepends=True))
 
 
 def test_run_trials_yields_condition_major_direct_trials():
@@ -652,7 +654,8 @@ def test_jsonl_blocks_are_whole_lines_at_the_block_edge(extra):
                            rng.integers(0, 3, n).tolist(), (100.0 * rng.random(n)).tolist()),
                        "va", n)
     blocks = list(trace.jsonl())
-    assert "".join(blocks) == records_jsonl(trace)
+    assert ("".join(blocks).splitlines(keepends=True)
+            == records_jsonl(trace).splitlines(keepends=True))
     assert [b.count("\n") for b in blocks] == [sim._BLOCK] * (n // sim._BLOCK) + (
         [n % sim._BLOCK] if n % sim._BLOCK else [])
     assert all(b.endswith("\n") for b in blocks)
