@@ -238,6 +238,7 @@ def _refine_pose(r: list[list[float]], t: list[float], corners: list[tuple[float
     does not stop it, because a later step may still lead downhill. It also
     stops at an error below 1e-20 px^2, where an exact observation leaves
     only rounding noise that no step can reduce. It takes at most 25 steps.
+    A squared error that is not finite raises DegenerateObservation.
     """
     fx, fy = k.fx, k.fy
     ridge = 1e-12 * np.eye(6)
@@ -260,6 +261,8 @@ def _refine_pose(r: list[list[float]], t: list[float], corners: list[tuple[float
         j = np.array(rows)
         gram = j.T @ j
         cost = gram[6, 6]
+        if not cost < math.inf:
+            raise DegenerateObservation("reprojection error overflows")
         if cost <= 1e-20 or 0.0 <= prev_cost - cost <= 1e-13 * cost:
             break
         prev_cost = cost
@@ -297,7 +300,9 @@ def estimate_pose(obs: TagObservation, spec: MarkerSpec, k: CameraIntrinsics) ->
     m = _square_to_quad(normalized) @ np.array([[1.0 / s, 0.0, 0.5],
                                                 [0.0, -1.0 / s, 0.5],
                                                 [0.0, 0.0, 1.0]])
-    r, t = _refine_pose(*_pose_from_homography(m), corners, k)
+    r, t = _pose_from_homography(m)
+    with np.errstate(over="ignore", invalid="ignore"):  # the polish checks its error
+        r, t = _refine_pose(r, t, corners, k)
     # The tag centre is the corners' mean, so a start with t_z <= 0 also
     # ends here: refinement stops at once on a corner with z <= 0.
     if min(r[2][0] * px + r[2][1] * py for px, py, _, _ in corners) + t[2] <= 0.0:

@@ -48,15 +48,15 @@ loop drops that walk's horizon, the tick up to which the hand stayed within
 the HAD.
 
 Every trial of a run replays the same robot path and the same capture clock,
-so trials of at most ``_MEMO_BLOCKS`` blocks (a default 120 s trial) share
-them: the robot's inputs for each block, its tick times and TCP positions,
-about 0.8 MB, and each block's capture times and landing ticks, are made once
-and kept for the next trial with the same path, tick, frame interval and
-length. Their trace files share text as well, which the run's first trace
-encoded makes: each tick's ``{"t_ms":T,"dist_m":`` prefix, and the distance
-from each task position to the TCP at each tick, where a resting hand sits,
-with its ``repr`` once a trace has held it. A longer trial makes its inputs
-a block at a time and keeps none of them, and its trace makes its own text.
+so trials of at most ``_MEMO_BLOCKS`` blocks (a default 120 s trial) share one
+``_Run`` entry, made once and kept for the next trial with the same path, tick,
+frame interval, length and task positions: the robot's inputs for each block,
+its tick times and TCP positions, about 0.8 MB, each block's capture times and
+landing ticks, and the text their trace files share, which the run's first
+trace encoded makes: each tick's ``{"t_ms":T,"dist_m":`` prefix, and the
+distance from each task position to the TCP at each tick, where a resting hand
+sits, with its ``repr`` once a trace has held it. A longer trial makes its
+inputs a block at a time and keeps none of them, and its trace makes its own text.
 """
 
 from __future__ import annotations
@@ -274,9 +274,8 @@ _DUTY_SETTLE_PCT = 1e-3
 # Most ticks one trial may hold: about 28 h at the default 10 ms tick, and
 # 250 MB of trace columns.
 _MAX_TICKS = 1e7
-# Most blocks of a trial whose robot inputs ``_robot_memo``, capture clock
-# ``_capture_memo`` and trace text ``_text_memo`` keep: a default 120 s trial at
-# 10 ms. A longer trial makes them a block at a time.
+# Most blocks of a trial that ``_run_memo`` keeps a ``_Run`` for: a default
+# 120 s trial at 10 ms. A longer trial makes its inputs a block at a time.
 _MEMO_BLOCKS = 3
 
 
@@ -286,10 +285,9 @@ class DistanceTrace:
     processed frame in two columns: the command time in s, ``command_s``, and
     the SafetyState value decided, ``command_state``. ``decisions`` lists the
     log as (command time s, SafetyState value, actuate) entries; a command
-    actuates exactly when its state is not SAFE. ``shared`` names what the
-    trials of its run share, for ``jsonl``: ``run_trial`` sets it to the key
-    and blocks of the robot-input memo entry the trial ran on, and the task
-    positions, or leaves it None for a trial beyond the memo's bound."""
+    actuates exactly when its state is not SAFE. ``shared`` is the ``_Run``
+    the trial ran on, whose text ``jsonl`` takes, or None for a trial beyond
+    the memo's bound."""
 
     t_ms: np.ndarray
     dist_m: np.ndarray
@@ -299,7 +297,7 @@ class DistanceTrace:
     seed: int
     command_s: array = field(default_factory=lambda: array("d"))
     command_state: bytearray = field(default_factory=bytearray)
-    shared: Optional[tuple] = field(default=None, repr=False, compare=False)
+    shared: Optional[_Run] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.t_ms)
@@ -319,10 +317,10 @@ class DistanceTrace:
         code, the duty's index among the trace's distinct duty bits times the
         number of states plus the state, so that a -0.0 duty keeps its sign;
         the table gains a pair's text as a block first holds it.
-        A trace run on the robot-input memo takes its prefixes, and the
-        ``repr`` of each dist_m whose bits equal the distance from a task
-        position to the TCP at its tick, from ``_text_memo``, which its run's
-        first encoded trace fills; any other block makes its prefixes itself.
+        A trace with a ``shared`` run takes its prefixes, and the ``repr`` of
+        each dist_m whose bits equal the distance from a task position to the
+        TCP at its tick, from that run's text, which its first encoded trace
+        makes; any other block makes its prefixes itself.
         ``repr`` writes a finite float exactly as ``json.dumps`` does. NaN and
         infinities are not JSON, so a trace holding one raises ValueError
         here, before any block, as does a state that is no SafetyState value.
@@ -341,7 +339,6 @@ class DistanceTrace:
         distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
         duties = distinct.view(float).tolist()
         rows: dict[int, str] = {}  # the rest of a row, from its "state" on, by its code
-        text = _run_text(*self.shared) if self.shared is not None else None
 
         def blocks() -> Iterator[str]:
             for lo in range(0, len(self), _BLOCK):
@@ -354,7 +351,8 @@ class DistanceTrace:
                     rows[code] = (f',"state":"{_STATE_NAMES[value]}",'
                                   f'"duty_pct":{duties[duty]!r},{tail}\n')
                 t_ms = self.t_ms[lo:hi]
-                prefixes, columns = text.block(lo, t_ms) if text is not None else (None, ())
+                prefixes, columns = (self.shared.text(lo, t_ms) if self.shared is not None
+                                     else (None, ()))
                 parts = [None] * (3 * (hi - lo))
                 parts[0::3] = prefixes if prefixes is not None else _prefixes(t_ms)
                 parts[1::3] = _dist_text(self.dist_m[lo:hi], columns)
@@ -559,13 +557,13 @@ def _capture_blocks(capture_ms: float, n: int, dt: float) -> Iterator[tuple]:
 
 
 def _schedule(latency: StageLatencyModel, g_lat: np.random.Generator, n: int,
-              dt: float) -> tuple[array, array]:
+              dt: float, run: Optional[_Run]) -> tuple[array, array]:
     """The frame schedule of a trial of ``n`` ticks ``dt`` s apart, per
     processed frame in order: the tick its capture lands on, then ``n``; and
     its command time in s.
 
     Frames are captured and land as ``_capture_blocks`` lays them out, which a
-    short trial takes from ``_capture_memo``. The detector takes the freshest
+    trial with a ``run`` takes from it. The detector takes the freshest
     frame landed on the first tick it is free, so a frame not taken when the
     next one lands is dropped. It starts at the later of the capture and its
     last finish, and takes a detect time drawn from ``g_lat`` in blocks of
@@ -584,9 +582,7 @@ def _schedule(latency: StageLatencyModel, g_lat: np.random.Generator, n: int,
     landed, command_s = array("q"), array("d")
     det, used = np.empty(0), 0  # detect times drawn, and how many of them are taken
     free = 0.0  # the detector's last finish
-    blocks = _capture_blocks(latency.capture_ms, n, dt)
-    if n <= _MEMO_BLOCKS * _BLOCK:
-        blocks = _memoized(_capture_memo, (latency.capture_ms, n, dt, _BLOCK), blocks)
+    blocks = run.captures if run is not None else _capture_blocks(latency.capture_ms, n, dt)
     for times, fits, ticks, caps, lasts in blocks:
         k = len(caps)
         if len(det) - used < k:
@@ -636,60 +632,35 @@ def _robot_block(traj: RobotTrajectory, dt: float, start: int, stop: int) -> tup
             *(array("d", column.tobytes()) for column in tcp.T))
 
 
-# What the trials of a run share, each kept for the last trial of at most
-# ``_MEMO_BLOCKS`` blocks, by key: the robot's inputs, the capture clock, and
-# the text of their trace files, which the first trace encoded makes.
-_robot_memo: dict[tuple, tuple] = {}
-_capture_memo: dict[tuple, tuple] = {}
-_text_memo: dict[tuple, _RunText] = {}
+class _Run:
+    """What the trials of one run share: the robot inputs of each block of
+    ``n`` ticks ``dt`` s apart, ``robot``, and the capture clock of frames
+    ``capture_ms`` apart, ``captures``, their arrays read-only; and the text
+    of their trace files, made a block at a time as they are encoded: each
+    tick's ``_prefixes`` and, for each task position in ``places``, the
+    distance from it to the TCP at each tick, as the trial loop takes it, with
+    the ``repr`` of each one that a trace has held so far, in ``made``."""
 
-
-def _memoized(memo: dict, key: tuple, blocks: Iterator[tuple]) -> tuple:
-    """The blocks that ``memo`` keeps under ``key``. Without an entry there,
-    ``blocks`` are made and kept in place of the old entry, their arrays
-    read-only; the generator is left unstarted otherwise."""
-    kept = memo.get(key)
-    if kept is None:
-        memo.clear()  # the old entry goes before the new one is made
-        kept = tuple(blocks)
-        for block in kept:
+    def __init__(self, traj: RobotTrajectory, dt: float, n: int, capture_ms: float,
+                 places: np.ndarray) -> None:
+        self.robot = tuple(_robot_block(traj, dt, lo, min(lo + _BLOCK, n))
+                           for lo in range(0, n, _BLOCK))
+        self.captures = tuple(_capture_blocks(capture_ms, n, dt))
+        for block in self.robot + self.captures:
             for item in block:
                 if isinstance(item, np.ndarray):
                     item.flags.writeable = False
-        memo[key] = kept
-    return kept
-
-
-def _robot_blocks(traj: RobotTrajectory, dt: float, n: int) -> tuple[tuple, tuple]:
-    """(key, blocks): each block's robot inputs for a trial of ``n`` ticks,
-    ``dt`` s apart, made once for the trials that replay the same path, and the
-    key they are kept under, which holds all that ``trajectory_positions`` and
-    the block layout read."""
-    key = (traj._table.tobytes(), traj.cycle_period, traj.speed, traj.accel, dt, n, _BLOCK)
-    return key, _memoized(_robot_memo, key, (_robot_block(traj, dt, lo, min(lo + _BLOCK, n))
-                                             for lo in range(0, n, _BLOCK)))
-
-
-class _RunText:
-    """The trace-file text that the trials of one run share, made a block at
-    a time as their traces are encoded: per block of the run's robot inputs
-    ``blocks``, each tick's ``_prefixes`` and, for each task position in
-    ``places``, the distance from it to the TCP at each tick, as the trial
-    loop takes it, with the ``repr`` of each one that a trace has held so far.
-    """
-
-    def __init__(self, blocks: tuple, places: np.ndarray) -> None:
-        self.blocks, self.places = blocks, places
+        self.places = places
         self.made: dict[int, tuple] = {}
 
-    def block(self, lo: int, t_ms: np.ndarray) -> tuple:
+    def text(self, lo: int, t_ms: np.ndarray) -> tuple:
         """(prefixes, columns) of the run's block from tick ``lo``, for
         ``_dist_text``, if it holds the ticks ``t_ms``; (None, ()) otherwise."""
-        b, off = divmod(lo, len(self.blocks[0][1]))
-        if off or b >= len(self.blocks):
+        b, off = divmod(lo, len(self.robot[0][1]))
+        if off or b >= len(self.robot):
             return None, ()
         if b not in self.made:
-            _, run_t, tcp, *_ = self.blocks[b]
+            _, run_t, tcp, *_ = self.robot[b]
             run_t = run_t.astype(np.int64)
             columns = []
             for dx, dy, dz in self.places[:, :, None] - tcp.T:
@@ -701,22 +672,33 @@ class _RunText:
         return (prefixes, columns) if np.array_equal(run_t, t_ms) else (None, ())
 
 
+# The ``_Run`` of the last trial of at most ``_MEMO_BLOCKS`` blocks, by key.
+_run_memo: dict[tuple, _Run] = {}
+
+
+def _run(traj: RobotTrajectory, dt: float, n: int, capture_ms: float,
+         places: Sequence[Vec3]) -> Optional[_Run]:
+    """The ``_Run`` of a trial of ``n`` ticks ``dt`` s apart on ``traj``, with
+    frames ``capture_ms`` apart and task positions ``places``, from
+    ``_run_memo``: made, in place of the old entry, if it holds none. None for
+    a trial beyond ``_MEMO_BLOCKS`` blocks. The key holds all that
+    ``trajectory_positions``, the capture clock, the task distances and the
+    block layout read."""
+    if n > _MEMO_BLOCKS * _BLOCK:
+        return None
+    places = np.asarray(places, dtype=float)
+    key = (traj._table.tobytes(), traj.cycle_period, traj.speed, traj.accel, dt, n,
+           capture_ms, places.tobytes(), _BLOCK)
+    run = _run_memo.get(key)
+    if run is None:
+        _run_memo.clear()  # the old entry goes before the new one is made
+        run = _run_memo[key] = _Run(traj, dt, n, capture_ms, places)
+    return run
+
+
 def _prefixes(t_ms: np.ndarray) -> list[str]:
     """Each trace row's text up to its dist_m, ``{"t_ms":T,"dist_m":``, for ``t_ms``."""
     return [f'{{"t_ms":{t},"dist_m":' for t in t_ms.tolist()]
-
-
-def _run_text(key: tuple, blocks: tuple, places: Sequence[Vec3]) -> _RunText:
-    """The ``_RunText`` of the run whose robot-input memo entry is ``key``,
-    ``blocks``, with task positions ``places``, from ``_text_memo``: made, in
-    place of the old entry, if it holds none."""
-    places = np.asarray(places, dtype=float)
-    key = (*key, places.tobytes())
-    text = _text_memo.get(key)
-    if text is None:
-        _text_memo.clear()
-        text = _text_memo[key] = _RunText(blocks, places)
-    return text
 
 
 def _dist_text(dist: np.ndarray, columns: Sequence[tuple]) -> Iterable[str]:
@@ -785,7 +767,8 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     # than SAFE. The first ``applied`` commands have reached the actuator, and
     # ``due`` is the time of the next one, inf past the last, so a tick tests
     # the queue in one compare.
-    landed, command_s = _schedule(latency, g_lat, n, dt)  # the frame at 0 s is always taken
+    run = _run(traj, dt, n, latency.capture_ms, human.task_positions)
+    landed, command_s = _schedule(latency, g_lat, n, dt, run)  # the frame at 0 s is always taken
     command_state = bytearray(len(command_s))
     frame = applied = hot = 0
     next_frame, due = landed[0], command_s[0]
@@ -803,14 +786,13 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     excursion_p = human.excursion_rate * dt
     idle_from = 0  # the last walk saw the hand within the HAD up to this tick
 
-    # A short trial takes the robot's inputs from ``_robot_memo``, which the
-    # trials of a run share; a longer one makes them as it reaches each block.
-    key, shared = _robot_blocks(traj, dt, n) if n <= _MEMO_BLOCKS * _BLOCK else (None, None)
+    # A trial with a ``run`` takes the robot's inputs from it; a longer one
+    # makes them as it reaches each block.
     for start in range(0, n, _BLOCK):
         # The per-tick inputs, one block at a time. Each generator is read in
         # sequence and the rest is elementwise, so the block size changes no draw.
         stop = min(start + _BLOCK, n)
-        tick_s, t_ms, tcp, xs, ys, zs = (shared[start // _BLOCK] if shared is not None
+        tick_s, t_ms, tcp, xs, ys, zs = (run.robot[start // _BLOCK] if run is not None
                                          else _robot_block(traj, dt, start, stop))
         out_t[start:stop] = t_ms
         if va:  # only the VA air channel reads the felt stream
@@ -956,8 +938,7 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
 
     return DistanceTrace(t_ms=out_t, dist_m=out_d, state=out_state, duty_pct=out_duty,
                          condition=cond, seed=seed, command_s=command_s,
-                         command_state=command_state,
-                         shared=(key, shared, human.task_positions) if shared else None)
+                         command_state=command_state, shared=run)
 
 
 def run_trials(cfg: RunConfig, conditions: Sequence[str], seeds: Sequence[int]

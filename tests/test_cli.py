@@ -520,6 +520,12 @@ def test_posecheck_with_no_estimate_prints_only_the_count(capsys):
     assert capsys.readouterr().out == "2 poses, noise 1000.0 px; 2 degenerate observations\n"
 
 
+def test_posecheck_at_huge_noise_counts_every_pose_degenerate(capsys):
+    # Corners about 1e80 px out overflow the polish's squared error.
+    assert run_cli("posecheck", "--poses", "200", "--noise-px", "1e80", "--seed", "0") == 0
+    assert capsys.readouterr().out == "200 poses, noise 1e+80 px; 200 degenerate observations\n"
+
+
 def test_codec_check_reports_exact_count(capsys):
     assert run_cli("codec-check") == 0
     assert "154,368 frames OK" in capsys.readouterr().out

@@ -162,6 +162,12 @@ def reprojection(pose, spec, k, uv):
 @example(np.array([[0.0, 240.0], [640.0, 240.0], [480.0, 240.00000033], [160.0, 240.00000033]]))
 # A quad 2e4 px wide: a tag 3 mm from the lens, polished for all 25 steps.
 @example(np.array([[-1e4, 1e4], [1e4, 1e4], [1e4, -1e4], [-1e4, -9999.0]]))
+# Corners about 1e80 px out: the polish's Gram product overflows, so its
+# squared error is not finite.
+@example(np.array([[-7.570152622082312e+78, 2.0211439504395986e+79],
+                   [6.941719367070081e+79, -7.583697508984092e+79],
+                   [1.4209820223119162e+80, 7.26093788947765e+79],
+                   [8.43732662303268e+79, 1.1648639811110282e+80]]))
 def test_any_finite_corners_give_a_pose_or_degenerate(corners):
     obs, marker = g.TagObservation(corners=corners), g.MarkerSpec(side_len=0.10)
     with warnings.catch_warnings():

@@ -273,3 +273,43 @@ def test_exit_code_guard_sees_uses_outside_main():
               "def cmd_y():\n"
               "    return EXIT_ANALYSIS if x else EXIT_OK\n")
     assert exit_codes_outside_main(source) == [3, 7]
+
+
+def empty_globals(source: str) -> list[str]:
+    """Module-level names bound to an empty ``{}``, ``[]``, ``set()``,
+    ``dict()`` or ``list()``: caches that outlive every call."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if ((isinstance(value, ast.Dict) and not value.keys)
+                or (isinstance(value, ast.List) and not value.elts)
+                or (isinstance(value, ast.Call) and called_name(value) in {"set", "dict", "list"}
+                    and not value.args and not value.keywords)):
+            found += [t.id for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_the_run_memo_is_the_only_module_level_cache():
+    # What the trials of a run share lives in one memo, behind one bound check.
+    found = {f"{path.stem}.{name}" for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for name in empty_globals(path.read_text(encoding="utf-8"))}
+    assert found == {"sim._run_memo"}
+
+
+def test_cache_guard_sees_empty_containers_at_module_level():
+    source = ("_a: dict[tuple, int] = {}\n"
+              "_b = []\n"
+              "_c = _d = set()\n"
+              "_e = dict()\n"
+              "LIMIT = 3\n"
+              "_f = {1: 2}\n"
+              "_g = set(range(3))\n"
+              "_h: list[int]\n"
+              "def f():\n"
+              "    local = {}\n")
+    assert empty_globals(source) == ["_a", "_b", "_c", "_d", "_e"]

@@ -449,96 +449,91 @@ def trial_bytes(trace):
             trace.duty_pct.tobytes(), repr(trace.decisions))
 
 
+def memo_trial(traj, tick, capture, duration, seed):
+    cfg = RunConfig()
+    return sim.run_trial("va", cfg.human, traj, cfg.safety, cfg.jet, cfg.perception,
+                         replace(cfg.latency, capture_ms=capture), duration, seed, tick)
+
+
+def assert_memo_cases_match_cold_trials(cases):
+    """Run each ``(trajectory, tick, capture_ms, duration)`` case at seeds 5
+    and 6, cold and then in order on the run memo. Cases alternate between
+    6000 and 12 500 ticks, on each side of the memo's bound. Each short case
+    makes a new entry and its second seed runs on it; a long one runs on none
+    and leaves the memo as it was."""
+    assert [sim.trial_ticks(d, tick, 100.0, capture)
+            for _, tick, capture, d in cases] == [6000, 12500] * (len(cases) // 2)
+    assert 6000 <= sim._MEMO_BLOCKS * sim._BLOCK < 12500
+    wants = {}
+    for k, case in enumerate(cases):
+        for seed in (5, 6):
+            sim._run_memo.clear()
+            wants[k, seed] = trial_bytes(memo_trial(*case, seed))
+    sim._run_memo.clear()
+    last = None
+    for k, case in enumerate(cases):
+        before = dict(sim._run_memo)
+        got = [memo_trial(*case, seed) for seed in (5, 6)]
+        for seed, trace in zip((5, 6), got):
+            assert trial_bytes(trace) == wants[k, seed], (k, seed)
+            assert all(getattr(trace, column).flags.writeable
+                       for column in ("t_ms", "dist_m", "state", "duty_pct"))
+        if k % 2:
+            assert sim._run_memo == before and got[0].shared is got[1].shared is None
+            continue
+        (entry,) = sim._run_memo.values()
+        assert got[0].shared is got[1].shared is entry is not last
+        last = entry
+        for block in entry.robot + entry.captures:
+            arrays = [item for item in block if isinstance(item, np.ndarray)]
+            assert arrays and not any(a.flags.writeable for a in arrays)
+
+
 def test_trials_sharing_the_robot_memo_match_cold_trials():
-    # Trials of two paths interleave, at two ticks and at a length on each
-    # side of the memo's bound. Each short trial differs from the one before it
-    # in its path or its tick alone; the second seed of each case runs on the
-    # entry the first one made, or on none beyond the bound.
+    # Trials of two paths interleave at two ticks; each short trial differs
+    # from the one before it in its path or its tick alone.
     cfg = RunConfig()
     # The same period as the default path, with 0.4 s of dwell moved from its
     # first waypoint to its third.
     dwell = sim.RobotTrajectory(waypoints=tuple(
         (p, d + shift) for (p, d), shift in zip(cfg.trajectory.waypoints, (-0.4, 0.0, 0.4, 0.0))))
     assert dwell.cycle_period == cfg.trajectory.cycle_period
-    cases = [(traj, tick, ticks * tick / 1000.0)
-             for traj, tick in ((cfg.trajectory, 10.0), (dwell, 10.0), (dwell, 3.3),
-                                (cfg.trajectory, 3.3))
-             for ticks in (6000, 12500)]
-    assert [sim.trial_ticks(d, tick, 100.0, 33.3) for _, tick, d in cases] == [6000, 12500] * 4
-    assert 6000 <= sim._MEMO_BLOCKS * sim._BLOCK < 12500
-
-    def trial(traj, tick, duration, seed):
-        return sim.run_trial("va", cfg.human, traj, cfg.safety, cfg.jet, cfg.perception,
-                             cfg.latency, duration, seed, tick)
-
-    wants = {}
-    for k, case in enumerate(cases):
-        for seed in (5, 6):
-            sim._robot_memo.clear()
-            wants[k, seed] = trial_bytes(trial(*case, seed))
-    for k, case in enumerate(cases):
-        for seed in (5, 6):
-            got = trial(*case, seed)
-            assert trial_bytes(got) == wants[k, seed], (k, seed)
-            assert got.t_ms.flags.writeable
-        (blocks,) = sim._robot_memo.values()
-        for _, t_ms, tcp, *_ in blocks:
-            assert not t_ms.flags.writeable and not tcp.flags.writeable
+    assert_memo_cases_match_cold_trials(
+        [(traj, tick, 33.3, ticks * tick / 1000.0)
+         for traj, tick in ((cfg.trajectory, 10.0), (dwell, 10.0), (dwell, 3.3),
+                            (cfg.trajectory, 3.3))
+         for ticks in (6000, 12500)])
 
 
 def test_trials_sharing_the_capture_memo_match_cold_trials():
-    # Trials at two frame intervals and two ticks interleave, at a length on
-    # each side of the memo's bound. Each short trial differs from the one
-    # before it in its frame interval or its tick alone; the second seed of
-    # each case runs on the entry the first one made, and a long trial keeps
-    # the entry as it was.
-    cfg = RunConfig()
-    cases = [(capture, tick, ticks * tick / 1000.0)
-             for capture, tick in ((33.3, 10.0), (10.0, 10.0), (33.3, 10.0), (33.3, 3.3))
-             for ticks in (6000, 12500)]
-    assert [sim.trial_ticks(d, tick, 100.0, capture)
-            for capture, tick, d in cases] == [6000, 12500] * 4
-
-    def trial(capture, tick, duration, seed):
-        return sim.run_trial("va", cfg.human, cfg.trajectory, cfg.safety, cfg.jet,
-                             cfg.perception, replace(cfg.latency, capture_ms=capture),
-                             duration, seed, tick)
-
-    wants = {}
-    for k, case in enumerate(cases):
-        for seed in (5, 6):
-            sim._capture_memo.clear()
-            wants[k, seed] = trial_bytes(trial(*case, seed))
-    for k, (capture, tick, duration) in enumerate(cases):
-        before = dict(sim._capture_memo)
-        for seed in (5, 6):
-            assert trial_bytes(trial(capture, tick, duration, seed)) == wants[k, seed], (k, seed)
-        (key, blocks), = sim._capture_memo.items()
-        if k % 2:
-            assert before.get(key) is blocks
-        else:
-            assert key == (capture, 6000, tick / 1000.0, sim._BLOCK)
-        for block in blocks:
-            arrays = [item for item in block if isinstance(item, np.ndarray)]
-            assert arrays and not any(a.flags.writeable for a in arrays)
+    # Trials at two frame intervals and two ticks interleave; each short trial
+    # differs from the one before it in its frame interval or its tick alone.
+    traj = RunConfig().trajectory
+    assert_memo_cases_match_cold_trials(
+        [(traj, tick, capture, ticks * tick / 1000.0)
+         for capture, tick in ((33.3, 10.0), (10.0, 10.0), (33.3, 10.0), (33.3, 3.3))
+         for ticks in (6000, 12500)])
 
 
 def test_a_trial_beyond_the_memo_bound_adds_no_capture_memo_entry():
-    sim._capture_memo.clear()
-    next(sim.run_trials(RunConfig(duration_s=600.0), ["va"], [1]))
-    assert not sim._capture_memo
+    sim._run_memo.clear()
+    (_, _, trace), = sim.run_trials(RunConfig(duration_s=600.0), ["va"], [1])
+    assert trace.shared is None
+    assert not sim._run_memo
 
 
 def test_a_trajectory_built_from_lists_runs_on_the_memo(human, trajectory, zone, jet,
                                                         perception, latency):
     listed = sim.RobotTrajectory(waypoints=[[list(p), d] for p, d in trajectory.waypoints])
-    sim._robot_memo.clear()
+    sim._run_memo.clear()
     want = trial_bytes(run("va", 3, human, trajectory, zone, jet, perception, latency, 5.0))
-    sim._robot_memo.clear()
-    assert trial_bytes(run("va", 3, human, listed, zone, jet, perception, latency, 5.0)) == want
+    sim._run_memo.clear()
+    first = run("va", 3, human, listed, zone, jet, perception, latency, 5.0)
+    assert trial_bytes(first) == want
     with mock.patch.object(sim, "trajectory_positions") as positions:
         again = run("va", 3, human, listed, zone, jet, perception, latency, 5.0)
     assert positions.call_count == 0
+    assert again.shared is first.shared
     assert trial_bytes(again) == want
 
 
@@ -683,7 +678,7 @@ SHARED_CFG = RunConfig(duration_s=20.0)
 
 @pytest.fixture(scope="module")
 def run_traces():
-    """The traces of a run of 20 s trials on the robot-input memo, seeds 1-3
+    """The traces of a run of 20 s trials on one run entry, seeds 1-3
     in both conditions, and each one's trace file as ``json.dumps`` writes it."""
     got = [trace for _, _, trace in sim.run_trials(SHARED_CFG, sim.CONDITIONS, [1, 2, 3])]
     assert all(trace.shared is not None for trace in got)
@@ -747,31 +742,32 @@ def test_a_trace_off_its_runs_ticks_makes_its_own_prefixes(run_traces):
 @settings(max_examples=10)
 @given(st.permutations(range(6)))
 def test_a_runs_traces_encode_alike_in_any_order(run_traces, order):
-    sim._text_memo.clear()
+    for trace, _ in run_traces:
+        trace.shared.made.clear()  # the run's text starts afresh
     for k in order:
         assert_encodes_as_records(*run_traces[k])
 
 
-def test_the_text_memo_keeps_one_entry_per_run_and_none_beyond_its_bound(run_traces):
-    sim._text_memo.clear()
-    # Trials that are not encoded, as calibrate runs them, keep no text.
-    for _ in sim.run_trials(SHARED_CFG, sim.CONDITIONS, [4, 5]):
-        pass
-    assert not sim._text_memo
-    for trace, _ in run_traces:
+def test_the_text_memo_keeps_one_entry_per_run_and_none_beyond_its_bound():
+    sim._run_memo.clear()
+    # Trials that are not encoded, as calibrate runs them, make no text.
+    traces = [trace for _, _, trace in sim.run_trials(SHARED_CFG, sim.CONDITIONS, [4, 5])]
+    (run,) = sim._run_memo.values()
+    assert all(trace.shared is run for trace in traces)
+    assert not run.made
+    for trace in traces:
         encoded(trace)
-    (key, text), = sim._text_memo.items()
-    assert any(kept.any() for _, _, columns in text.made.values() for _, kept, _ in columns)
+    assert any(kept.any() for _, _, columns in run.made.values() for _, kept, _ in columns)
     # A run of another tick takes the entry's place.
     (_, _, coarse), = sim.run_trials(replace(SHARED_CFG, tick_ms=20.0), ["va"], [1])
     assert_encodes_as_records(coarse)
-    (other,) = sim._text_memo
-    assert other != key
-    sim._text_memo.clear()
+    (key, other), = sim._run_memo.items()
+    assert other is coarse.shared and other is not run and other.made
+    # A trial beyond the bound neither adds an entry nor drops the last one.
     (_, _, long), = sim.run_trials(RunConfig(duration_s=600.0), ["va"], [1])
     assert long.shared is None
     assert_encodes_as_records(long)
-    assert not sim._text_memo
+    assert sim._run_memo == {key: other}
 
 
 @pytest.mark.parametrize("state", [3, 255])
@@ -975,10 +971,11 @@ def test_trial_memory_beyond_its_result_does_not_grow_with_trial_length():
 
 
 def test_a_trial_leaves_at_most_its_robot_memo_behind():
-    # A 120 s trial keeps its robot inputs for the next trial of the run; a
-    # 600 s trial is beyond the memo's bound and keeps nothing. The collection
-    # empties the interpreter's free lists, which hold the freed decision tuples.
-    sim._robot_memo.clear()
+    # A 120 s trial keeps its run entry, robot inputs and capture clock, for
+    # the next trial of the run; a 600 s trial is beyond the memo's bound and
+    # keeps nothing. The collection empties the interpreter's free lists,
+    # which hold the freed decision tuples.
+    sim._run_memo.clear()
     tracemalloc.start()
     try:
         left = []
