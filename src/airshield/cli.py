@@ -135,17 +135,6 @@ def _read_manifest(in_dir: Path) -> dict:
     return manifest if isinstance(manifest, dict) else {}
 
 
-def _stored_means(manifest: dict, had: float) -> dict[str, dict]:
-    """The manifest's trial entries by file name, for the files whose stored
-    below-HAD mean ``analyze`` may take in place of a parse: none unless the
-    means were taken at ``had``, and only entries of the shape ``simulate``
-    writes."""
-    had_m, listed = manifest.get("had_m"), manifest.get("trials")
-    if not (isinstance(had_m, float) and had_m == had and isinstance(listed, list)):
-        return {}
-    return {t["file"]: t for t in listed if _usable_entry(t)}
-
-
 _HEX = frozenset("0123456789abcdef")
 
 
@@ -175,7 +164,13 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not files:
         raise ConfigError(f"no trace files found in {in_dir}")
     manifest = _read_manifest(in_dir)
-    stored = _stored_means(manifest, cfg.safety.had)
+    listed, traces_had = manifest.get("trials"), manifest.get("had_m")
+    listed = listed if isinstance(listed, list) else []
+    traces_had = traces_had if isinstance(traces_had, float) else None
+    # The entries of the shape ``simulate`` writes, by file name, whose stored
+    # below-HAD mean may stand in for a parse: none unless taken at this run's HAD.
+    stored = ({t["file"]: t for t in listed if _usable_entry(t)}
+              if traces_had == cfg.safety.had else {})
     per_seed: dict[int, dict[str, float | None]] = defaultdict(dict)
     warnings: list[str] = []
     for path in files:
@@ -201,17 +196,15 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
                             "was already read, skipped")
         else:
             per_seed[seed][cond] = mean
-    listed = manifest.get("trials")
-    if isinstance(listed, list) and listed:
-        names = {t.get("file") for t in listed
-                 if isinstance(t, dict) and isinstance(t.get("file"), str)}
-        unlisted = sum(path.name not in names for path in files)
-        if unlisted:
-            warnings.append(f"{unlisted} trace file(s) not listed in manifest.json")
-    traces_had = manifest.get("had_m")  # the means are taken below this run's HAD all the same
+    names = {t["file"] for t in listed
+             if isinstance(t, dict) and isinstance(t.get("file"), str)}
+    unlisted = sum(path.name not in names for path in files)
+    if listed and unlisted:
+        warnings.append(f"{unlisted} trace file(s) not listed in manifest.json")
+    # The means are taken below this run's HAD all the same.
     had_note = (f"manifest.json: traces simulated at had_m {traces_had}, "
                 f"analyzed at had_m {cfg.safety.had}"
-                if isinstance(traces_had, float) and traces_had != cfg.safety.had else None)
+                if traces_had is not None and traces_had != cfg.safety.had else None)
     if had_note:
         warnings.append(had_note)
     v_means, va_means, pair_warnings = sim.matched_means(per_seed)

@@ -52,11 +52,11 @@ so trials of at most ``_MEMO_BLOCKS`` blocks (a default 120 s trial) share one
 ``_Run`` entry, made once and kept for the next trial with the same path, tick,
 frame interval, length and task positions: the robot's inputs for each block,
 its tick times and TCP positions, about 0.8 MB, each block's capture times and
-landing ticks, and the text their trace files share, which the run's first
-trace encoded makes: each tick's ``{"t_ms":T,"dist_m":`` prefix, and the
-distance from each task position to the TCP at each tick, where a resting hand
-sits, with its ``repr`` once a trace has held it. A longer trial makes its
-inputs a block at a time and keeps none of them, and its trace makes its own text.
+landing ticks, and the text their trace files share, a block's made whole as
+the run's first trace encodes it: each tick's ``{"t_ms":T,"dist_m":`` prefix,
+and the distance from each task position to the TCP at each tick, where a
+resting hand sits, with its ``repr``. A longer trial makes its inputs a block
+at a time and keeps none of them, and its trace makes its own text.
 """
 
 from __future__ import annotations
@@ -286,8 +286,8 @@ class DistanceTrace:
     the SafetyState value decided, ``command_state``. ``decisions`` lists the
     log as (command time s, SafetyState value, actuate) entries; a command
     actuates exactly when its state is not SAFE. ``shared`` is the ``_Run``
-    the trial ran on, whose text ``jsonl`` takes, or None for a trial beyond
-    the memo's bound."""
+    the trial ran on, from which ``jsonl`` takes the text of each block that
+    holds the run's ticks, or None for a trial beyond the memo's bound."""
 
     t_ms: np.ndarray
     dist_m: np.ndarray
@@ -317,10 +317,10 @@ class DistanceTrace:
         code, the duty's index among the trace's distinct duty bits times the
         number of states plus the state, so that a -0.0 duty keeps its sign;
         the table gains a pair's text as a block first holds it.
-        A trace with a ``shared`` run takes its prefixes, and the ``repr`` of
-        each dist_m whose bits equal the distance from a task position to the
-        TCP at its tick, from that run's text, which its first encoded trace
-        makes; any other block makes its prefixes itself.
+        A block of a trace with a ``shared`` run that holds the run's ticks
+        takes its prefixes, and the ``repr`` of each dist_m whose bits equal
+        the distance from a task position to the TCP at its tick, from the
+        run; any other block makes its prefixes itself.
         ``repr`` writes a finite float exactly as ``json.dumps`` does. NaN and
         infinities are not JSON, so a trace holding one raises ValueError
         here, before any block, as does a state that is no SafetyState value.
@@ -351,10 +351,9 @@ class DistanceTrace:
                     rows[code] = (f',"state":"{_STATE_NAMES[value]}",'
                                   f'"duty_pct":{duties[duty]!r},{tail}\n')
                 t_ms = self.t_ms[lo:hi]
-                prefixes, columns = (self.shared.text(lo, t_ms) if self.shared is not None
-                                     else (None, ()))
-                parts = [None] * (3 * (hi - lo))
-                parts[0::3] = prefixes if prefixes is not None else _prefixes(t_ms)
+                parts = [None] * (3 * (hi - lo))  # frees the last block's text before this one's
+                parts[0::3], columns = (self.shared.text(lo, t_ms) if self.shared is not None
+                                        else (_prefixes(t_ms), ()))
                 parts[1::3] = _dist_text(self.dist_m[lo:hi], columns)
                 parts[2::3] = map(rows.__getitem__, codes)
                 yield "".join(parts)
@@ -628,7 +627,7 @@ def _robot_block(traj: RobotTrajectory, dt: float, start: int, stop: int) -> tup
     coordinates as ``array('d')`` columns."""
     times = np.arange(start, stop) * dt
     tcp = trajectory_positions(traj, times)
-    return (array("d", times.tobytes()), np.rint(times * 1000.0), tcp,
+    return (array("d", times.tobytes()), np.rint(times * 1000.0).astype(np.int64), tcp,
             *(array("d", column.tobytes()) for column in tcp.T))
 
 
@@ -636,10 +635,10 @@ class _Run:
     """What the trials of one run share: the robot inputs of each block of
     ``n`` ticks ``dt`` s apart, ``robot``, and the capture clock of frames
     ``capture_ms`` apart, ``captures``, their arrays read-only; and the text
-    of their trace files, made a block at a time as they are encoded: each
-    tick's ``_prefixes`` and, for each task position in ``places``, the
-    distance from it to the TCP at each tick, as the trial loop takes it, with
-    the ``repr`` of each one that a trace has held so far, in ``made``."""
+    of their trace files by block, ``made``, a block's made whole the first
+    time a trace encodes it: its ticks' ``_prefixes`` and, for each task
+    position in ``places``, the distance from it to the TCP at each tick, as
+    the trial loop takes it, with the ``repr`` of each."""
 
     def __init__(self, traj: RobotTrajectory, dt: float, n: int, capture_ms: float,
                  places: np.ndarray) -> None:
@@ -654,22 +653,20 @@ class _Run:
         self.made: dict[int, tuple] = {}
 
     def text(self, lo: int, t_ms: np.ndarray) -> tuple:
-        """(prefixes, columns) of the run's block from tick ``lo``, for
-        ``_dist_text``, if it holds the ticks ``t_ms``; (None, ()) otherwise."""
+        """(prefixes, columns) for ``_dist_text`` of the block of ticks ``t_ms``
+        from tick ``lo``: the run's, made whole the first time, if the run has
+        this block; the block's own prefixes and no column otherwise."""
         b, off = divmod(lo, len(self.robot[0][1]))
-        if off or b >= len(self.robot):
-            return None, ()
+        if off or b >= len(self.robot) or not np.array_equal(self.robot[b][1], t_ms):
+            return _prefixes(t_ms), ()
         if b not in self.made:
             _, run_t, tcp, *_ = self.robot[b]
-            run_t = run_t.astype(np.int64)
             columns = []
             for dx, dy, dz in self.places[:, :, None] - tcp.T:
                 dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-                columns.append((dist, np.zeros(len(dist), dtype=bool),
-                                np.empty(len(dist), dtype=object)))
-            self.made[b] = run_t, _prefixes(run_t), columns
-        run_t, prefixes, columns = self.made[b]
-        return (prefixes, columns) if np.array_equal(run_t, t_ms) else (None, ())
+                columns.append((dist, np.array(list(map(repr, dist.tolist())), dtype=object)))
+            self.made[b] = _prefixes(run_t), columns
+        return self.made[b]
 
 
 # The ``_Run`` of the last trial of at most ``_MEMO_BLOCKS`` blocks, by key.
@@ -703,19 +700,15 @@ def _prefixes(t_ms: np.ndarray) -> list[str]:
 
 def _dist_text(dist: np.ndarray, columns: Sequence[tuple]) -> Iterable[str]:
     """``repr`` of each of ``dist``. Each of ``columns`` holds a run's
-    distances at the same ticks, whether each one's text is made yet, and
-    that text: a distance with the same bits as a column's at its tick takes
-    the first such column's text, which is made there if it is not yet."""
+    distances at the same ticks and their ``repr``: a distance with the same
+    bits as a column's at its tick takes the first such column's text."""
     if not columns:
         return map(repr, dist.tolist())
     bits = dist.view(np.int64)
     text = np.empty(len(dist), dtype=object)
     rest = np.ones(len(dist), dtype=bool)
-    for column, kept, strings in columns:
+    for column, strings in columns:
         hit = np.flatnonzero(rest & (bits == column.view(np.int64)))
-        new = hit[~kept[hit]]
-        strings[new] = list(map(repr, column[new].tolist()))
-        kept[new] = True
         text[hit] = strings[hit]
         rest[hit] = False
     rest = np.flatnonzero(rest)

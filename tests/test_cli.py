@@ -343,9 +343,13 @@ SEED_11_FILES = [wire.trace_filename(c, s) for c in sim.CONDITIONS for s in (11,
     (_set_had("0.35"), SEED_11_FILES),
     (_set_had(True), SEED_11_FILES),
     (_set_had(None), SEED_11_FILES),
+    (_set_had(math.nan), SEED_11_FILES),
+    (lambda m: m.update(trials={}), SEED_11_FILES),
+    (lambda m: m.update(trials=None), SEED_11_FILES),
 ], ids=["mean-str", "mean-int", "mean-nan", "seed-bool", "seed-str", "sha256-short",
         "sha256-upper", "file-of-another-seed", "file-of-another-cond", "cond-unknown",
-        "had-other", "had-str", "had-bool", "had-null"])
+        "had-other", "had-str", "had-bool", "had-null", "had-nan", "trials-object",
+        "trials-null"])
 def test_analyze_parses_a_file_whose_manifest_entry_it_cannot_use(
         tmp_path, monkeypatch, edit, parsed):
     out = tmp_path / "runs"

@@ -739,6 +739,16 @@ def test_a_trace_off_its_runs_ticks_makes_its_own_prefixes(run_traces):
         assert_encodes_as_records(replace(trace, t_ms=t_ms))
 
 
+def test_a_trace_off_its_runs_ticks_makes_no_run_text():
+    # A trace whose ticks are not its run's makes its own prefixes and leaves
+    # the run's text unmade.
+    sim._run_memo.clear()
+    (_, _, trace), = sim.run_trials(SHARED_CFG, ["va"], [6])
+    assert trace.shared is not None and not trace.shared.made
+    assert_encodes_as_records(replace(trace, t_ms=trace.t_ms + 1))
+    assert not trace.shared.made
+
+
 @settings(max_examples=10)
 @given(st.permutations(range(6)))
 def test_a_runs_traces_encode_alike_in_any_order(run_traces, order):
@@ -757,7 +767,13 @@ def test_the_text_memo_keeps_one_entry_per_run_and_none_beyond_its_bound():
     assert not run.made
     for trace in traces:
         encoded(trace)
-    assert any(kept.any() for _, _, columns in run.made.values() for _, kept, _ in columns)
+    # Each made block holds its ticks' prefixes and each column's repr, whole.
+    assert sorted(run.made) == list(range(len(run.robot)))
+    for b, (prefixes, columns) in run.made.items():
+        assert prefixes == sim._prefixes(run.robot[b][1])
+        assert len(columns) == len(SHARED_CFG.human.task_positions)
+        for dist, strings in columns:
+            assert strings.tolist() == list(map(repr, dist.tolist()))
     # A run of another tick takes the entry's place.
     (_, _, coarse), = sim.run_trials(replace(SHARED_CFG, tick_ms=20.0), ["va"], [1])
     assert_encodes_as_records(coarse)
