@@ -101,7 +101,8 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     had = cfg.safety.had
-    manifest = {"config_sha256": config_hash(cfg), "had_m": had, "trials": []}
+    # The trials run seed by seed, and the manifest lists them condition by condition.
+    entries: dict[str, list] = {cond: [] for cond in conditions}
     seeds = range(args.seed, args.seed + args.trials)
     for cond, seed, trace in sim.run_trials(cfg, conditions, seeds):
         name = wire.trace_filename(cond, seed)
@@ -109,9 +110,11 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
         path.unlink(missing_ok=True)
         digest = hashlib.sha256()
         wire.journal_append(path, _hashed(trace.jsonl(), digest))
-        manifest["trials"].append({"file": name, "cond": cond, "seed": seed,
-                                   "n_samples": len(trace), "sha256": digest.hexdigest(),
-                                   "below_had_m": sim.below_had_mean(trace.dist_m, had)})
+        entries[cond].append({"file": name, "cond": cond, "seed": seed,
+                              "n_samples": len(trace), "sha256": digest.hexdigest(),
+                              "below_had_m": sim.below_had_mean(trace.dist_m, had)})
+    manifest = {"config_sha256": config_hash(cfg), "had_m": had,
+                "trials": [entry for cond in conditions for entry in entries[cond]]}
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(manifest['trials'])} trace files to {out_dir}")

@@ -50,13 +50,22 @@ the HAD.
 Every trial of a run replays the same robot path and the same capture clock,
 so trials of at most ``_MEMO_BLOCKS`` blocks (a default 120 s trial) share one
 ``_Run`` entry, made once and kept for the next trial with the same path, tick,
-frame interval, length and task positions: the robot's inputs for each block,
-its tick times and TCP positions, about 0.8 MB, each block's capture times and
-landing ticks, and the text their trace files share, a block's made whole as
-the run's first trace encodes it: each tick's ``{"t_ms":T,"dist_m":`` prefix,
-and the distance from each task position to the TCP at each tick, where a
-resting hand sits, with its ``repr``. A longer trial makes its inputs a block
-at a time and keeps none of them, and its trace makes its own text.
+frame interval, length, task positions and task speed: the robot's inputs for
+each block, its tick times and TCP positions, about 0.8 MB, each block's
+capture times and landing ticks, and the text their trace files share, a
+block's made whole as the run's first trace encodes it: each tick's
+``{"t_ms":T,"dist_m":`` prefix, and the distance from each task position to the
+TCP at each tick, where a resting hand sits, with its ``repr``. The entry also
+holds a value table, the 760 distances (at the default config) from a hand at
+rest or on a task move to the robot dwelling at a waypoint, with their
+``repr``, and a pair slot: what a trial leaves the next trial of its seed,
+latency model and excursion chance, the V and VA trials of one seed as
+``run_trials`` runs them. That is its frame schedule and excursion candidates,
+so the second trial neither lays out a schedule nor draws them, and the
+first trace's distance text per block, at most about 1 MB, whose rows the
+second trace takes where its distances have the same bits. The next seed's
+trial replaces the slot. A longer trial makes its inputs a block at a time and
+keeps none of them, and its trace makes its own text.
 """
 
 from __future__ import annotations
@@ -67,8 +76,7 @@ import re
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from typing import (TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping, Optional,
-                    Sequence)
+from typing import TYPE_CHECKING, BinaryIO, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -318,9 +326,12 @@ class DistanceTrace:
         number of states plus the state, so that a -0.0 duty keeps its sign;
         the table gains a pair's text as a block first holds it.
         A block of a trace with a ``shared`` run that holds the run's ticks
-        takes its prefixes, and the ``repr`` of each dist_m whose bits equal
-        the distance from a task position to the TCP at its tick, from the
-        run; any other block makes its prefixes itself.
+        takes its prefixes and its dist_m text from ``_Run.text``: the
+        ``repr`` of each dist_m whose bits equal the distance from a task
+        position to the TCP at its tick, or the distance at its tick of the
+        trace of the same seed that encoded the block first, or an entry of
+        the run's value table, is taken, not made. Any other block makes its
+        prefixes and dist_m text itself.
         ``repr`` writes a finite float exactly as ``json.dumps`` does. NaN and
         infinities are not JSON, so a trace holding one raises ValueError
         here, before any block, as does a state that is no SafetyState value.
@@ -350,11 +361,11 @@ class DistanceTrace:
                     duty, value = divmod(code, len(_STATE_NAMES))
                     rows[code] = (f',"state":"{_STATE_NAMES[value]}",'
                                   f'"duty_pct":{duties[duty]!r},{tail}\n')
-                t_ms = self.t_ms[lo:hi]
+                t_ms, dist = self.t_ms[lo:hi], self.dist_m[lo:hi]
                 parts = [None] * (3 * (hi - lo))  # frees the last block's text before this one's
-                parts[0::3], columns = (self.shared.text(lo, t_ms) if self.shared is not None
-                                        else (_prefixes(t_ms), ()))
-                parts[1::3] = _dist_text(self.dist_m[lo:hi], columns)
+                texts = (self.shared.text(lo, t_ms, dist, self.seed)
+                         if self.shared is not None else None)
+                parts[0::3], parts[1::3] = texts or (_prefixes(t_ms), map(repr, dist.tolist()))
                 parts[2::3] = map(rows.__getitem__, codes)
                 yield "".join(parts)
 
@@ -634,14 +645,16 @@ def _robot_block(traj: RobotTrajectory, dt: float, start: int, stop: int) -> tup
 class _Run:
     """What the trials of one run share: the robot inputs of each block of
     ``n`` ticks ``dt`` s apart, ``robot``, and the capture clock of frames
-    ``capture_ms`` apart, ``captures``, their arrays read-only; and the text
-    of their trace files by block, ``made``, a block's made whole the first
-    time a trace encodes it: its ticks' ``_prefixes`` and, for each task
-    position in ``places``, the distance from it to the TCP at each tick, as
-    the trial loop takes it, with the ``repr`` of each."""
+    ``capture_ms`` apart, ``captures``, their arrays read-only; the text of
+    their trace files by block, ``made``, a block's made whole the first time
+    a trace encodes it: its ticks' ``_prefixes`` and, for each task position
+    of ``human``, the distance from it to the TCP at each tick, as the trial
+    loop takes it, with the ``repr`` of each; ``table``, ``_value_table``'s
+    distances from a resting or shuttling hand to a dwelling robot; and
+    ``pair``, the ``_Pair`` the run's last trial took or left."""
 
     def __init__(self, traj: RobotTrajectory, dt: float, n: int, capture_ms: float,
-                 places: np.ndarray) -> None:
+                 human: HumanModel) -> None:
         self.robot = tuple(_robot_block(traj, dt, lo, min(lo + _BLOCK, n))
                            for lo in range(0, n, _BLOCK))
         self.captures = tuple(_capture_blocks(capture_ms, n, dt))
@@ -649,24 +662,77 @@ class _Run:
             for item in block:
                 if isinstance(item, np.ndarray):
                     item.flags.writeable = False
-        self.places = places
+        self.places = np.asarray(human.task_positions, dtype=float)
         self.made: dict[int, tuple] = {}
+        self.table = _value_table(traj, human, dt)
+        self.pair: Optional[_Pair] = None
 
-    def text(self, lo: int, t_ms: np.ndarray) -> tuple:
-        """(prefixes, columns) for ``_dist_text`` of the block of ticks ``t_ms``
-        from tick ``lo``: the run's, made whole the first time, if the run has
-        this block; the block's own prefixes and no column otherwise."""
+    def text(self, lo: int, t_ms: np.ndarray, dist: np.ndarray, seed: int
+             ) -> Optional[tuple[list[str], list[str]]]:
+        """(prefixes, ``repr`` of each of ``dist``) for the block of ticks
+        ``t_ms`` from tick ``lo`` of a trace of ``seed``, or None if the run
+        does not have this block. The block's prefixes and task-position
+        columns are made whole the first time a trace asks for them. A
+        ``pair`` of ``seed`` keeps the text of the first of its seed's traces
+        to encode the block, and gives it to the next as one more column of
+        ``_dist_text``, ahead of the task positions'."""
         b, off = divmod(lo, len(self.robot[0][1]))
         if off or b >= len(self.robot) or not np.array_equal(self.robot[b][1], t_ms):
-            return _prefixes(t_ms), ()
+            return None
         if b not in self.made:
             _, run_t, tcp, *_ = self.robot[b]
             columns = []
             for dx, dy, dz in self.places[:, :, None] - tcp.T:
-                dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-                columns.append((dist, np.array(list(map(repr, dist.tolist())), dtype=object)))
+                dist_b = np.sqrt(dx * dx + dy * dy + dz * dz)
+                columns.append((dist_b, np.array(list(map(repr, dist_b.tolist())), dtype=object)))
             self.made[b] = _prefixes(run_t), columns
-        return self.made[b]
+        prefixes, columns = self.made[b]
+        pair = self.pair if self.pair is not None and self.pair.key[0] == seed else None
+        if pair is not None and b in pair.text:
+            columns = [pair.text[b], *columns]
+        text = _dist_text(dist, columns, self.table)
+        if pair is not None and b not in pair.text:
+            pair.text[b] = dist.copy(), text
+        return prefixes, text.tolist()
+
+
+@dataclass
+class _Pair:
+    """What a trial leaves its run's next trial of the same seed, latency model
+    and per-tick excursion chance, ``key``: its frame schedule, ``landed`` and
+    ``command_s``, as ``_schedule`` lays it out; each block's excursion
+    candidates, ``kicks``; and, by block, the distances of the first trace of
+    the seed to encode it and their ``repr``, ``text``. These are all that the
+    trial reads of its ``g_lat`` and ``g_exc`` streams, so the next trial draws
+    neither."""
+
+    key: tuple
+    landed: array
+    command_s: array
+    kicks: list[list[int]]
+    text: dict[int, tuple] = field(default_factory=dict)
+
+
+def _value_table(traj: RobotTrajectory, human: HumanModel, dt: float
+                 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The distance from each point a resting or shuttling hand takes to each
+    point where the robot dwells, as the trial loop takes it: (their bits,
+    distinct and sorted, and the ``repr`` of each). The hand's points are both
+    task positions and every tick of the two task moves between them, by
+    ``_move``'s law. None if that is more than ``_BLOCK`` distances, or none."""
+    tray, toolbox = human.task_positions
+    robot = traj._table[traj._table[:, 8] == 0.0, 2:5]  # the dwell rows' points
+    moves = [_move(a, b, human.task_speed * dt) for a, b in ((tray, toolbox), (toolbox, tray))]
+    if not 0 < (2 + sum(move[8] - 1 for move in moves)) * len(robot) <= _BLOCK:
+        return None
+    hands = [np.array((tray, toolbox), dtype=float)]
+    for sx, sy, sz, mx, my, mz, step_len, length, arrive, _ in moves:
+        f = np.arange(1, arrive) * step_len / length
+        hands.append(np.column_stack((sx + mx * f, sy + my * f, sz + mz * f)))
+    dx, dy, dz = (np.concatenate(hands)[:, None, :] - robot).reshape(-1, 3).T
+    bits = np.sort(np.sqrt(dx * dx + dy * dy + dz * dz).view(np.int64))
+    bits = np.concatenate((bits[:1], bits[1:][bits[1:] != bits[:-1]]))
+    return bits, np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
 
 
 # The ``_Run`` of the last trial of at most ``_MEMO_BLOCKS`` blocks, by key.
@@ -674,22 +740,22 @@ _run_memo: dict[tuple, _Run] = {}
 
 
 def _run(traj: RobotTrajectory, dt: float, n: int, capture_ms: float,
-         places: Sequence[Vec3]) -> Optional[_Run]:
+         human: HumanModel) -> Optional[_Run]:
     """The ``_Run`` of a trial of ``n`` ticks ``dt`` s apart on ``traj``, with
-    frames ``capture_ms`` apart and task positions ``places``, from
-    ``_run_memo``: made, in place of the old entry, if it holds none. None for
-    a trial beyond ``_MEMO_BLOCKS`` blocks. The key holds all that
-    ``trajectory_positions``, the capture clock, the task distances and the
-    block layout read."""
+    frames ``capture_ms`` apart and the hand of ``human``, from ``_run_memo``:
+    made, in place of the old entry, if it holds none. None for a trial beyond
+    ``_MEMO_BLOCKS`` blocks. The key holds all that ``trajectory_positions``,
+    the capture clock, the task distances, the value table and the block
+    layout read."""
     if n > _MEMO_BLOCKS * _BLOCK:
         return None
-    places = np.asarray(places, dtype=float)
     key = (traj._table.tobytes(), traj.cycle_period, traj.speed, traj.accel, dt, n,
-           capture_ms, places.tobytes(), _BLOCK)
+           capture_ms, np.asarray(human.task_positions, dtype=float).tobytes(),
+           human.task_speed, _BLOCK)
     run = _run_memo.get(key)
     if run is None:
         _run_memo.clear()  # the old entry goes before the new one is made
-        run = _run_memo[key] = _Run(traj, dt, n, capture_ms, places)
+        run = _run_memo[key] = _Run(traj, dt, n, capture_ms, human)
     return run
 
 
@@ -698,12 +764,14 @@ def _prefixes(t_ms: np.ndarray) -> list[str]:
     return [f'{{"t_ms":{t},"dist_m":' for t in t_ms.tolist()]
 
 
-def _dist_text(dist: np.ndarray, columns: Sequence[tuple]) -> Iterable[str]:
-    """``repr`` of each of ``dist``. Each of ``columns`` holds a run's
-    distances at the same ticks and their ``repr``: a distance with the same
-    bits as a column's at its tick takes the first such column's text."""
-    if not columns:
-        return map(repr, dist.tolist())
+def _dist_text(dist: np.ndarray, columns: Sequence[tuple],
+               table: Optional[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """``repr`` of each of ``dist``, as an object array. Each of ``columns``
+    holds distances at the same ticks and their ``repr``: a distance with the
+    same bits as a column's at its tick takes the first such column's text.
+    ``table`` holds distinct distance bits, sorted, and the ``repr`` of each: a
+    distance that no column took takes the table's text of its bits, found by
+    one ``np.searchsorted``."""
     bits = dist.view(np.int64)
     text = np.empty(len(dist), dtype=object)
     rest = np.ones(len(dist), dtype=bool)
@@ -712,8 +780,14 @@ def _dist_text(dist: np.ndarray, columns: Sequence[tuple]) -> Iterable[str]:
         text[hit] = strings[hit]
         rest[hit] = False
     rest = np.flatnonzero(rest)
+    if table is not None:
+        values, strings = table
+        at = np.minimum(np.searchsorted(values, bits[rest]), len(values) - 1)
+        hit = values[at] == bits[rest]
+        text[rest[hit]] = strings[at[hit]]
+        rest = rest[~hit]
     text[rest] = list(map(repr, dist[rest].tolist()))
-    return text.tolist()
+    return text
 
 
 def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
@@ -731,7 +805,9 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     # identical draws whichever channels fire, but for ``g_felt``, which V
     # leaves undrawn; the per-tick ones are drawn in blocks of ``_BLOCK`` as
     # the loop below uses them, ``g_lat``'s by ``_schedule``, and ``g_event``
-    # gives each excursion its three values as it starts.
+    # gives each excursion its three values as it starts. A trial that takes
+    # its run's ``_Pair`` takes from it all it would read of ``g_lat`` and
+    # ``g_exc``, and draws neither.
     streams = np.random.SeedSequence(seed).spawn(4)
     g_exc, g_event, g_felt, g_lat = (np.random.default_rng(s) for s in streams)
 
@@ -753,6 +829,17 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     inf = math.inf
     sqrt = math.sqrt
 
+    # A trial on a run takes the run's ``_Pair`` if it has this trial's key,
+    # and otherwise drops it, text and all, and leaves its own as it ends.
+    excursion_p = human.excursion_rate * dt
+    run = _run(traj, dt, n, latency.capture_ms, human)
+    pair = kept = None
+    if run is not None:
+        key = (seed, latency, excursion_p)
+        if run.pair is not None and run.pair.key != key:
+            run.pair = None
+        pair = run.pair
+
     # Pipeline state: the trace's decision log, one command time and one state
     # per frame of the schedule, every state SAFE until the loop decides
     # otherwise. The loop decides ``frame`` on the tick it lands,
@@ -760,11 +847,14 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     # than SAFE. The first ``applied`` commands have reached the actuator, and
     # ``due`` is the time of the next one, inf past the last, so a tick tests
     # the queue in one compare.
-    run = _run(traj, dt, n, latency.capture_ms, human.task_positions)
-    landed, command_s = _schedule(latency, g_lat, n, dt, run)  # the frame at 0 s is always taken
+    if pair is None:
+        landed, command_s = _schedule(latency, g_lat, n, dt, run)
+        kept = [] if run is not None else None  # each block's excursion candidates
+    else:
+        landed, command_s = pair.landed, pair.command_s[:]
     command_state = bytearray(len(command_s))
     frame = applied = hot = 0
-    next_frame, due = landed[0], command_s[0]
+    next_frame, due = landed[0], command_s[0]  # the frame at 0 s is always taken
     dec_state = SafetyState.SAFE
     live_state = 0
 
@@ -776,7 +866,6 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     duty = duty_target = 0.0
 
     had = zone.had
-    excursion_p = human.excursion_rate * dt
     idle_from = 0  # the last walk saw the hand within the HAD up to this tick
 
     # A trial with a ``run`` takes the robot's inputs from it; a longer one
@@ -792,9 +881,15 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
             felt_block = felt_multipliers(perception, g_felt.standard_normal(stop - start))
         # The ticks whose draw may start an excursion, then inf: the loop
         # tests the rest of an excursion's conditions on these ticks only.
-        kicks = iter((np.flatnonzero(g_exc.random(stop - start) < excursion_p)
-                      + start).tolist() + [inf])
-        next_kick = next(kicks)
+        if pair is None:
+            candidates = (np.flatnonzero(g_exc.random(stop - start) < excursion_p)
+                          + start).tolist()
+            if kept is not None:
+                kept.append(candidates)
+        else:
+            candidates = pair.kicks[start // _BLOCK]
+        next_kicks = iter(candidates + [inf])
+        next_kick = next(next_kicks)
         i = start
         while i < stop:
             # --- idle span -----------------------------------------------
@@ -863,7 +958,7 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
 
             # Excursion kick-off from the task loop.
             if i == next_kick:
-                next_kick = next(kicks)
+                next_kick = next(next_kicks)
                 if phase <= 1:
                     ux, uy, uz = hx - tx, hy - ty, hz - tz
                     un = sqrt(ux * ux + uy * uy + uz * uz)
@@ -929,6 +1024,8 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
         # A long trial frees a block's inputs before the next block's are made.
         tick_s = t_ms = tcp = xs = ys = zs = None
 
+    if kept is not None:
+        run.pair = _Pair(key, landed, command_s[:], kept)
     return DistanceTrace(t_ms=out_t, dist_m=out_d, state=out_state, duty_pct=out_duty,
                          condition=cond, seed=seed, command_s=command_s,
                          command_state=command_state, shared=run)
@@ -936,10 +1033,11 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
 
 def run_trials(cfg: RunConfig, conditions: Sequence[str], seeds: Sequence[int]
                ) -> Iterator[tuple[str, int, DistanceTrace]]:
-    """(cond, seed, trace) of the trial ``cfg`` configures, for each seed in
-    each condition, condition by condition; one trace is made per step."""
-    for cond in conditions:
-        for seed in seeds:
+    """(cond, seed, trace) of the trial ``cfg`` configures, for each condition
+    of each seed, seed by seed, so that each trial of a seed after its first
+    takes the ``_Pair`` the one before it left; one trace is made per step."""
+    for seed in seeds:
+        for cond in conditions:
             yield cond, seed, run_trial(cond, cfg.human, cfg.trajectory, cfg.safety,
                                         cfg.jet, cfg.perception, cfg.latency,
                                         cfg.duration_s, seed, tick_ms=cfg.tick_ms,

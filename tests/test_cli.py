@@ -38,6 +38,16 @@ def test_simulate_writes_traces_and_manifest(tmp_path, capsys):
     assert len(manifest["config_sha256"]) == 64
 
 
+def test_simulate_lists_its_trials_condition_by_condition(tmp_path):
+    # The trials run seed by seed; the manifest lists them as before.
+    out = tmp_path / "runs"
+    assert run_cli(*FAST_SIM, "simulate", "--condition", "both", "--trials", "3",
+                   "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [(t["cond"], t["seed"]) for t in manifest["trials"]] == [
+        ("v", 0), ("v", 1), ("v", 2), ("va", 0), ("va", 1), ("va", 2)]
+
+
 def test_simulate_rerun_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -431,10 +431,10 @@ def test_block_size_changes_no_trial_output(monkeypatch, block):
                 == "".join(want.jsonl()).splitlines(keepends=True))
 
 
-def test_run_trials_yields_condition_major_direct_trials():
+def test_run_trials_yields_seed_major_direct_trials():
     cfg = RunConfig(duration_s=20.0, duty_pct=80.0, tick_ms=20.0)
     got = list(sim.run_trials(cfg, sim.CONDITIONS, [4, 2]))
-    assert [(cond, seed) for cond, seed, _ in got] == [("v", 4), ("v", 2), ("va", 4), ("va", 2)]
+    assert [(cond, seed) for cond, seed, _ in got] == [("v", 4), ("va", 4), ("v", 2), ("va", 2)]
     for cond, seed, trace in got:
         want = sim.run_trial(cond, cfg.human, cfg.trajectory, cfg.safety, cfg.jet,
                              cfg.perception, cfg.latency, 20.0, seed, 20.0, 80.0)
@@ -784,6 +784,131 @@ def test_the_text_memo_keeps_one_entry_per_run_and_none_beyond_its_bound():
     assert long.shared is None
     assert_encodes_as_records(long)
     assert sim._run_memo == {key: other}
+
+
+# --- a seed's pair of trials -----------------------------------------------
+
+PAIR_CFG = RunConfig(duration_s=30.0)
+
+
+def first_trial(cfg, cond, seed):
+    return next(sim.run_trials(cfg, [cond], [seed]))[2]
+
+
+def cold_trial(cfg, cond, seed):
+    """A trial's columns, decisions and trace file, run and encoded with the
+    run memo cleared."""
+    sim._run_memo.clear()
+    trace = first_trial(cfg, cond, seed)
+    return trial_bytes(trace), encoded(trace)
+
+
+@pytest.mark.parametrize("cfg", [
+    PAIR_CFG,
+    replace(PAIR_CFG, latency=replace(PAIR_CFG.latency, detect_ms_mean=45.0)),
+    replace(PAIR_CFG, latency=replace(PAIR_CFG.latency, capture_ms=10.0)),
+    replace(PAIR_CFG, tick_ms=20.0),
+], ids=["default", "detect_ms_mean=45", "capture_ms=10", "tick_ms=20"])
+def test_a_seeds_second_trial_takes_the_first_ones_pair_and_matches_a_cold_trial(cfg):
+    want = cold_trial(cfg, "va", 3)
+    sim._run_memo.clear()
+    v = first_trial(cfg, "v", 3)
+    encoded(v)
+    pair = v.shared.pair
+    assert pair.key == (3, cfg.latency, cfg.human.excursion_rate * cfg.tick_ms / 1000.0)
+    assert sorted(pair.text) == list(range(len(v.shared.robot)))
+    with mock.patch.object(sim, "_schedule", wraps=sim._schedule) as schedule, \
+            mock.patch.object(sim, "_dist_text", wraps=sim._dist_text) as dist_text:
+        va = first_trial(cfg, "va", 3)
+        got = trial_bytes(va), encoded(va)
+    assert schedule.call_count == 0 and va.shared.pair is pair
+    # Each block takes V's text as one more column, ahead of the task positions'.
+    assert [len(call.args[1]) for call in dist_text.call_args_list] == [3] * len(pair.text)
+    same = va.dist_m == v.dist_m
+    assert 0.0 < same.mean() < 1.0
+    assert got == want
+
+
+@pytest.mark.parametrize("change", ["seed", "excursion_rate", "detect_ms_sd"])
+def test_a_trial_of_another_pair_key_takes_nothing_from_the_pair(change):
+    # The next trial on the same run differs from the one before in one part
+    # of the pair's key alone, so it lays out its own schedule and draws its
+    # own excursion candidates, and matches a cold trial.
+    other, seed = {
+        "seed": (PAIR_CFG, 4),
+        "excursion_rate": (replace(PAIR_CFG, human=replace(PAIR_CFG.human,
+                                                           excursion_rate=0.3)), 3),
+        "detect_ms_sd": (replace(PAIR_CFG, latency=replace(PAIR_CFG.latency,
+                                                           detect_ms_sd=15.0)), 3),
+    }[change]
+    want = cold_trial(other, "va", seed)
+    sim._run_memo.clear()
+    v = first_trial(PAIR_CFG, "v", 3)
+    encoded(v)
+    pair = v.shared.pair
+    with mock.patch.object(sim, "_schedule", wraps=sim._schedule) as schedule:
+        va = first_trial(other, "va", seed)
+        got = trial_bytes(va), encoded(va)
+    assert va.shared is v.shared
+    assert schedule.call_count == 1 and va.shared.pair is not pair
+    assert got == want
+
+
+def test_a_runs_pair_holds_the_text_of_one_seed():
+    sim._run_memo.clear()
+    for cond, seed in (("v", 3), ("va", 3)):
+        encoded(first_trial(PAIR_CFG, cond, seed))
+    (run,) = sim._run_memo.values()
+    assert run.pair.key[0] == 3 and run.pair.text
+    v4 = first_trial(PAIR_CFG, "v", 4)
+    assert run.pair.key[0] == 4 and not run.pair.text
+    encoded(v4)
+    assert sorted(run.pair.text) == list(range(len(run.robot)))
+    for b, (dist, text) in run.pair.text.items():
+        block = v4.dist_m[b * sim._BLOCK:(b + 1) * sim._BLOCK]
+        assert dist.tobytes() == block.tobytes()
+        assert text.tolist() == list(map(repr, block.tolist()))
+
+
+def test_the_value_table_holds_the_distances_of_a_resting_or_shuttling_hand():
+    sim._run_memo.clear()
+    trace = first_trial(PAIR_CFG, "va", 1)
+    bits, text = trace.shared.table
+    assert len(bits) == 760  # (2 task positions + 2 x 94 task-move ticks) x 4 dwells
+    assert (np.diff(bits) > 0).all()
+    assert text.tolist() == list(map(repr, bits.view(float).tolist()))
+    # Rows the table holds that no task-position column does.
+    rows = trace.dist_m.view(np.int64)
+    at_task = np.zeros(len(trace), dtype=bool)
+    for column in task_distances(PAIR_CFG):
+        at_task |= rows == column.view(np.int64)
+    in_table = bits[np.minimum(np.searchsorted(bits, rows), len(bits) - 1)] == rows
+    assert (in_table & ~at_task).mean() > 0.05
+    # A run of another task speed makes its own table.
+    slow = replace(PAIR_CFG, human=replace(PAIR_CFG.human, task_speed=0.2))
+    other = first_trial(slow, "va", 1)
+    assert other.shared is not trace.shared
+    want = sim._value_table(slow.trajectory, slow.human, slow.tick_ms / 1000.0)
+    assert other.shared.table[0].tobytes() == want[0].tobytes() != bits.tobytes()
+
+
+def test_the_value_table_is_bounded_at_a_block(monkeypatch):
+    cfg = RunConfig()
+    for task_speed, tick_ms in ((1e-300, 10.0), (0.3, 1e-9), (1e300, 10.0)):
+        human = replace(cfg.human, task_speed=task_speed)
+        table = sim._value_table(cfg.trajectory, human, tick_ms / 1000.0)
+        assert table is None or 0 < len(table[0]) <= sim._BLOCK, (task_speed, tick_ms)
+    # A trial at a tiny tick runs on the memo with no table.
+    sim._run_memo.clear()
+    trace = sim.run_trial("va", cfg.human, cfg.trajectory, cfg.safety, cfg.jet, cfg.perception,
+                          replace(cfg.latency, capture_ms=1e-6), 1e-5, 1, tick_ms=1e-6)
+    assert trace.shared is not None and trace.shared.table is None
+    assert_encodes_as_records(trace)
+    # 760 distances fit a block of 760, and not one of 759.
+    for block, size in ((760, 760), (759, None)):
+        monkeypatch.setattr(sim, "_BLOCK", block)
+        table = sim._value_table(cfg.trajectory, cfg.human, cfg.tick_ms / 1000.0)
+        assert (None if table is None else len(table[0])) == size
 
 
 @pytest.mark.parametrize("state", [3, 255])
