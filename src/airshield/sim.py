@@ -16,9 +16,11 @@ construction. Only the felt-pressure stream, which the VA air channel alone
 reads, is left undrawn in V; it is a stream of its own, so no other moves.
 Per-tick and per-frame inputs are drawn, and traces encoded, in blocks of
 ``_BLOCK``, and read back a line at a time, so no step holds inputs or text
-for a whole trial, whatever a file holds. Each excursion draws its item
-distance, attention and glance delay as it starts, so the e-th excursion of
-either condition gets the same values, however many a trial starts.
+for a whole trial, whatever a file holds. Each excursion takes three values,
+its item distance, attention and glance delay, drawn three a candidate as a
+block's excursion candidates are found, so the e-th excursion of either
+condition gets the values it would draw one at a time, however many a trial
+starts.
 
 Which frames the detector takes, and when their commands land, never depend
 on the hand: ``_schedule`` lays them out before the loop, the finishes of
@@ -40,9 +42,12 @@ its start, and on its arrival tick at its goal itself. Idle ticks, in any
 phase, beyond the HAD with the state SAFE, every command in flight SAFE, no
 retreat pending, and the fan stopped or the hand out of the reach, grab and
 return phases, where the air channel reads the duty, run a span at a time:
-``_walk`` lays the hand's path out on that law in numpy, and the distances are
-taken in numpy. A span skips its ticks by index and stores only their
-distances, and the duty of a fan still winding down, tick by tick. A retreat
+``_walk`` lays the hand's path out on that law in numpy, up to the tick a
+reach arrives on, and the distances are taken in numpy. With the fan stopped
+a walk starts a reach on an excursion candidate as the loop does, by
+``_reach``; while the fan winds down, a span ends before the next candidate.
+A span skips its ticks by index and stores only their distances, and the
+duty of a fan still winding down, tick by tick. A retreat
 moves the hand off the path that the last walk laid out, so as it starts, the
 loop drops that walk's horizon, the tick up to which the hand stayed within
 the HAD.
@@ -493,41 +498,91 @@ def _arrive(phase: int, target: Vec3, t: float, human: HumanModel) -> tuple:
             t + human.task_dwell_s)
 
 
-def _walk(human: HumanModel, dt: float, times: list[float], lo: int, hi: int, hand: Vec3,
-          phase: int, target: Vec3, until: float, move: tuple, k: int) -> tuple:
-    """The hand's x, y and z rows on ticks ``lo``..``hi - 1`` of a block with
-    tick times ``times``, by the trial loop's transitions, from its point
-    ``hand``, ``phase``, task ``target``, dwell or grab end ``until`` and
-    ``move``, ``k`` ticks in, after tick ``lo - 1``; and its (tick, phase,
-    target, until, move, k) after that tick and after each tick where the
-    phase changes."""
-    marks = [(lo - 1, phase, target, until, move, k)]
+def _reach(hand: Vec3, tx: float, ty: float, tz: float, values: Sequence[float], e: int,
+           human: HumanModel, dt: float) -> Optional[tuple]:
+    """(move, notice delay) of the reach the ``e``-th excursion of a trial
+    starts with the hand at ``hand`` and the TCP at (tx, ty, tz), its item
+    distance, attention and glance delay draws ``values[3e:3e + 3]``: toward
+    an item that far from the TCP, on the line from the TCP through the hand,
+    and noticed, if at all, that long after the hand crosses the HAD. None,
+    taking no values, with the hand on the TCP, where no direction points."""
+    hx, hy, hz = hand
+    ux, uy, uz = hx - tx, hy - ty, hz - tz
+    un = math.sqrt(ux * ux + uy * uy + uz * uz)
+    if not un > 1e-9:  # degenerate hand-on-TCP geometry: no direction to reach
+        return None
+    item, notice, delay = values[3 * e:3 * e + 3]
+    d_item = human.item_near_m + (human.item_far_m - human.item_near_m) * item
+    item_at = (tx + ux / un * d_item, ty + uy / un * d_item, tz + uz / un * d_item)
+    return (_move(hand, item_at, human.reach_speed * dt),
+            delay * human.notice_delay_max_s if notice < human.attention_p else math.inf)
+
+
+def _walk(human: HumanModel, dt: float, times: Sequence[float], lo: int, hi: int, hand: Vec3,
+          phase: int, target: Vec3, until: float, move: tuple, k: int,
+          kicks: Sequence[float] = (), tcp: tuple = (), values: Sequence[float] = (),
+          exc: int = 0) -> tuple:
+    """The hand's x, y and z rows from tick ``lo`` of a block with tick times
+    ``times``, by the trial loop's transitions, from its point ``hand``,
+    ``phase``, task ``target``, dwell or grab end ``until`` and ``move``, ``k``
+    ticks in, with ``exc`` excursions started, after tick ``lo - 1``; and its
+    (tick, phase, target, until, move, k, excursions started, notice delay)
+    after that tick and after each tick where the phase changes. The rows end
+    before tick ``hi``, or with the tick a reach arrives on, by the robot.
+
+    ``kicks`` holds the block's excursion candidates, ascending, ``tcp`` its
+    TCP x, y and z columns and ``values`` the trial's excursion values: on a
+    candidate tick the hand in a task move or dwell starts a reach by
+    ``_reach``, as the loop does. A mark's notice delay is that of the walk's
+    last reach, None before one."""
+    marks = [(lo - 1, phase, target, until, move, k, exc, None)]
     # (first tick, start, m, step, length, k less the tick): the pieces of the
     # walk. A still piece adds -0.0 to its point, which leaves every float as it is.
     still = (-0.0, -0.0, -0.0, 0.0, 1.0, 0.0)
     pieces = [(lo, *hand, *still)] if phase in (_TASK_DWELL, _GRAB) else []
+    j, notice = bisect_left(kicks, lo), None  # the next candidate, kicks[j]
     r = lo
     while r < hi:
+        q = kicks[j] if j < len(kicks) else math.inf
         if phase in (_TASK_DWELL, _GRAB):  # ends on the first tick at or after ``until``
-            r = bisect_left(times, until, r, hi) + 1
-            if r > hi:
+            leave = bisect_left(times, until, r, hi)
+            t = min(leave, q)
+            if t >= hi:
                 break
-            phase, move = _leave(phase, hand, target, human, dt)
-            k = 0
-            marks.append((r - 1, phase, target, until, move, k))
+            if t == leave:
+                phase, move = _leave(phase, hand, target, human, dt)
+                k = 0
+                marks.append((t, phase, target, until, move, k, exc, notice))
         else:
-            n = min(move[8] - 1 - k, hi - r)  # the move's ticks before its arrival
+            # The move's ticks before its arrival, up to and with a candidate.
+            n = min(move[8] - 1 - k, q + 1 - r, hi - r)
             if n:
                 pieces.append((r, *move[:8], k + 1 - r))
                 r += n
                 k += n
-            if r == hi:
+            t = r - 1
+            if t == q:  # a candidate on a tick of the move
+                if phase == _TASK_MOVE:
+                    sx, sy, sz, mx, my, mz, step_len, length = move[:8]
+                    f = k * step_len / length
+                    hand = (sx + mx * f, sy + my * f, sz + mz * f)
+            elif r == hi:
                 break
-            hand, k = move[9], k + 1
-            phase, target, until = _arrive(phase, target, times[r], human)
-            marks.append((r, phase, target, until, move, k))
-            pieces.append((r, *hand, *still))
-            r += 1
+            else:
+                t, hand, k = r, move[9], k + 1
+                phase, target, until = _arrive(phase, target, times[t], human)
+                marks.append((t, phase, target, until, move, k, exc, notice))
+                pieces.append((t, *hand, *still))
+                if phase == _GRAB:  # a reach arrived, by the robot
+                    hi = t + 1
+                    break
+        if t == q:
+            j += 1
+            if phase <= _TASK_DWELL and (reach := _reach(
+                    hand, tcp[0][t], tcp[1][t], tcp[2][t], values, exc, human, dt)) is not None:
+                (move, notice), k, phase, exc = reach, 0, _REACH, exc + 1
+                marks.append((t, phase, target, until, move, k, exc, notice))
+        r = t + 1
     ticks = [b[0] - a[0] for a, b in zip(pieces, pieces[1:] + [(hi,)])]
     rows = np.array([p[1:] for p in pieces], dtype=float).T.repeat(ticks, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -701,10 +756,10 @@ class _Pair:
     """What a trial leaves its run's next trial of the same seed, latency model
     and per-tick excursion chance, ``key``: its frame schedule, ``landed`` and
     ``command_s``, as ``_schedule`` lays it out; each block's excursion
-    candidates, ``kicks``; and, by block, the distances of the first trace of
-    the seed to encode it and their ``repr``, ``text``. These are all that the
-    trial reads of its ``g_lat`` and ``g_exc`` streams, so the next trial draws
-    neither."""
+    candidates, as ticks of the block, ``kicks``; and, by block, the distances
+    of the first trace of the seed to encode it and their ``repr``, ``text``.
+    These are all that the trial reads of its ``g_lat`` and ``g_exc`` streams,
+    so the next trial draws neither."""
 
     key: tuple
     landed: array
@@ -804,8 +859,9 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     # Named random streams, drawn in full so both conditions consume
     # identical draws whichever channels fire, but for ``g_felt``, which V
     # leaves undrawn; the per-tick ones are drawn in blocks of ``_BLOCK`` as
-    # the loop below uses them, ``g_lat``'s by ``_schedule``, and ``g_event``
-    # gives each excursion its three values as it starts. A trial that takes
+    # the loop below uses them, ``g_lat``'s by ``_schedule``, and ``g_event``'s
+    # three a candidate, into ``values``, from which the e-th excursion takes
+    # the e-th three, however far a walk looks ahead. A trial that takes
     # its run's ``_Pair`` takes from it all it would read of ``g_lat`` and
     # ``g_exc``, and draws neither.
     streams = np.random.SeedSequence(seed).spawn(4)
@@ -823,6 +879,7 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
     task_target = toolbox
     phase_until = human.task_dwell_s
     move, k = None, 0
+    exc, values = 0, []  # excursions started, and the excursion values drawn
     crossed = False
     vis_at = air_at = math.inf
     reaction_s = human.reaction_latency_ms / 1000.0
@@ -879,35 +936,40 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
         out_t[start:stop] = t_ms
         if va:  # only the VA air channel reads the felt stream
             felt_block = felt_multipliers(perception, g_felt.standard_normal(stop - start))
-        # The ticks whose draw may start an excursion, then inf: the loop
-        # tests the rest of an excursion's conditions on these ticks only.
+        # The ticks of the block whose draw may start an excursion, then inf:
+        # the loop tests the rest of an excursion's conditions on these ticks
+        # only, and ``kicks[c] + start`` is the next one. Each starts at most
+        # one excursion, which takes three values.
         if pair is None:
-            candidates = (np.flatnonzero(g_exc.random(stop - start) < excursion_p)
-                          + start).tolist()
+            candidates = np.flatnonzero(g_exc.random(stop - start) < excursion_p).tolist()
             if kept is not None:
                 kept.append(candidates)
         else:
             candidates = pair.kicks[start // _BLOCK]
-        next_kicks = iter(candidates + [inf])
-        next_kick = next(next_kicks)
+        values += g_event.random(3 * len(candidates)).tolist()
+        kicks, c = candidates + [inf], 0
+        next_kick = start + kicks[0]
         i = start
         while i < stop:
             # --- idle span -----------------------------------------------
             # With every command decided other than SAFE applied, the state
-            # SAFE, no retreat pending, and the fan stopped or the hand
-            # outside phases 2-4, where the air channel reads the duty, the
-            # ticks before the next excursion candidate where the hand stays
-            # beyond the HAD run as one span, in any phase: each frame
-            # landing in it decides SAFE, as its log entry stands, each
-            # command applied in it is SAFE and changes nothing, and its ticks
-            # keep the zero state the column starts with. A span never enters
-            # phases 2-4, since only a candidate starts a reach; the fan winds
-            # down in it tick by tick, as below.
+            # SAFE and no retreat pending, the ticks where the hand stays
+            # beyond the HAD run as one span, in any phase: each frame landing
+            # in it decides SAFE, as its log entry stands, each command
+            # applied in it is SAFE and changes nothing, and its ticks keep
+            # the zero state the column starts with. With the fan stopped, it
+            # stays so, and the span runs through excursion candidates as the
+            # loop does, into a reach. A fan still winding down, tick by tick
+            # as below, is felt in phases 2-4: then a span opens outside them
+            # only and ends before the next candidate, so it never enters them.
             if (hot <= applied and live_state == 0 and vis_at == inf and air_at == inf
-                    and (duty == 0.0 or not 2 <= phase <= 4) and idle_from <= i < next_kick):
+                    and (duty == 0.0 or (not 2 <= phase <= 4 and i < next_kick))
+                    and idle_from <= i):
                 lo = i - start
-                xyz, marks = _walk(human, dt, tick_s, lo, min(stop, next_kick) - start,
-                                   (hx, hy, hz), phase, task_target, phase_until, move, k)
+                xyz, marks = _walk(human, dt, tick_s, lo,
+                                   (stop if duty == 0.0 else min(stop, next_kick)) - start,
+                                   (hx, hy, hz), phase, task_target, phase_until, move, k,
+                                   kicks, (xs, ys, zs), values, exc)
                 with np.errstate(over="ignore", invalid="ignore"):
                     dx, dy, dz = xyz - tcp[lo:lo + xyz.shape[1]].T
                     dist = np.sqrt(dx * dx + dy * dy + dz * dz)
@@ -917,9 +979,13 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
                 if span:
                     last = lo + span - 1
                     out_d[i:i + span] = dist[:span]
-                    mark, phase, task_target, phase_until, move, k = next(
+                    mark, phase, task_target, phase_until, move, k, started, notice = next(
                         m for m in reversed(marks) if m[0] <= last)
                     k += last - mark
+                    if started != exc:  # the span started a reach
+                        exc, notice_s, crossed = started, notice, False
+                    c = bisect_right(kicks, last, c)
+                    next_kick = start + kicks[c]
                     hx, hy, hz = xyz[:, span - 1].tolist()
                     if duty:  # the fan winds down by the per-tick update below
                         for j in range(i, i + span):
@@ -958,23 +1024,15 @@ def run_trial(cond: str, human: HumanModel, traj: RobotTrajectory,
 
             # Excursion kick-off from the task loop.
             if i == next_kick:
-                next_kick = next(next_kicks)
-                if phase <= 1:
-                    ux, uy, uz = hx - tx, hy - ty, hz - tz
-                    un = sqrt(ux * ux + uy * uy + uz * uz)
-                    if un > 1e-9:  # degenerate hand-on-TCP geometry: no direction to reach
-                        item, notice, delay = g_event.random(3).tolist()
-                        d_item = (human.item_near_m
-                                  + (human.item_far_m - human.item_near_m) * item)
-                        item_at = (tx + ux / un * d_item, ty + uy / un * d_item,
-                                   tz + uz / un * d_item)
-                        move, k = _move((hx, hy, hz), item_at, human.reach_speed * dt), 0
-                        notice_s = (delay * human.notice_delay_max_s
-                                    if notice < human.attention_p else inf)
-                        vis_at = inf
-                        air_at = inf
-                        crossed = False
-                        phase = _REACH
+                c += 1
+                next_kick = start + kicks[c]
+                if phase <= _TASK_DWELL and (reach := _reach(
+                        (hx, hy, hz), tx, ty, tz, values, exc, human, dt)) is not None:
+                    (move, notice_s), k, exc = reach, 0, exc + 1
+                    vis_at = inf
+                    air_at = inf
+                    crossed = False
+                    phase = _REACH
 
             dx, dy, dz = hx - tx, hy - ty, hz - tz
             d = sqrt(dx * dx + dy * dy + dz * dz)

@@ -26,6 +26,8 @@ SEEDS = (5, 6)
     ("latency.capture_ms=10", 40.0),
     ("sim.tick_ms=20", 60.0),
     ("sim.duty_pct=0", 20.0),
+    # most spans run through a candidate into a reach, on candidates the pair passes on
+    ("sim.excursion_rate_hz=2", 40.0),
 ])
 def test_simulate_writes_the_files_of_cold_trials(tmp_path, capsys, override, duration_s):
     overrides = [] if override is None else ["--set", override]

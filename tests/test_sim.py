@@ -277,9 +277,95 @@ def test_a_straight_move_follows_its_closed_form_law(start, goal, step_len):
             assert math.isclose(math.dist(start, p), k * step_len, rel_tol=1e-12)
             assert math.dist(start, p) <= length  # no overshoot
             assert np.linalg.norm(np.cross(np.subtract(p, start), m)) <= 1e-12 * length
-        else:  # on the arrival tick and through the grab after it, signed zeros too
+        else:  # on the arrival tick, where the walk ends, signed zeros too
             assert repr(p) == repr(list(goal))
     assert [mark[:2] for mark in marks[1:]] == ([(arrive - 1, sim._GRAB)] if arrive <= n else [])
+
+
+def _tick_by_tick(human, dt, times, lo, hi, hand, phase, target, until, move, k, kicks, tcp,
+                  values):
+    """The per-tick loop's hand update and excursion kick-off on ticks ``lo``
+    to ``hi - 1``: the hand, and its (phase, target, until, move, k,
+    excursions started, notice delay), after each tick."""
+    rows, states, exc, notice = [], [], 0, None
+    for i in range(lo, hi):
+        if phase in (sim._TASK_DWELL, sim._GRAB):
+            if times[i] >= until:
+                phase, move = sim._leave(phase, hand, target, human, dt)
+                k = 0
+        else:
+            k += 1
+            sx, sy, sz, mx, my, mz, step_len, length, arrive, goal = move
+            if k >= arrive:
+                hand = goal
+                phase, target, until = sim._arrive(phase, target, times[i], human)
+            else:
+                f = k * step_len / length
+                hand = (sx + mx * f, sy + my * f, sz + mz * f)
+        if i in kicks and phase <= sim._TASK_DWELL:
+            reach = sim._reach(hand, tcp[0][i], tcp[1][i], tcp[2][i], values, exc, human, dt)
+            if reach is not None:
+                (move, notice), k, phase, exc = reach, 0, sim._REACH, exc + 1
+        rows.append(list(hand))
+        states.append((phase, target, until, move, k, exc, notice))
+    return rows, states
+
+
+_HUMAN = sim.HumanModel()
+_TRAY, _TOOLBOX = _HUMAN.task_positions
+_N = 600
+# With no candidates, the hand dwells at the tray to tick 50, moves to the
+# toolbox and arrives there on tick 145.
+_LEAVE, _ARRIVAL = 50, 145
+_TASK = (0, _TRAY, sim._TASK_DWELL, _TOOLBOX, _HUMAN.task_dwell_s)  # lo, hand, phase, ...
+_GRABBING = (0, (0.45, 0.30, 0.50), sim._GRAB, _TOOLBOX, 0.3)  # grabs to tick 30
+
+
+@pytest.mark.parametrize("walk, kicks, on_tcp", [
+    ((20, *_TASK[1:]), [3, 20, 400], None),  # the walk's first tick; 3 is passed already
+    (_TASK, [_LEAVE], None),  # the tick a task dwell ends on, the task move's tick 0
+    (_TASK, [_ARRIVAL], None),  # the tick the task move arrives on
+    (_TASK, [(_LEAVE + _ARRIVAL) // 2, 590], None),  # the middle of the move
+    # a tick in a grab and one in the return after it: both taken, neither starts a reach
+    (_GRABBING, [10, 100, 240], None),
+    (_TASK, [5, 12], 5),  # the hand on the TCP: no direction, no value taken
+], ids=["first-tick", "dwell-leave", "move-arrival", "mid-move", "grab", "on-tcp"])
+def test_a_walk_starts_a_reach_on_a_candidate_as_the_loop_does(walk, kicks, on_tcp):
+    # A walk over excursion candidates lays the hand out on the closed-form
+    # law, ends with the tick a reach arrives on, and marks the phase, move
+    # and excursions started as the per-tick loop has them after each tick.
+    # Only a candidate in a task move or dwell, with the hand off the TCP,
+    # takes values, the next three.
+    dt = 0.01
+    lo, hand, phase, target, until = walk
+    times = [dt * r for r in range(_N)]
+    tcp = [[c] * _N for c in (0.20, 0.10, 0.45)]
+    if on_tcp is not None:
+        for column, c in zip(tcp, hand):
+            column[on_tcp] = c
+    values = [0.5, 0.3, 0.2, 0.9, 0.95, 0.1]
+    if walk is _TASK:  # the candidates sit on the ticks their ids name
+        plain = [state[0] for state in _tick_by_tick(_HUMAN, dt, times, lo, _N, hand, phase,
+                                                     target, until, None, 0, (), tcp, ())[1]]
+        assert plain[_LEAVE - 1:_LEAVE + 1] == [sim._TASK_DWELL, sim._TASK_MOVE]
+        assert plain[_ARRIVAL - 1:_ARRIVAL + 1] == [sim._TASK_MOVE, sim._TASK_DWELL]
+    xyz, marks = sim._walk(_HUMAN, dt, times, lo, _N, hand, phase, target, until, None, 0,
+                           kicks, tcp, values, 0)
+    rows, states = _tick_by_tick(_HUMAN, dt, times, lo, _N, hand, phase, target, until, None,
+                                 0, kicks, tcp, values)
+    reach = next(r for r, s in enumerate(states) if s[5])  # from the hand's point on its tick
+    assert states[reach][3][:3] == tuple(rows[reach])
+    arrival = next(r for r in range(reach, len(states)) if states[r][0] == sim._GRAB)
+    assert states[arrival][5] == 1  # one reach, on the first three values
+    assert xyz.shape[1] == arrival + 1  # up to and with the tick the reach arrives on
+    assert repr(xyz.T.tolist()) == repr(rows[:arrival + 1])
+    assert marks[0][:6] == (lo - 1, phase, target, until, None, 0)
+    for r, state in enumerate(states[:arrival + 1]):
+        tick, *mark = next(m for m in reversed(marks) if m[0] <= lo + r)
+        mark[4] += lo + r - tick  # k ticks into the move
+        moving = state[0] not in (sim._TASK_DWELL, sim._GRAB)
+        assert mark[:3] + mark[5:] == list(state[:3] + state[5:]), lo + r
+        assert not moving or mark[3:5] == list(state[3:5]), lo + r
 
 
 def test_duty_rises_only_when_active(human, trajectory, zone, jet, perception, latency):
